@@ -3,6 +3,11 @@
 Subcommands: train-lm, train-reinflector, reinflect, reorder, realize,
 evaluate.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 internal error.  All files are UTF-8.
+
+``realize`` and ``reorder`` realize sentences one at a time, in input
+order, through ``order.realize_order``; ``--jobs`` is accepted and
+validated but runs no worker pool.  ``--config`` takes a JSON object of
+``PipelineConfig`` fields.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -42,8 +47,6 @@ class PipelineConfig:
 
     lm_order: int = 3
     threshold: int = 23
-    exhaustive_limit: int = 4
-    arrangement_cap: int = 362880
     hidden_size: int = 128
     epochs: int = 20
     lr: float = 1e-3
@@ -55,23 +58,20 @@ class PipelineConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        numeric = (
-            "lm_order", "threshold", "exhaustive_limit", "arrangement_cap",
-            "hidden_size", "epochs", "batch_size", "max_len", "jobs",
-        )
+        numeric = ("lm_order", "threshold", "hidden_size", "epochs", "batch_size", "max_len", "jobs")
         for name in numeric:
             if getattr(self, name) < 1:
                 raise UsageError(f"config field {name} must be positive")
         if self.lr <= 0:
             raise UsageError("config field lr must be positive")
-        if self.threshold < self.exhaustive_limit:
-            raise UsageError("threshold must be >= exhaustive_limit")
+        try:
+            self.order_config().validate()
+        except ValueError as exc:
+            raise UsageError(f"config field {exc}") from None
 
     def order_config(self) -> order.OrderConfig:
         return order.OrderConfig(
             threshold=self.threshold,
-            exhaustive_limit=self.exhaustive_limit,
-            arrangement_cap=self.arrangement_cap,
             capitalize=self.capitalize,
             append_full_stop=self.append_full_stop,
         )
@@ -130,7 +130,7 @@ def cmd_train_lm(args) -> int:
     cfg = _load_config(args)
     sentences = [line for line in _read_text(args.corpus).splitlines() if line.strip()]
     try:
-        vocab = lm.build_vocab(sentences)
+        vocab = lm.Vocabulary.build(sentences)
         model = lm.train_lm(sentences, order=cfg.lm_order, vocab=vocab)
     except lm.EmptyCorpusError as exc:
         raise DataError(f"{args.corpus}: {exc}") from None
@@ -176,10 +176,6 @@ def _load_corpus(path) -> conllu.Corpus:
     return corpus
 
 
-def _sorted_tokens(sentence: conllu.UdSentence) -> list[conllu.Token]:
-    return sorted(sentence.tokens, key=lambda t: t.id)
-
-
 def predict_surface(model, token: conllu.Token, table=None) -> str:
     """Surface form of one token; punctuation passes through unchanged."""
     if token.upos == "PUNCT" or order.is_punct(token.lemma):
@@ -188,9 +184,16 @@ def predict_surface(model, token: conllu.Token, table=None) -> str:
     return reinflect.predict(model, token.lemma, tag) or token.lemma
 
 
+def _load_reinflector(path) -> reinflect.Seq2SeqModel:
+    try:
+        return reinflect.load_model(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+
+
 def cmd_reinflect(args) -> int:
     corpus = _load_corpus(args.conllu)
-    model = reinflect.load_model(args.model)
+    model = _load_reinflector(args.model)
     table = morphmap.default_table()
     filled = 0
     for sentence in corpus.sentences:
@@ -206,57 +209,43 @@ def cmd_reinflect(args) -> int:
 
 
 def _realize_one(sentence, lm_model, reinf_model, table, order_cfg):
-    """Realize a single sentence; falls back to id-ordered lemmas on failure."""
-    tokens = _sorted_tokens(sentence)
+    """Realize a single sentence; falls back to id-ordered lemmas on failure.
+
+    Returns (text, stderr note, whether the sentence degraded).
+    """
+    tokens = sorted(sentence.tokens, key=lambda t: t.id)
     try:
-        words = []
-        for tok in tokens:
-            if reinf_model is None:
-                words.append(tok.form or tok.lemma)
-            else:
-                words.append(predict_surface(reinf_model, tok, table))
-        result = order.order_words(order.preprocess(words), lm_model, order_cfg)
-        text = " ".join(result.sequence)
-        if order_cfg.capitalize and text:
-            text = text[0].upper() + text[1:]
-        if order_cfg.append_full_stop:
-            text += " ."
+        if reinf_model is None:
+            words = [tok.form or tok.lemma for tok in tokens]
+        else:
+            words = [predict_surface(reinf_model, tok, table) for tok in tokens]
+        text, result = order.realize_order(words, lm_model, order_cfg)
         note = f"{sentence.sent_id}: method={result.method.value} lm_score={result.lm_score.total:.4f}"
-        return sentence.sent_id, text, note, False
+        return text, note, False
     except Exception as exc:  # per-sentence degradation keeps the batch going
         text = " ".join(tok.lemma for tok in tokens if tok.lemma)
         note = f"{sentence.sent_id}: realization failed ({exc}), emitted lemmas in id order"
-        return sentence.sent_id, text, note, True
+        return text, note, True
 
 
 def cmd_realize(args) -> int:
     cfg = _load_config(args)
     corpus = _load_corpus(args.conllu)
     lm_model = _parse_lm(args.lm)
-    reinf_model = reinflect.load_model(args.reinflector) if args.reinflector else None
+    reinf_model = _load_reinflector(args.reinflector) if args.reinflector else None
     table = morphmap.default_table()
     order_cfg = cfg.order_config()
 
-    def work(sentence):
-        return _realize_one(sentence, lm_model, reinf_model, table, order_cfg)
-
-    if cfg.jobs > 1 and len(corpus.sentences) > 1:
-        # NGramModel and Seq2SeqModel are immutable after loading, so worker
-        # threads share them; results keep input order.
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(work, corpus.sentences))
-    else:
-        rows = [work(s) for s in corpus.sentences]
-
     failures = 0
     out_lines = []
-    for sent_id, text, note, failed in rows:
-        out_lines.append(f"{sent_id}\t{text}")
+    for sentence in corpus.sentences:
+        text, note, failed = _realize_one(sentence, lm_model, reinf_model, table, order_cfg)
+        out_lines.append(f"{sentence.sent_id}\t{text}")
         print(note, file=sys.stderr)
         failures += int(failed)
     Path(args.out).write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
-    print(f"realized {len(rows)} sentences ({failures} degraded) -> {args.out}")
-    if rows and failures == len(rows):
+    print(f"realized {len(out_lines)} sentences ({failures} degraded) -> {args.out}")
+    if out_lines and failures == len(out_lines):
         raise DataError("every sentence failed to realize")
     return EXIT_OK
 
@@ -275,15 +264,23 @@ def _parse_lm(path) -> lm.NGramModel:
 
 def cmd_evaluate(args) -> int:
     diags: list[str] = []
-    pred = dict(conllu.parse_reference_text(_read_text(args.pred), diags))
-    refs = dict(conllu.parse_reference_text(_read_text(args.refs), diags))
+    pred_pairs = conllu.parse_reference_text(_read_text(args.pred), diags)
+    ref_pairs = conllu.parse_reference_text(_read_text(args.refs), diags)
     _report(diags, "warning")
+    pred, refs = dict(pred_pairs), dict(ref_pairs)
     shared = sorted(set(pred) & set(refs))
     if not shared:
         raise DataError("prediction and reference files share no sentence ids")
     missing = len(set(pred) ^ set(refs))
     if missing:
         print(f"warning: {missing} ids present on one side only", file=sys.stderr)
+    for path, pairs in ((args.pred, pred_pairs), (args.refs, ref_pairs)):
+        for sid, count in Counter(sid for sid, _ in pairs).items():
+            if count > 1:
+                print(
+                    f"warning: {path}: id {sid!r} occurs {count} times, the last one is scored",
+                    file=sys.stderr,
+                )
     report = metrics.evaluate_pairs([pred[i] for i in shared], [refs[i] for i in shared])
     print(report.table())
     print(report.machine_lines(), end="")
@@ -338,7 +335,10 @@ def build_parser() -> _Parser:
         p.add_argument("--threshold", type=int, help="max length handled by method2 (default 23)")
         p.add_argument("--no-full-stop", action="store_true")
         p.add_argument("--no-capitalize", action="store_true")
-        p.add_argument("--jobs", type=int, help="worker threads (default 1)")
+        p.add_argument(
+            "--jobs", type=int,
+            help="accepted and validated (default 1); sentences are realized in input order in one thread",
+        )
         _add_config_flags(p)
         p.set_defaults(func=cmd_realize if name == "realize" else cmd_reorder)
 

@@ -40,7 +40,6 @@ class UdSentence:
 
     sent_id: str
     tokens: list[Token] = field(default_factory=list)
-    reference: str = ""
 
 
 @dataclass
@@ -196,24 +195,6 @@ def parse_reference_text(
         else:
             out.append((sid, sentence))
     return out
-
-
-def attach_references(corpus: Corpus, refs: list[tuple[str, str]]) -> Corpus:
-    """Attach reference sentences to matching sent_ids; unmatched ids are warned about."""
-    by_id: dict[str, str] = {}
-    for sid, sentence in refs:
-        if sid in by_id:
-            corpus.diagnostics.append(f"duplicate reference id {sid!r}: last one wins")
-        by_id[sid] = sentence
-    matched: set[str] = set()
-    for sent in corpus.sentences:
-        if sent.sent_id in by_id:
-            sent.reference = by_id[sent.sent_id]
-            matched.add(sent.sent_id)
-    for sid in by_id:
-        if sid not in matched:
-            corpus.diagnostics.append(f"reference id {sid!r} has no matching sentence")
-    return corpus
 
 
 def _field(value: str) -> str:

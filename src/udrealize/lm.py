@@ -85,10 +85,6 @@ class Vocabulary:
         return self._index.get(word, self._index[UNK_WORD])
 
 
-def build_vocab(corpus_text) -> Vocabulary:
-    return Vocabulary.build(corpus_text)
-
-
 @dataclass
 class LmScore:
     """Total log10 probability of a scored sequence plus bookkeeping."""

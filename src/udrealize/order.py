@@ -2,13 +2,18 @@
 
 Three search strategies, dispatched on bag size:
 
-* ``exhaustive``  - score every permutation (small bags only);
-* ``method1``     - pick the best-scoring ordered 4-word seed, then grow
-                    the sequence greedily from the remaining words;
+* ``exhaustive``  - score every permutation, for bags of up to
+                    ``EXHAUSTIVE_LIMIT`` (4) words;
 * ``method2``     - partition the length into unigram/bigram/trigram
                     chunks, fill each chunk greedily with the
                     best-scoring word tuple, then score every relative
-                    arrangement of the chunks.
+                    arrangement of the chunks; up to the threshold;
+* ``method1``     - pick the best-scoring ordered 4-word seed, then grow
+                    the sequence greedily from the remaining words;
+                    beyond the threshold.
+
+``realize_order`` is the one path from tokens to a sentence string: it
+preprocesses, dispatches, and applies casing and the final stop.
 
 All candidate scoring is deterministic; score ties always resolve to the
 lexicographically smallest sequence.
@@ -23,6 +28,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .lm import BOS_WORD, EOS_WORD, LmScore, NGramModel, score
+
+# Largest bag the exhaustive search handles.  The threshold may not fall
+# below it, so every bag past the threshold has the 5 words method1 needs.
+EXHAUSTIVE_LIMIT = 4
 
 
 class EmptyBagError(ValueError):
@@ -70,16 +79,12 @@ class OrderingResult:
 @dataclass
 class OrderConfig:
     threshold: int = 23
-    exhaustive_limit: int = 4
-    arrangement_cap: int = 362880  # 9!
     capitalize: bool = True
     append_full_stop: bool = True
 
     def validate(self) -> None:
-        if self.exhaustive_limit < 1 or self.threshold < self.exhaustive_limit:
-            raise ValueError("threshold must be >= exhaustive_limit >= 1")
-        if self.arrangement_cap < 1:
-            raise ValueError("arrangement_cap must be positive")
+        if self.threshold < EXHAUSTIVE_LIMIT:
+            raise ValueError(f"threshold must be >= {EXHAUSTIVE_LIMIT}, the exhaustive limit")
 
 
 def is_punct(token: str) -> bool:
@@ -128,11 +133,13 @@ def _final_score(model: NGramModel, sequence) -> LmScore:
     return score(model, [BOS_WORD, *sequence, EOS_WORD])
 
 
-def exhaustive(bag: WordBag, model: NGramModel, limit: int = 4) -> OrderingResult:
+def exhaustive(bag: WordBag, model: NGramModel) -> OrderingResult:
     """Argmax over every distinct permutation, scored as a full sentence."""
     n = len(bag)
-    if n > limit:
-        raise ValueError(f"bag of {n} words exceeds the exhaustive limit {limit}; use method1 or method2")
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"bag of {n} words exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; use method1 or method2"
+        )
     scorer = _Scorer(model)
     best_seq: tuple[str, ...] | None = None
     best = -math.inf
@@ -303,15 +310,20 @@ def order_words(bag: WordBag, model: NGramModel, cfg: OrderConfig | None = None)
     cfg = cfg or OrderConfig()
     cfg.validate()
     n = len(bag)
-    if n <= cfg.exhaustive_limit:
-        return exhaustive(bag, model, limit=cfg.exhaustive_limit)
+    if n <= EXHAUSTIVE_LIMIT:
+        return exhaustive(bag, model)
     if n <= cfg.threshold:
-        return method2(bag, model, limit=cfg.threshold, arrangement_cap=cfg.arrangement_cap)
+        return method2(bag, model, limit=cfg.threshold)
     return method1(bag, model)
 
 
-def realize_order(tokens, model: NGramModel, cfg: OrderConfig | None = None) -> str:
-    """Order a token list into a sentence string, with casing and final stop."""
+def realize_order(
+    tokens, model: NGramModel, cfg: OrderConfig | None = None
+) -> tuple[str, OrderingResult]:
+    """Order a token list into a sentence string, with casing and final stop.
+
+    Returns the text together with the search result it was built from.
+    """
     cfg = cfg or OrderConfig()
     result = order_words(preprocess(tokens), model, cfg)
     text = " ".join(result.sequence)
@@ -319,4 +331,4 @@ def realize_order(tokens, model: NGramModel, cfg: OrderConfig | None = None) -> 
         text = text[0].upper() + text[1:]
     if cfg.append_full_stop:
         text += " ."
-    return text
+    return text, result

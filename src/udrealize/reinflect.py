@@ -14,14 +14,13 @@ checkpoints bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .morphmap import MorphTag, feature_vector
+from .morphmap import MorphTag, build_inventory, feature_vector
 
 EMB_DIM = 64
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
@@ -39,10 +38,12 @@ class CharVocab:
     """Dense character index with reserved slots (PAD is always index 0)."""
 
     chars: tuple[str, ...]
+    _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.chars[: len(RESERVED_CHARS)] != RESERVED_CHARS:
             raise ValueError("reserved characters must occupy the first indices")
+        object.__setattr__(self, "_index", {ch: i for i, ch in enumerate(self.chars)})
 
     @classmethod
     def build(cls, texts) -> "CharVocab":
@@ -52,26 +53,14 @@ class CharVocab:
     def __len__(self) -> int:
         return len(self.chars)
 
-    def index(self, ch: str) -> int:
-        try:
-            return self.chars.index(ch)
-        except ValueError:
-            return UNK
-
     def encode(self, text: str, diagnostics: list[str] | None = None) -> list[int]:
-        lookup = _vocab_lookup(self)
         out = []
         for ch in text:
-            ix = lookup.get(ch, UNK)
+            ix = self._index.get(ch, UNK)
             if ix == UNK and diagnostics is not None:
                 diagnostics.append(f"character {ch!r} not in vocabulary, mapped to UNK")
             out.append(ix)
         return out
-
-
-@lru_cache(maxsize=8)
-def _vocab_lookup(vocab: CharVocab) -> dict[str, int]:
-    return {ch: i for i, ch in enumerate(vocab.chars)}
 
 
 @dataclass(frozen=True)
@@ -130,10 +119,6 @@ class Seq2SeqModel:
     def feature_size(self) -> int:
         return len(self.inventory)
 
-    @property
-    def decoder_input_size(self) -> int:
-        return EMB_DIM + 2 * self.hidden_size + self.feature_size
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -161,53 +146,37 @@ def _masked(new: Tensor, old: Tensor, mask: np.ndarray) -> Tensor:
     return ad.add(ad.mul(new, mask), ad.mul(old, 1.0 - mask))
 
 
-def _encode_batch(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray, keep_contexts: bool):
-    """Run both encoder directions over padded index rows.
-
-    Returns (per-position context tensors or None, summary tensor (B, 2H)).
-    """
+def _encode_batch(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """Run both encoder directions over padded index rows; returns the (B, 2H) summary."""
     b, max_t = idx.shape
     h = model.hidden_size
     params = model.params
     zero = Tensor(np.zeros((b, h)))
 
-    fwd_states: list[Tensor] = []
     hf, cf = zero, zero
     for t in range(max_t):
         x = ad.rows(params["emb"], idx[:, t])
         hn, cn = _lstm_step("enc_f", params, x, hf, cf)
         m = (t < lengths).astype(np.float64)[:, None]
         hf, cf = _masked(hn, hf, m), _masked(cn, cf, m)
-        if keep_contexts:
-            fwd_states.append(hf)
 
-    bwd_states: list[Tensor | None] = [None] * max_t
     hb, cb = zero, zero
     for t in range(max_t - 1, -1, -1):
         x = ad.rows(params["emb"], idx[:, t])
         hn, cn = _lstm_step("enc_b", params, x, hb, cb)
         m = (t < lengths).astype(np.float64)[:, None]
         hb, cb = _masked(hn, hb, m), _masked(cn, cb, m)
-        if keep_contexts:
-            bwd_states[t] = hb
 
-    summary = ad.concat([hf, hb], axis=1)
-    contexts = None
-    if keep_contexts:
-        contexts = [ad.concat([fwd_states[t], bwd_states[t]], axis=1) for t in range(max_t)]
-    return contexts, summary
+    return ad.concat([hf, hb], axis=1)
 
 
-def encode(model: Seq2SeqModel, lemma_indices) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one index sequence; returns (contexts (L, 2H), summary (2H,))."""
+def encode(model: Seq2SeqModel, lemma_indices) -> np.ndarray:
+    """Encode one index sequence into the (2H,) encoder summary."""
     indices = list(lemma_indices)
     if not indices:
         raise ValueError("empty input")
-    idx = np.asarray([indices], dtype=np.intp)
-    lengths = np.asarray([len(indices)])
-    contexts, summary = _encode_batch(model, idx, lengths, keep_contexts=True)
-    stacked = np.stack([c.data[0] for c in contexts])
-    return stacked, summary.data[0]
+    summary = _encode_batch(model, np.asarray([indices], dtype=np.intp), np.asarray([len(indices)]))
+    return summary.data[0]
 
 
 def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
@@ -269,7 +238,7 @@ def _batch_loss(model: Seq2SeqModel, examples, diagnostics: list[str] | None = N
     enc_idx, enc_len, dec_idx, targets, mask, morph = _make_batch(model, examples, diagnostics)
     b, max_dec = targets.shape
     params = model.params
-    _, summary = _encode_batch(model, enc_idx, enc_len, keep_contexts=False)
+    summary = _encode_batch(model, enc_idx, enc_len)
     morph_t = Tensor(morph)
 
     h = Tensor(np.zeros((b, model.hidden_size)))
@@ -392,10 +361,7 @@ def predict(model: Seq2SeqModel, lemma: str, tag: MorphTag) -> str:
     if not lemma:
         raise ValueError("empty input")
     lemma_ix = model.vocab.encode(lemma)
-    _, summary = _encode_batch(
-        model, np.asarray([lemma_ix], dtype=np.intp), np.asarray([len(lemma_ix)]), keep_contexts=False
-    )
-    summary_vec = summary.data[0]
+    summary_vec = encode(model, lemma_ix)
     morph_vec = feature_vector(tag, model.inventory)
     emb = model.params["emb"].data
     state = None
@@ -445,12 +411,8 @@ def build_model(
     """Construct a fresh model whose vocab and tag inventory cover the training data."""
     examples = list(examples)
     vocab = CharVocab.build([ex.lemma for ex in examples] + [ex.target for ex in examples])
-    inventory: set[str] = set()
-    for ex in examples:
-        inventory.update(ex.tag.tags)
-    return Seq2SeqModel(
-        vocab, tuple(sorted(inventory)), hidden_size=hidden_size, max_len=max_len, seed=seed
-    )
+    inventory = build_inventory([ex.tag for ex in examples])
+    return Seq2SeqModel(vocab, inventory, hidden_size=hidden_size, max_len=max_len, seed=seed)
 
 
 def save_model(model: Seq2SeqModel, path) -> None:
@@ -472,21 +434,37 @@ def save_model(model: Seq2SeqModel, path) -> None:
 
 
 def load_model(path) -> Seq2SeqModel:
+    """Read a checkpoint written by ``save_model``.
+
+    Raises ValueError when the file does not hold exactly the blocks, in
+    the shapes, that its header's vocabulary, inventory and hidden size
+    imply.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a reinflector checkpoint")
         header = json.loads(fh.readline().decode("utf-8"))
+        if header["emb_dim"] != EMB_DIM:
+            raise ValueError(f"{path}: embedding width {header['emb_dim']} differs from {EMB_DIM}")
         model = Seq2SeqModel(
             CharVocab(tuple(header["chars"])),
             tuple(header["inventory"]),
             hidden_size=header["hidden_size"],
             max_len=header["max_len"],
         )
+        names = [name for name, _ in header["params"]]
+        if names != list(model.PARAM_NAMES):
+            raise ValueError(f"{path}: parameter blocks {names} are not {list(model.PARAM_NAMES)}")
         for name, shape in header["params"]:
+            expected = model.params[name].data.shape
+            if tuple(shape) != expected:
+                raise ValueError(f"{path}: parameter block {name!r} has shape {tuple(shape)}, expected {expected}")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ValueError(f"{path}: truncated parameter block {name!r}")
             model.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the last parameter block")
     return model

@@ -275,6 +275,18 @@ def test_evaluate_disjoint_ids_is_data_error(workspace, tmp_path):
     assert cli.main(["evaluate", str(other), str(workspace["refs"])]) == cli.EXIT_DATA
 
 
+def test_evaluate_warns_on_duplicate_ids(workspace, tmp_path, capfd):
+    pred = tmp_path / "pred.txt"
+    pred.write_text("s1\tHello .\ns1\tHello again .\ns2\trun dogs .\n")
+    refs = tmp_path / "refs.txt"
+    refs.write_text("s1\tHello .\ns2\tDogs run .\ns2\tThe dogs run .\ns2\tRun .\n")
+    assert cli.main(["evaluate", str(pred), str(refs)]) == 0
+    err = capfd.readouterr().err
+    assert f"warning: {pred}: id 's1' occurs 2 times" in err
+    assert f"warning: {refs}: id 's2' occurs 3 times" in err
+    assert "'s2' occurs 1" not in err
+
+
 def test_evaluate_matches_library_scores(workspace, tmp_path, capfd):
     pred = tmp_path / "pred.txt"
     pred.write_text("s1\tHello .\ns2\trun dogs .\ns3\tThe cat sat .\n")
@@ -323,6 +335,27 @@ def test_missing_model_file_is_data_error(workspace, tmp_path):
     assert code == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "edit", ["unknown-block", "trailing-bytes"],
+)
+def test_realize_inconsistent_checkpoint_is_data_error(workspace, tmp_path, capfd, edit):
+    magic, header, blocks = workspace["checkpoint"].read_bytes().split(b"\n", 2)
+    if edit == "unknown-block":
+        parsed = json.loads(header)
+        parsed["params"][0][0] = "embedding"
+        header = json.dumps(parsed).encode()
+    else:
+        blocks += b"\0" * 8
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(magic + b"\n" + header + b"\n" + blocks)
+    code = cli.main(
+        ["realize", str(workspace["treebank"]), "--lm", str(workspace["arpa"]),
+         "--reinflector", str(bad), "--out", str(tmp_path / "p.txt")]
+    )
+    assert code == cli.EXIT_DATA
+    assert f"error: {bad}: " in capfd.readouterr().err
+
+
 # -------------------------------------------------------------------- config
 
 def test_config_file_applies_and_flags_win(workspace, tmp_path):
@@ -354,9 +387,21 @@ def test_config_unknown_key_is_usage_error(workspace, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("key, value", [("exhaustive_limit", 4), ("arrangement_cap", 362880)])
+def test_config_fixed_search_limits_are_unknown_keys(workspace, tmp_path, capfd, key, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    code = cli.main(
+        ["reorder", str(workspace["treebank"]), "--lm", str(workspace["arpa"]),
+         "--out", str(tmp_path / "p.txt"), "--config", str(config)]
+    )
+    assert code == cli.EXIT_USAGE
+    assert "unknown config key" in capfd.readouterr().err
+
+
 def test_config_invalid_values_are_usage_error(workspace, tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"threshold": 2, "exhaustive_limit": 4}))
+    config.write_text(json.dumps({"threshold": 3}))
     code = cli.main(
         ["train-lm", str(workspace["corpus"]), "--lm-out", str(tmp_path / "o.arpa"),
          "--vocab-out", str(tmp_path / "o.vocab"), "--config", str(config)]

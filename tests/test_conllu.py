@@ -7,7 +7,6 @@ from udrealize.conllu import (
     Corpus,
     Token,
     UdSentence,
-    attach_references,
     emit_conllu,
     parse_conllu,
     parse_reference_text,
@@ -187,19 +186,3 @@ def test_parse_reference_text_missing_tab():
     out = parse_reference_text("no tab here", diags)
     assert out == [("", "no tab here")]
     assert len(diags) == 1
-
-
-def test_attach_references():
-    corpus = parse_conllu("# sent_id = s1\n" + TWO_TOKENS)
-    attach_references(corpus, [("s1", "x")])
-    assert corpus.sentences[0].reference == "x"
-
-    corpus = parse_conllu("# sent_id = s1\n" + TWO_TOKENS)
-    attach_references(corpus, [("s2", "x")])
-    assert corpus.sentences[0].reference == ""
-    assert any("no matching sentence" in d for d in corpus.diagnostics)
-
-    corpus = parse_conllu("# sent_id = s1\n" + TWO_TOKENS)
-    attach_references(corpus, [("s1", "first"), ("s1", "second")])
-    assert corpus.sentences[0].reference == "second"
-    assert any("last one wins" in d for d in corpus.diagnostics)

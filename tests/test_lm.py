@@ -11,7 +11,6 @@ from udrealize.lm import (
     EmptyCorpusError,
     NGramModel,
     Vocabulary,
-    build_vocab,
     emit_arpa,
     parse_arpa,
     score,
@@ -28,20 +27,20 @@ def prob_sum(model: NGramModel, history) -> float:
 # ---------------------------------------------------------------- vocabulary
 
 def test_build_vocab_basic():
-    vocab = build_vocab(["a b a"])
+    vocab = Vocabulary.build(["a b a"])
     assert set(vocab.words) == {"a", "b", "<s>", "</s>", "<unk>"}
 
 
 def test_build_vocab_empty():
-    assert set(build_vocab([]).words) == {"<s>", "</s>", "<unk>"}
+    assert set(Vocabulary.build([]).words) == {"<s>", "</s>", "<unk>"}
 
 
 def test_build_vocab_case_folds():
-    assert set(build_vocab(["A a"]).words) == {"a", "<s>", "</s>", "<unk>"}
+    assert set(Vocabulary.build(["A a"]).words) == {"a", "<s>", "</s>", "<unk>"}
 
 
 def test_vocab_text_round_trip():
-    vocab = build_vocab(["b a c"])
+    vocab = Vocabulary.build(["b a c"])
     text = vocab.to_text()
     assert text == "a\nb\nc\n"
     assert Vocabulary.from_text(text) == vocab

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from udrealize import lm
 from udrealize.order import (
+    EXHAUSTIVE_LIMIT,
     ChunkScheme,
     EmptyBagError,
     OrderConfig,
@@ -278,17 +279,36 @@ def test_dispatch_small_uses_exhaustive(toy_lm):
     assert result.method == OrderMethod.EXHAUSTIVE
 
 
+@pytest.mark.parametrize("threshold", [4, 5, 6])
+def test_dispatch_every_accepted_threshold_is_safe(toy_lm, threshold):
+    # README: exhaustive up to 4 words, method2 up to the threshold, method1 beyond
+    cfg = OrderConfig(threshold=threshold)
+    rng = np.random.default_rng(threshold)
+    for n in range(1, threshold + 3):
+        result = order_words(preprocess(random_bag(rng, n)), toy_lm, cfg)
+        if n <= EXHAUSTIVE_LIMIT:
+            expected = OrderMethod.EXHAUSTIVE
+        elif n <= threshold:
+            expected = OrderMethod.METHOD2
+        else:
+            expected = OrderMethod.METHOD1
+        assert result.method == expected, n
+        assert len(result.sequence) == n
+
+
 def test_realize_order_appends_full_stop_and_capitalizes(toy_lm):
-    out = realize_order(["dog", "the", "ran"], toy_lm)
+    out, result = realize_order(["dog", "the", "ran"], toy_lm)
     assert out.endswith(" .")
     assert out[0].isupper()
+    assert out[:-2].lower().split() == result.sequence
 
 
 def test_realize_order_flags(toy_lm):
     cfg = OrderConfig(capitalize=False, append_full_stop=False)
-    out = realize_order(["dog", "the"], toy_lm, cfg)
+    out, result = realize_order(["dog", "the"], toy_lm, cfg)
     assert not out.endswith(".")
     assert out == out.lower()
+    assert out.split() == result.sequence
 
 
 def test_realize_order_propagates_empty_bag(toy_lm):
@@ -298,9 +318,8 @@ def test_realize_order_propagates_empty_bag(toy_lm):
 
 def test_order_config_validation():
     with pytest.raises(ValueError):
-        OrderConfig(threshold=2, exhaustive_limit=4).validate()
-    with pytest.raises(ValueError):
-        OrderConfig(arrangement_cap=0).validate()
+        OrderConfig(threshold=3).validate()
+    OrderConfig(threshold=EXHAUSTIVE_LIMIT).validate()
 
 
 def test_ordering_is_deterministic(toy_lm):

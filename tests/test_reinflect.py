@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,7 @@ def test_char_vocab_reserved_layout():
     vocab = CharVocab.build(["ba"])
     assert vocab.chars[:4] == ("<pad>", "<bos>", "<eos>", "<unk>")
     assert (PAD, BOS, EOS, UNK) == (0, 1, 2, 3)
-    assert vocab.index("a") == 4
-    assert vocab.index("?") == UNK
+    assert vocab.encode("a?") == [4, UNK]
 
 
 def test_char_vocab_encode_counts_unknown():
@@ -57,11 +58,8 @@ def test_char_vocab_encode_counts_unknown():
 
 def test_encode_shapes():
     model, _ = tiny_model()
-    ctx, summary = encode(model, model.vocab.encode("a"))
-    assert ctx.shape == (1, 2 * model.hidden_size)
-    assert summary.shape == (2 * model.hidden_size,)
-    ctx5, _ = encode(model, model.vocab.encode("abcde"))
-    assert ctx5.shape == (5, 2 * model.hidden_size)
+    assert encode(model, model.vocab.encode("a")).shape == (2 * model.hidden_size,)
+    assert encode(model, model.vocab.encode("abcde")).shape == (2 * model.hidden_size,)
 
 
 def test_encode_empty_errors():
@@ -72,7 +70,7 @@ def test_encode_empty_errors():
 
 def test_encode_mirrored_weights_reverse_input():
     # swapping the direction parameters and reversing the input must give the
-    # positionally-reversed, channel-swapped context
+    # channel-swapped summary
     model, examples = tiny_model(seed=5)
     mirrored, _ = tiny_model(seed=5, examples=examples)
     for a, b in (("enc_f", "enc_b"), ("enc_b", "enc_f")):
@@ -80,21 +78,15 @@ def test_encode_mirrored_weights_reverse_input():
             mirrored.params[f"{a}.{part}"].data = model.params[f"{b}.{part}"].data.copy()
 
     seq = model.vocab.encode("abcde")
-    ctx, summary = encode(model, seq)
-    rev_ctx, rev_summary = encode(mirrored, seq[::-1])
+    summary = encode(model, seq)
+    rev_summary = encode(mirrored, seq[::-1])
     h = model.hidden_size
-
-    def swap(vec):
-        return np.concatenate([vec[..., h:], vec[..., :h]], axis=-1)
-
-    assert np.allclose(rev_ctx, swap(ctx[::-1]), atol=1e-12)
-    assert np.allclose(rev_summary, swap(summary), atol=1e-12)
+    assert np.allclose(rev_summary, np.concatenate([summary[h:], summary[:h]]), atol=1e-12)
 
 
 def test_decoder_input_width_invariant():
     model, _ = tiny_model(hidden=4)
     assert model.params["dec.wx"].data.shape[0] == 64 + 2 * 4 + model.feature_size
-    assert model.decoder_input_size == 64 + 2 * model.hidden_size + model.feature_size
 
 
 # --------------------------------------------------------------- decode_step
@@ -182,7 +174,7 @@ def test_loss_zero_for_certain_decoder():
     model = build_model([example], hidden_size=1, max_len=8, seed=0)
     for p in model.params.values():
         p.data[:] = 0.0
-    a_ix = model.vocab.index("a")
+    [a_ix] = model.vocab.encode("a")
     model.params["emb"].data[a_ix, 0] = 1.0
     model.params["emb"].data[PAD, 0] = -1.0
     # decoder gates driven hard by input channel 0: i, f, g saturate with x0
@@ -438,6 +430,47 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
+        load_model(path)
+
+
+def _corrupt_checkpoint(path, edit_header=None, trailer=b""):
+    """Rewrite a saved checkpoint with an edited JSON header and/or extra bytes."""
+    magic, header, blocks = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    if edit_header is not None:
+        edit_header(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blocks + trailer)
+
+
+def _set_emb_dim(header):
+    header["emb_dim"] = 32
+
+
+def _rename_first_block(header):
+    header["params"][0][0] = "embedding"
+
+
+def _add_vocab_char(header):
+    # one more character means emb and out blocks one row/column short
+    header["chars"].append("~")
+
+
+@pytest.mark.parametrize(
+    "edit_header, trailer, message",
+    [
+        (_set_emb_dim, b"", "embedding width"),
+        (_rename_first_block, b"", "parameter blocks"),
+        (_add_vocab_char, b"", "has shape"),
+        (None, b"\0" * 8, "unexpected bytes"),
+    ],
+    ids=["emb-dim", "unknown-block", "shape", "trailing-bytes"],
+)
+def test_checkpoint_rejects_inconsistent_file(tmp_path, edit_header, trailer, message):
+    model, _ = tiny_model(seed=19)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    _corrupt_checkpoint(path, edit_header, trailer)
+    with pytest.raises(ValueError, match=message):
         load_model(path)
 
 

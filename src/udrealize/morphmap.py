@@ -8,7 +8,6 @@ is counted in the caller's diagnostics list.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -17,9 +16,6 @@ import numpy as np
 
 DROP = "DROP"
 UNKNOWN_POS_CLASS = "X"
-
-_TAG_RE = re.compile(r"^[A-Z0-9.]+(;[A-Z0-9.]+)*$")
-
 
 @dataclass(frozen=True)
 class MorphTag:
@@ -107,10 +103,6 @@ def convert(
             continue
         tags.append(mapped)
     return MorphTag(tuple(tags))
-
-
-def is_well_formed(tag: MorphTag) -> bool:
-    return bool(_TAG_RE.match(str(tag)))
 
 
 def build_inventory(tags: "list[MorphTag] | tuple[MorphTag, ...]") -> tuple[str, ...]:

@@ -6,17 +6,44 @@ Three search strategies, dispatched on bag size:
                     ``EXHAUSTIVE_LIMIT`` (4) words;
 * ``method2``     - partition the length into unigram/bigram/trigram
                     chunks, fill each chunk greedily with the
-                    best-scoring word tuple, then score every relative
+                    best-scoring word tuple, then find the best
                     arrangement of the chunks; up to the threshold;
 * ``method1``     - pick the best-scoring ordered 4-word seed, then grow
                     the sequence greedily from the remaining words;
                     beyond the threshold.
 
+Every search reads one per-bag ``ScoreTable``.  The bag's distinct words
+get integer ids in sorted order, so comparing id tuples compares word
+tuples.  The table holds the exact ``model.logprob`` value of every
+predicted bag word or ``</s>`` after every history of up to
+``order - 1`` bag words, or ``<s>`` followed by bag words.  Histories of
+up to two words are dense arrays (at order 3: a 1-D, a 2-D and a 3-D
+array); longer ones, at LM order 4 and up, get a row each on first use.
+The searches score whole grids of id tuples at once by numpy
+broadcasting.
+
+Exactness: a candidate's score is the float sum of its conditionals,
+added one at a time from the left (from log p(<s>) for a sentence, from
+the first word for a bare chunk), so every search computes the same
+float a one-candidate-at-a-time loop would.  Score ties always resolve
+to the lexicographically smallest sequence; over an id grid that is the
+first maximum in C order.
+
+``method2`` arranges its chunks with a Held-Karp dynamic program (Held &
+Karp 1962; word ordering as a travelling-salesman problem, Horvat &
+Byrne 2014) over states (used-chunk mask, last ``order - 1`` ids)
+instead of scoring all k! arrangements.  Rounding is monotone, so a
+prefix that scores lower at a state never overtakes a higher one, but
+the two may end up tied, and then the smaller sequence wins.  The DP
+therefore keeps every prefix within ``_TIE_BAND`` (1e-9) of the best one
+at its state: each later addition closes the gap between two sums by at
+most one ulp, under 1e-12 while sums stay below 4096 in magnitude, so
+fewer than 1000 later additions cannot close a larger gap.  Among prefixes
+with the same score at a state it keeps only the smallest, since their
+continuations score the same.
+
 ``realize_order`` is the one path from tokens to a sentence string: it
 preprocesses, dispatches, and applies casing and the final stop.
-
-All candidate scoring is deterministic; score ties always resolve to the
-lexicographically smallest sequence.
 """
 
 from __future__ import annotations
@@ -27,11 +54,21 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .lm import BOS_WORD, EOS_WORD, LmScore, NGramModel, score
 
 # Largest bag the exhaustive search handles.  The threshold may not fall
 # below it, so every bag past the threshold has the 5 words method1 needs.
 EXHAUSTIVE_LIMIT = 4
+
+# Prefixes scoring within this distance of the best at a DP state are kept.
+_TIE_BAND = 1e-9
+
+# The score table is dense for histories of up to this many words: the
+# seed and chunk searches read every such entry.  Longer histories are
+# read only along search paths, so their rows are filled on first use.
+_DENSE_HISTORY = 2
 
 
 class EmptyBagError(ValueError):
@@ -100,33 +137,90 @@ def preprocess(tokens) -> WordBag:
     return WordBag(words)
 
 
-class _Scorer:
-    """Conditional log10 probabilities with a per-call memo cache."""
+class ScoreTable:
+    """Exact conditional log10 probabilities among one bag's words.
 
-    def __init__(self, model: NGramModel):
+    Word ids follow sorted word order.  The id ``marker`` (the number of
+    distinct words) stands for ``<s>`` as the first word of a history and
+    for ``</s>`` as the predicted word.  ``tables[L]`` holds
+    log10 p(word | history of L ids), indexed ``[*history, word]``, for
+    histories of up to ``_DENSE_HISTORY`` words; longer histories (LM
+    order 4 and up) get one row each, filled on first use.
+    """
+
+    def __init__(self, bag: WordBag, model: NGramModel):
         self.model = model
+        self.words = sorted(set(bag.words))
+        self.marker = m = len(self.words)
+        index = {w: i for i, w in enumerate(self.words)}
+        self.counts = np.bincount([index[w] for w in bag.words], minlength=m)
         self.span = model.order - 1
-        self.cache: dict[tuple, float] = {}
+        self.start = model.logprob(BOS_WORD, ())
+        self.heads, self.predicted = [*self.words, BOS_WORD], [*self.words, EOS_WORD]
+        self.tables = []
+        for length in range(min(self.span, _DENSE_HISTORY) + 1):
+            axes = [self.heads] + [self.words] * (length - 1) if length else []
+            values = [model.logprob(w, h) for h in itertools.product(*axes) for w in self.predicted]
+            shape = tuple(len(a) for a in axes) + (m + 1,)
+            self.tables.append(np.array(values, dtype=np.float64).reshape(shape))
+        self.rows: dict[tuple[int, ...], np.ndarray] = {}
 
-    def cond(self, word: str, history: tuple[str, ...]) -> float:
-        key = (history[-self.span :] if self.span else (), word)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self.model.logprob(word, key[0])
-            self.cache[key] = hit
-        return hit
+    def grid(self, size: int) -> tuple:
+        """Open mesh of every ordered ``size``-tuple of word ids."""
+        return np.ix_(*[np.arange(self.marker)] * size)
 
-    def fragment(self, words) -> float:
-        """Bare fragment score: no sentence markers added."""
-        total = 0.0
-        for i, w in enumerate(words):
-            total += self.cond(w, tuple(words[max(0, i - self.span) : i]))
+    def row(self, history: tuple[int, ...]) -> np.ndarray:
+        """log10 p(w | history) for every predicted id w, for a long history."""
+        if history not in self.rows:
+            words = tuple(self.heads[i] for i in history)
+            self.rows[history] = np.array([self.model.logprob(w, words) for w in self.predicted])
+        return self.rows[history]
+
+    def cond(self, history, word):
+        """log10 p(word | history); ids may be broadcastable arrays."""
+        h = tuple(history[max(0, len(history) - self.span) :])
+        if len(h) <= _DENSE_HISTORY:
+            return self.tables[len(h)][(*h, word)]
+        *hs, ws = np.broadcast_arrays(*h, word)
+        out = np.empty(ws.shape)
+        for i in np.ndindex(ws.shape):
+            out[i] = self.row(tuple(int(a[i]) for a in hs))[ws[i]]
+        return out
+
+    def extend(self, total, history, ids):
+        """``total`` plus the conditionals of ``ids`` after ``history``, added left to right."""
+        history = list(history)
+        for w in ids:
+            total = total + self.cond(history, w)
+            history.append(w)
         return total
 
-    def sentence(self, words) -> float:
-        """Score as a full sentence wrapped in <s>...</s>."""
-        wrapped = (BOS_WORD, *words, EOS_WORD)
-        return self.fragment(wrapped)
+    def sentence(self, ids):
+        """Score of ``ids`` wrapped in <s>...</s>."""
+        total = self.extend(self.start, [self.marker], ids)
+        return total + self.cond([self.marker, *ids], self.marker)
+
+    def decode(self, ids) -> list[str]:
+        return [self.words[i] for i in ids]
+
+
+def _fits(counts, ids):
+    """True where the id tuple uses no word more often than ``counts`` allows."""
+    ok = True
+    for i, w in enumerate(ids):
+        uses = 1
+        for prev in ids[:i]:
+            uses = uses + (prev == w)
+        ok = ok & (counts[w] >= uses)
+    return ok
+
+
+def _argmax(scores, ok) -> tuple[float, tuple[int, ...]]:
+    """Best allowed grid entry as (score, id tuple); a tie goes to the
+    first entry in C order, which is the smallest tuple."""
+    masked = np.where(ok, scores, -np.inf)
+    ids = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return float(masked[ids]), tuple(int(i) for i in ids)
 
 
 def _final_score(model: NGramModel, sequence) -> LmScore:
@@ -140,20 +234,16 @@ def exhaustive(bag: WordBag, model: NGramModel) -> OrderingResult:
         raise ValueError(
             f"bag of {n} words exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; use method1 or method2"
         )
-    scorer = _Scorer(model)
-    best_seq: tuple[str, ...] | None = None
-    best = -math.inf
-    evaluated = 0
-    for perm in sorted(set(itertools.permutations(bag.words))):
-        s = scorer.sentence(perm)
-        evaluated += 1
-        if s > best or (s == best and perm < best_seq):
-            best, best_seq = s, perm
+    table = ScoreTable(bag, model)
+    grid = table.grid(n)
+    ok = _fits(table.counts, grid)  # exactly the distinct permutations
+    _, best = _argmax(table.sentence(grid), ok)
+    sequence = table.decode(best)
     return OrderingResult(
-        sequence=list(best_seq),
-        lm_score=_final_score(model, best_seq),
+        sequence=sequence,
+        lm_score=_final_score(model, sequence),
         method=OrderMethod.EXHAUSTIVE,
-        candidates_evaluated=evaluated,
+        candidates_evaluated=int(np.count_nonzero(ok)),
     )
 
 
@@ -161,55 +251,48 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     """Best 4-word sentence-initial seed, then greedy one-word extensions.
 
     The seed stage scores every ordered 4-tuple of distinct bag positions
-    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix; the remaining
-    words then join one at a time, each time appending the word whose
-    addition scores highest.
+    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix with trigram
+    histories, one first word at a time; the remaining words then join
+    one at a time, each time appending the word whose addition scores
+    highest (the smallest word on a tie).
     """
-    words = list(bag.words)  # sorted by WordBag construction
-    n = len(words)
+    n = len(bag)
     if n < 5:
         raise ValueError("method1 requires at least 5 words")
-    scorer = _Scorer(model)
-    bos = (BOS_WORD,)
-
-    best_seed: tuple[str, ...] | None = None
-    best = -math.inf
-    seed_count = 0
-    c0 = scorer.cond(BOS_WORD, ())
-    for quad in itertools.permutations(range(n), 4):
-        w = (words[quad[0]], words[quad[1]], words[quad[2]], words[quad[3]])
+    table = ScoreTable(bag, model)
+    bos = table.marker
+    rest = table.grid(3)
+    best, best_seed = -math.inf, None
+    for first in range(table.marker):  # ascending, so a tie keeps the smaller seed
+        a, b, c, d = seed = (first, *rest)
+        # seed histories hold at most two words, whatever the LM order
         s = (
-            c0
-            + scorer.cond(w[0], bos)
-            + scorer.cond(w[1], (BOS_WORD, w[0]))
-            + scorer.cond(w[2], (w[0], w[1]))
-            + scorer.cond(w[3], (w[1], w[2]))
+            table.start
+            + table.cond([bos], a)
+            + table.cond([bos, a], b)
+            + table.cond([a, b], c)
+            + table.cond([b, c], d)
         )
-        seed_count += 1
-        if s > best or (s == best and w < best_seed):
-            best, best_seed = s, w
+        s, tail = _argmax(s, _fits(table.counts, seed))
+        if s > best:
+            best, best_seed = s, (first, *tail)
 
     sequence = list(best_seed)
-    remaining = words.copy()
+    remaining = table.counts.copy()
     for w in best_seed:
-        remaining.remove(w)
-
+        remaining[w] -= 1
+    seed_count = n * (n - 1) * (n - 2) * (n - 3)
     evaluated = seed_count
     iterations = 0
-    running = best
-    while remaining:
+    while len(sequence) < n:
         iterations += 1
-        prefix = (BOS_WORD, *sequence)
-        best_word: str | None = None
-        best_gain = -math.inf
-        for w in sorted(set(remaining)):
-            gain = scorer.cond(w, prefix)
-            evaluated += 1
-            if gain > best_gain:
-                best_gain, best_word = gain, w
-        sequence.append(best_word)
-        remaining.remove(best_word)
-        running += best_gain
+        candidates = np.flatnonzero(remaining)  # sorted(set(remaining)) as ids
+        gains = table.cond([bos, *sequence], candidates)
+        w = int(candidates[np.argmax(gains)])  # first maximum: the smallest word
+        evaluated += len(candidates)
+        sequence.append(w)
+        remaining[w] -= 1
+    sequence = table.decode(sequence)
     return OrderingResult(
         sequence=sequence,
         lm_score=_final_score(model, sequence),
@@ -243,27 +326,83 @@ def chunk_schemes(n: int) -> list[ChunkScheme]:
     return out
 
 
+def _arrange(table: ScoreTable, chunks: list[tuple[int, ...]]) -> tuple[float, tuple[int, ...], int]:
+    """Best sentence over every order of ``chunks`` (id tuples).
+
+    Held-Karp over states (used-chunk mask, last ``order - 1`` ids), each
+    holding {prefix score: smallest prefix} for the scores within
+    ``_TIE_BAND`` of its best.  Returns (score, id sequence, transitions).
+    """
+    span, k = table.span, len(chunks)
+    steps = {}
+
+    def step(history: tuple[int, ...], j: int):
+        # the chunk's conditionals after `history`, and the history after it
+        key = (history, j)
+        if key not in steps:
+            h, terms = list(history), []
+            for w in chunks[j]:
+                terms.append(float(table.cond(h, w)))
+                h.append(w)
+            steps[key] = (tuple(terms), tuple(h[max(0, len(h) - span) :]))
+        return steps[key]
+
+    states: list[dict] = [{} for _ in range(1 << k)]
+    states[0][(table.marker,) if span else ()] = {table.start: ()}
+    transitions = 0
+    for mask in range(1 << k):  # every predecessor of a mask is a smaller number
+        for history, prefixes in states[mask].items():
+            top = max(prefixes)
+            kept = [(s, p) for s, p in prefixes.items() if s >= top - _TIE_BAND]
+            for j in range(k):
+                if mask >> j & 1:
+                    continue
+                terms, after = step(history, j)
+                bucket = states[mask | 1 << j].setdefault(after, {})
+                for s, prefix in kept:
+                    for t in terms:
+                        s += t
+                    prefix += chunks[j]
+                    transitions += 1
+                    if s not in bucket or prefix < bucket[s]:
+                        bucket[s] = prefix
+
+    best, best_seq = -math.inf, None
+    for history, prefixes in states[-1].items():
+        close = float(table.cond(history, table.marker))
+        for s, prefix in prefixes.items():
+            s += close
+            transitions += 1
+            if s > best or (s == best and prefix < best_seq):
+                best, best_seq = s, prefix
+    return best, best_seq, transitions
+
+
 def method2(
     bag: WordBag,
     model: NGramModel,
     limit: int = 23,
     arrangement_cap: int = 362880,
 ) -> OrderingResult:
-    """Chunk-partition search: greedy chunk filling, exhaustive arrangement.
+    """Chunk-partition search: greedy chunk filling, exact arrangement.
 
     For every chunk scheme, chunks are filled in scheme order with the
     highest-scoring ordered tuple of still-unused words (scored as bare
-    fragments); every relative arrangement of the filled chunks is then
-    scored as a full sentence.  The best (score, then lexicographic)
+    fragments); the best full-sentence arrangement of the filled chunks
+    is then found by ``_arrange``.  The best (score, then lexicographic)
     sequence over all schemes wins.  Schemes whose arrangement count
     exceeds ``arrangement_cap`` are skipped with a diagnostic.
+    ``candidates_evaluated`` counts the chunk fragments plus the DP's
+    transitions.
     """
     n = len(bag)
     if not 1 <= n <= limit:
         raise ValueError(f"method2 handles 1..{limit} words, got {n}")
-    scorer = _Scorer(model)
+    table = ScoreTable(bag, model)
+    grids = {size: table.grid(size) for size in (1, 2, 3)}
+    fragments = {size: table.extend(0.0, (), grid) for size, grid in grids.items()}
     diagnostics: list[str] = []
-    best_seq: tuple[str, ...] | None = None
+    best_seq: tuple[int, ...] | None = None
     best = -math.inf
     evaluated = 0
 
@@ -274,31 +413,26 @@ def method2(
                 f"scheme {scheme.sizes}: {k}! arrangements exceed cap {arrangement_cap}, skipped"
             )
             continue
-        remaining = list(bag.words)
-        chunks: list[tuple[str, ...]] = []
+        remaining = table.counts.copy()
+        unused = n
+        chunks: list[tuple[int, ...]] = []
         for size in scheme.sizes:
-            best_chunk: tuple[str, ...] | None = None
-            chunk_score = -math.inf
-            for combo in itertools.permutations(range(len(remaining)), size):
-                tup = tuple(remaining[i] for i in combo)
-                s = scorer.fragment(tup)
-                evaluated += 1
-                if s > chunk_score or (s == chunk_score and tup < best_chunk):
-                    chunk_score, best_chunk = s, tup
-            chunks.append(best_chunk)
-            for w in best_chunk:
-                remaining.remove(w)
-        for arrangement in itertools.permutations(sorted(chunks)):
-            seq = tuple(w for chunk in arrangement for w in chunk)
-            s = scorer.sentence(seq)
-            evaluated += 1
-            if s > best or (s == best and seq < best_seq):
-                best, best_seq = s, seq
+            _, chunk = _argmax(fragments[size], _fits(remaining, grids[size]))
+            evaluated += math.perm(unused, size)
+            unused -= size
+            chunks.append(chunk)
+            for w in chunk:
+                remaining[w] -= 1
+        s, seq, transitions = _arrange(table, chunks)
+        evaluated += transitions
+        if s > best or (s == best and seq < best_seq):
+            best, best_seq = s, seq
     if best_seq is None:
         raise ValueError("every chunk scheme was skipped by the arrangement cap")
+    sequence = table.decode(best_seq)
     return OrderingResult(
-        sequence=list(best_seq),
-        lm_score=_final_score(model, best_seq),
+        sequence=sequence,
+        lm_score=_final_score(model, sequence),
         method=OrderMethod.METHOD2,
         candidates_evaluated=evaluated,
         diagnostics=diagnostics,

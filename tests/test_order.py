@@ -14,6 +14,7 @@ from udrealize.order import (
     EmptyBagError,
     OrderConfig,
     OrderMethod,
+    ScoreTable,
     WordBag,
     chunk_schemes,
     exhaustive,
@@ -35,6 +36,32 @@ def brute_force_best(model, words):
         if total > best_total or (total == best_total and perm < best_perm):
             best_total, best_perm = total, perm
     return list(best_perm), best_total
+
+
+# Words the toy LM has never seen; each maps to <unk>.
+_OOV = ["blorft", "quix", "zandor"]
+
+
+def _oracle_bags(seed, count, low, high):
+    """``count`` seeded bags of low..high toy words; about half hold an
+    out-of-vocabulary word and about half a duplicated word."""
+    rng = np.random.default_rng(seed)
+    bags = []
+    for _ in range(count):
+        words = random_bag(rng, int(rng.integers(low, high + 1)))
+        if rng.random() < 0.5:
+            words[-1] = str(rng.choice(_OOV))
+        if len(words) > 1 and rng.random() < 0.5:
+            words[0] = words[-1]
+        bags.append(WordBag(tuple(sorted(words))))
+    assert any(len(set(b.words)) < len(b) for b in bags)
+    assert any(set(b.words) & set(_OOV) for b in bags)
+    return bags
+
+
+def _assert_matches_oracle(result, model, expected):
+    assert result.sequence == list(expected)
+    assert result.lm_score.total == lm.score(model, ["<s>", *expected, "</s>"]).total
 
 
 # ---------------------------------------------------------------- preprocess
@@ -82,10 +109,8 @@ def test_exhaustive_matches_brute_force_oracle(toy_lm):
 
 
 def test_exhaustive_oracle_agreement_random_bags(toy_lm):
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        bag = WordBag(tuple(sorted(random_bag(rng, int(rng.integers(1, 5))))))
-        assert exhaustive(bag, toy_lm).sequence == brute_force_best(toy_lm, bag.words)[0]
+    for bag in _oracle_bags(17, 40, 1, EXHAUSTIVE_LIMIT):
+        _assert_matches_oracle(exhaustive(bag, toy_lm), toy_lm, brute_force_best(toy_lm, bag.words)[0])
 
 
 def test_exhaustive_rejects_large_bags(toy_lm):
@@ -132,6 +157,58 @@ def test_method1_permutation_invariant(toy_lm):
         words = random_bag(rng, int(rng.integers(5, 12)))
         result = method1(preprocess(words), toy_lm)
         assert Counter(result.sequence) == Counter(w.lower() for w in words)
+
+
+def _memo_logprob(model):
+    """``model.logprob`` memoized per (history cut to order - 1 words, word)."""
+    span = model.order - 1
+    memo = {}
+
+    def cond(word, history):
+        key = (history[-span:] if span else (), word)
+        if key not in memo:
+            memo[key] = model.logprob(word, key[0])
+        return memo[key]
+
+    return cond
+
+
+def _method1_oracle(model, words):
+    """The seed-and-grow loop of method1, one candidate at a time."""
+    cond = _memo_logprob(model)
+    words = sorted(words)
+    best, best_seed = -math.inf, None
+    c0 = cond("<s>", ())
+    for quad in itertools.permutations(range(len(words)), 4):
+        w = tuple(words[i] for i in quad)
+        s = (
+            c0
+            + cond(w[0], ("<s>",))
+            + cond(w[1], ("<s>", w[0]))
+            + cond(w[2], (w[0], w[1]))
+            + cond(w[3], (w[1], w[2]))
+        )
+        if s > best or (s == best and w < best_seed):
+            best, best_seed = s, w
+    sequence = list(best_seed)
+    remaining = words.copy()
+    for w in best_seed:
+        remaining.remove(w)
+    while remaining:
+        prefix = ("<s>", *sequence)
+        best_word, best_gain = None, -math.inf
+        for w in sorted(set(remaining)):
+            gain = cond(w, prefix)
+            if gain > best_gain:
+                best_gain, best_word = gain, w
+        sequence.append(best_word)
+        remaining.remove(best_word)
+    return sequence
+
+
+def test_method1_oracle_agreement_random_bags(toy_lm):
+    for bag in _oracle_bags(29, 20, 5, 26):
+        _assert_matches_oracle(method1(bag, toy_lm), toy_lm, _method1_oracle(toy_lm, bag.words))
 
 
 def test_method1_final_score_is_full_sentence_score(toy_lm):
@@ -185,6 +262,7 @@ def test_chunk_scheme_validates_sizes():
 def _method2_oracle(model, words):
     """Direct reimplementation of the documented chunk procedure."""
     span = model.order - 1
+    cond = _memo_logprob(model)
     best_total, best_seq = -math.inf, None
     for scheme in chunk_schemes(len(words)):
         remaining = sorted(words)
@@ -195,7 +273,7 @@ def _method2_oracle(model, words):
                 tup = tuple(remaining[i] for i in combo)
                 total = 0.0
                 for j, w in enumerate(tup):
-                    total += model.logprob(w, tup[max(0, j - span):j])
+                    total += cond(w, tup[max(0, j - span):j])
                 if total > chunk_best[0] or (total == chunk_best[0] and tup < chunk_best[1]):
                     chunk_best = (total, tup)
             chunks.append(chunk_best[1])
@@ -203,7 +281,10 @@ def _method2_oracle(model, words):
                 remaining.remove(w)
         for arrangement in itertools.permutations(sorted(chunks)):
             seq = tuple(w for chunk in arrangement for w in chunk)
-            total = lm.score(model, ["<s>", *seq, "</s>"]).total
+            wrapped = ("<s>", *seq, "</s>")
+            total = 0.0
+            for j, w in enumerate(wrapped):
+                total += cond(w, wrapped[max(0, j - span):j])
             if total > best_total or (total == best_total and seq < best_seq):
                 best_total, best_seq = total, seq
     return list(best_seq)
@@ -230,10 +311,76 @@ def test_method2_matches_independent_oracle(toy_lm):
 
 
 def test_method2_oracle_agreement_random_bags(toy_lm):
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        bag = WordBag(tuple(sorted(random_bag(rng, int(rng.integers(5, 8))))))
-        assert method2(bag, toy_lm).sequence == _method2_oracle(toy_lm, bag.words)
+    for bag in _oracle_bags(37, 30, 5, 14):
+        _assert_matches_oracle(method2(bag, toy_lm), toy_lm, _method2_oracle(toy_lm, bag.words))
+
+
+def test_method2_twenty_words_matches_oracle(toy_lm):
+    # 20 words allow 8 chunks: the deepest arrangement the oracle can enumerate here
+    (bag,) = _oracle_bags(53, 1, 20, 20)
+    assert max(len(s.sizes) for s in chunk_schemes(len(bag))) == 8
+    _assert_matches_oracle(method2(bag, toy_lm), toy_lm, _method2_oracle(toy_lm, bag.words))
+
+
+def test_unknown_words_tie_break_to_smallest_sequence(toy_lm):
+    # every word maps to <unk>, so all orders score the same and the tie-break decides
+    bag = WordBag(("qa", "qb", "qc", "qd", "qe", "qf", "qg"))
+    assert not set(bag.words) & set(toy_lm.vocab)
+    _assert_matches_oracle(method2(bag, toy_lm), toy_lm, _method2_oracle(toy_lm, bag.words))
+    _assert_matches_oracle(method1(bag, toy_lm), toy_lm, _method1_oracle(toy_lm, bag.words))
+    assert method2(bag, toy_lm).sequence == list(bag.words)
+
+
+def _unigram_model(logp):
+    """Order-1 model with the given log10 probabilities. Every order of a
+    bag sums the same terms, so scores differ only by rounding."""
+    return lm.NGramModel(1, lm.Vocabulary(tuple(logp)), [{(w,): (v, None) for w, v in logp.items()}])
+
+
+def test_method2_keeps_prefixes_that_differ_by_rounding():
+    # a prefix a few ulps below the best at its DP state ends up tied with
+    # it and wins on the smaller sequence
+    model = _unigram_model({"<s>": -0.3, "</s>": -1.3, "<unk>": -0.2, "w0": -0.7,
+                            "w1": -0.2, "w2": -0.1, "w3": -1.1, "w4": -0.1, "w5": -0.2})
+    bag = WordBag(("w0", "w1", "w2", "w3", "w4", "w5"))
+    _assert_matches_oracle(method2(bag, model), model, _method2_oracle(model, bag.words))
+
+
+def test_method1_seed_sums_round_like_the_oracle():
+    # the seed ranking depends on adding its terms left to right
+    model = _unigram_model({"<s>": -0.7, "</s>": -1.1, "<unk>": -0.7, "w0": -0.3,
+                            "w1": -1.3, "w2": -0.2, "w3": -0.3, "w4": -0.3, "w5": -1.3})
+    bag = WordBag(("w0", "w1", "w2", "w3", "w4", "w5"))
+    _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words))
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_score_table_holds_exact_logprobs(lm_order):
+    from conftest import toy_corpus_sentences
+
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    table = ScoreTable(preprocess(["the", "dog", "the", "quix"]), model)
+    m = table.marker
+    heads, predicted = [*table.words, "<s>"], [*table.words, "</s>"]
+    assert table.start == model.logprob("<s>", ())
+    for length in range(lm_order):
+        axes = [range(m + 1)] + [range(m)] * (length - 1) if length else []
+        for history in itertools.product(*axes):
+            for w in range(m + 1):
+                expected = model.logprob(predicted[w], [heads[i] for i in history])
+                assert table.cond(history, w) == expected
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 4, 5])
+def test_searches_match_oracles_at_other_lm_orders(lm_order):
+    from conftest import toy_corpus_sentences
+
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    small = preprocess(["the", "dog", "the", "quix"])
+    large = preprocess(["the", "old", "dog", "ran", "in", "the", "park", "quix"])
+    _assert_matches_oracle(exhaustive(small, model), model, brute_force_best(model, small.words)[0])
+    _assert_matches_oracle(method2(large, model), model, _method2_oracle(model, large.words))
+    _assert_matches_oracle(method1(large, model), model, _method1_oracle(model, large.words))
 
 
 def test_method2_never_beats_full_enumeration(toy_lm):

@@ -120,13 +120,23 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Plain elementwise 1 / (1 + exp(-x)), split by sign so exp never overflows.
+
+    The value of ``sigmoid``; graph-free inference calls it directly, so the
+    two agree to the last bit.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    out_data = np.empty_like(a.data)
-    pos = a.data >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = logistic(a.data)
 
     def backward(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -212,13 +222,6 @@ def sum_all(a: Tensor) -> Tensor:
         _accumulate(a, np.full_like(a.data, float(g)))
 
     return _node(a.data.sum(), (a,), backward)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain (non-graph) stable softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def backward(root: Tensor) -> None:

@@ -18,6 +18,7 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 from . import conllu, lm, metrics, morphmap, order, reinflect
@@ -151,7 +152,12 @@ def cmd_train_reinflector(args) -> int:
         print(f"skipped {len(warnings)} bad lines", file=sys.stderr)
     if not examples:
         raise DataError(f"{args.data}: no usable training examples")
-    examples = [ex for ex in examples if len(ex.lemma) <= cfg.max_len and len(ex.target) < cfg.max_len]
+    fitting = [ex for ex in examples if len(ex.lemma) <= cfg.max_len and len(ex.target) < cfg.max_len]
+    if len(fitting) < len(examples):
+        print(f"skipped {len(examples) - len(fitting)} examples too long for max_len {cfg.max_len}", file=sys.stderr)
+    if not fitting:
+        raise DataError(f"{args.data}: no training example fits max_len {cfg.max_len}")
+    examples = fitting
     model = reinflect.build_model(
         examples, hidden_size=cfg.hidden_size, max_len=cfg.max_len, seed=cfg.seed
     )
@@ -176,12 +182,38 @@ def _load_corpus(path) -> conllu.Corpus:
     return corpus
 
 
+def _reinflection_key(token: conllu.Token, table=None):
+    """The (lemma, tag) pair a token is reinflected from; None for punctuation."""
+    if token.upos == "PUNCT" or order.is_punct(token.lemma):
+        return None
+    return token.lemma, morphmap.convert(token.upos, token.feats, table)
+
+
 def predict_surface(model, token: conllu.Token, table=None) -> str:
     """Surface form of one token; punctuation passes through unchanged."""
-    if token.upos == "PUNCT" or order.is_punct(token.lemma):
+    key = _reinflection_key(token, table)
+    if key is None:
         return token.lemma
-    tag = morphmap.convert(token.upos, token.feats, table)
-    return reinflect.predict(model, token.lemma, tag) or token.lemma
+    return reinflect.predict(model, *key) or token.lemma
+
+
+def _surface_forms(model, tokens, table) -> list[str | None]:
+    """``predict_surface`` of every token, decoding each distinct (lemma, tag) once.
+
+    A token with an empty lemma gets None: it has nothing to reinflect.
+    """
+    keys = [_reinflection_key(tok, table) for tok in tokens]
+    wanted = [key for key in keys if key is not None and key[0]]
+    decoded = dict(zip(wanted, reinflect.predict_many(model, wanted)))
+    forms: list[str | None] = []
+    for tok, key in zip(tokens, keys):
+        if key is None:
+            forms.append(tok.lemma)
+        elif key[0]:
+            forms.append(decoded[key] or tok.lemma)
+        else:
+            forms.append(None)
+    return forms
 
 
 def _load_reinflector(path) -> reinflect.Seq2SeqModel:
@@ -194,31 +226,29 @@ def _load_reinflector(path) -> reinflect.Seq2SeqModel:
 def cmd_reinflect(args) -> int:
     corpus = _load_corpus(args.conllu)
     model = _load_reinflector(args.model)
-    table = morphmap.default_table()
-    filled = 0
-    for sentence in corpus.sentences:
-        for tok in sentence.tokens:
-            try:
-                tok.form = predict_surface(model, tok, table)
-            except ValueError:
-                tok.form = tok.lemma
-            filled += 1
+    tokens = [tok for sentence in corpus.sentences for tok in sentence.tokens]
+    for tok, form in zip(tokens, _surface_forms(model, tokens, morphmap.default_table())):
+        tok.form = tok.lemma if form is None else form
     Path(args.out).write_text(conllu.emit_conllu(corpus), encoding="utf-8")
-    print(f"reinflected {filled} tokens in {len(corpus.sentences)} sentences -> {args.out}")
+    print(f"reinflected {len(tokens)} tokens in {len(corpus.sentences)} sentences -> {args.out}")
     return EXIT_OK
 
 
-def _realize_one(sentence, lm_model, reinf_model, table, order_cfg):
+def _realize_one(sentence, tokens, forms, lm_model, order_cfg):
     """Realize a single sentence; falls back to id-ordered lemmas on failure.
 
-    Returns (text, stderr note, whether the sentence degraded).
+    ``tokens`` are the sentence's tokens in id order and ``forms`` their
+    surface forms from ``_surface_forms``, or None to order FORM (or the
+    lemma where FORM is empty).  Returns (text, stderr note, whether the
+    sentence degraded).
     """
-    tokens = sorted(sentence.tokens, key=lambda t: t.id)
     try:
-        if reinf_model is None:
+        if forms is None:
             words = [tok.form or tok.lemma for tok in tokens]
+        elif None in forms:
+            raise ValueError("empty input")  # what predict raises for an empty lemma
         else:
-            words = [predict_surface(reinf_model, tok, table) for tok in tokens]
+            words = forms
         text, result = order.realize_order(words, lm_model, order_cfg)
         note = f"{sentence.sent_id}: method={result.method.value} lm_score={result.lm_score.total:.4f}"
         return text, note, False
@@ -233,13 +263,21 @@ def cmd_realize(args) -> int:
     corpus = _load_corpus(args.conllu)
     lm_model = _parse_lm(args.lm)
     reinf_model = _load_reinflector(args.reinflector) if args.reinflector else None
-    table = morphmap.default_table()
     order_cfg = cfg.order_config()
+
+    sentence_tokens = [sorted(s.tokens, key=lambda t: t.id) for s in corpus.sentences]
+    if reinf_model is None:
+        sentence_forms = [None] * len(sentence_tokens)
+    else:
+        # one batch over the whole file; each sentence takes back its share
+        all_tokens = [tok for tokens in sentence_tokens for tok in tokens]
+        flat = iter(_surface_forms(reinf_model, all_tokens, morphmap.default_table()))
+        sentence_forms = [list(islice(flat, len(tokens))) for tokens in sentence_tokens]
 
     failures = 0
     out_lines = []
-    for sentence in corpus.sentences:
-        text, note, failed = _realize_one(sentence, lm_model, reinf_model, table, order_cfg)
+    for sentence, tokens, forms in zip(corpus.sentences, sentence_tokens, sentence_forms):
+        text, note, failed = _realize_one(sentence, tokens, forms, lm_model, order_cfg)
         out_lines.append(f"{sentence.sent_id}\t{text}")
         print(note, file=sys.stderr)
         failures += int(failed)

@@ -255,6 +255,10 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     histories, one first word at a time; the remaining words then join
     one at a time, each time appending the word whose addition scores
     highest (the smallest word on a tie).
+
+    Seeds are scored with at most two-word histories at every LM order:
+    with an order-4 or higher model the seed ranking ignores context the
+    model has, while the growth stage uses the full order-1 history.
     """
     n = len(bag)
     if n < 5:

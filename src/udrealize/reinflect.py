@@ -8,7 +8,10 @@ feature vector, then a softmax layer predicts the output character.
 
 Training runs on the package's own float64 autodiff kernel; no external
 ML framework is involved, which keeps gradient checks exact and
-checkpoints bit-reproducible.
+checkpoints bit-reproducible.  Inference builds no graph: ``predict_many``
+runs the same LSTM formula on plain numpy arrays, decoding each distinct
+(lemma, tag) pair once, many pairs at a time, and ``predict`` is its
+one-pair case.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED_CHARS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 _CHECKPOINT_MAGIC = b"udrealize-reinflector-v1\n"
+
+# Distinct (lemma, tag) pairs that predict_many decodes together; bounds
+# the memory of one batch of rows.
+PREDICT_CHUNK = 256
 
 
 class GradientError(RuntimeError):
@@ -170,41 +177,79 @@ def _encode_batch(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray) -> 
     return ad.concat([hf, hb], axis=1)
 
 
+def _lstm_cell(model: Seq2SeqModel, prefix: str, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """``_lstm_step`` on plain arrays: the same formula, evaluated in the same order."""
+    params = model.params
+    hid = h.shape[1]
+    z = x @ params[f"{prefix}.wx"].data + h @ params[f"{prefix}.wh"].data + params[f"{prefix}.b"].data
+    i = ad.logistic(z[:, 0:hid])
+    f = ad.logistic(z[:, hid : 2 * hid])
+    g = np.tanh(z[:, 2 * hid : 3 * hid])
+    o = ad.logistic(z[:, 3 * hid : 4 * hid])
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new
+
+
+def _encode_rows(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Graph-free ``_encode_batch``: the (B, 2H) summary of padded index rows."""
+    if not np.all(lengths > 0):
+        raise ValueError("empty input")
+    b, max_t = idx.shape
+    emb = model.params["emb"].data
+    zero = np.zeros((b, model.hidden_size))
+
+    hf, cf = zero, zero
+    for t in range(max_t):
+        hn, cn = _lstm_cell(model, "enc_f", emb[idx[:, t]], hf, cf)
+        m = (t < lengths)[:, None]  # rows past their end keep the old state
+        hf, cf = np.where(m, hn, hf), np.where(m, cn, cf)
+
+    hb, cb = zero, zero
+    for t in range(max_t - 1, -1, -1):
+        hn, cn = _lstm_cell(model, "enc_b", emb[idx[:, t]], hb, cb)
+        m = (t < lengths)[:, None]
+        hb, cb = np.where(m, hn, hb), np.where(m, cn, cb)
+
+    return np.concatenate([hf, hb], axis=1)
+
+
 def encode(model: Seq2SeqModel, lemma_indices) -> np.ndarray:
     """Encode one index sequence into the (2H,) encoder summary."""
     indices = list(lemma_indices)
-    if not indices:
-        raise ValueError("empty input")
-    summary = _encode_batch(model, np.asarray([indices], dtype=np.intp), np.asarray([len(indices)]))
-    return summary.data[0]
+    return _encode_rows(model, np.asarray([indices], dtype=np.intp), np.asarray([len(indices)]))[0]
 
 
 def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
-    """One decoder LSTM step plus output projection.
+    """One decoder LSTM step plus output projection, for one row or a batch of rows.
 
     ``char_vec`` is a 64-dim character embedding (conventionally the lemma
     character aligned with this step), ``summary`` the 2H encoder summary,
-    ``morph_vec`` the F-dim morphological feature vector.  Returns
-    (logits over the vocabulary, new (h, c) state).
+    ``morph_vec`` the F-dim morphological feature vector.  Each is either
+    one vector or a (B, width) array of B rows.  Returns (logits over the
+    vocabulary, new (h, c) state), one row or B rows like the input.
     """
     char_vec = np.asarray(char_vec, dtype=np.float64)
     summary = np.asarray(summary, dtype=np.float64)
     morph_vec = np.asarray(morph_vec, dtype=np.float64)
     h = model.hidden_size
-    if char_vec.shape != (EMB_DIM,):
+    if char_vec.shape[-1:] != (EMB_DIM,):
         raise ValueError(f"character embedding must have width {EMB_DIM}, got {char_vec.shape}")
-    if summary.shape != (2 * h,):
+    if summary.shape[-1:] != (2 * h,):
         raise ValueError(f"encoder summary must have width {2 * h}, got {summary.shape}")
-    if morph_vec.shape != (model.feature_size,):
+    if morph_vec.shape[-1:] != (model.feature_size,):
         raise ValueError(
             f"morph vector must have width {model.feature_size}, got {morph_vec.shape}"
         )
+    single = char_vec.ndim == 1
+    x = np.concatenate([np.atleast_2d(char_vec), np.atleast_2d(summary), np.atleast_2d(morph_vec)], axis=1)
     if state is None:
-        state = (np.zeros(h), np.zeros(h))
-    x = Tensor(np.concatenate([char_vec, summary, morph_vec])[None, :])
-    h_t, c_t = _lstm_step("dec", model.params, x, Tensor(state[0][None, :]), Tensor(state[1][None, :]))
-    logits = ad.add(ad.matmul(h_t, model.params["out.w"]), model.params["out.b"])
-    return logits.data[0], (h_t.data[0], c_t.data[0])
+        state = (np.zeros((x.shape[0], h)), np.zeros((x.shape[0], h)))
+    h_t, c_t = _lstm_cell(model, "dec", x, np.atleast_2d(state[0]), np.atleast_2d(state[1]))
+    logits = h_t @ model.params["out.w"].data + model.params["out.b"].data
+    if single:
+        return logits[0], (h_t[0], c_t[0])
+    return logits, (h_t, c_t)
 
 
 def _make_batch(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
@@ -356,26 +401,56 @@ def train(
     return model, trace
 
 
+def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
+    """Greedy decodes of a list of (lemma, tag) pairs, all rows at once."""
+    rows = [model.vocab.encode(lemma) for lemma, _ in pairs]
+    lengths = np.asarray([len(r) for r in rows])
+    # one index row per pair serves both stages: the encoder reads its
+    # first len(lemma) entries, the decoder reads entry t at step t (PAD
+    # past the lemma's end)
+    idx = np.full((len(rows), max(int(lengths.max()), model.max_len)), PAD, dtype=np.intp)
+    for r, row in enumerate(rows):
+        idx[r, : len(row)] = row
+    summary = _encode_rows(model, idx[:, : int(lengths.max())], lengths)
+    morph = np.stack([feature_vector(tag, model.inventory) for _, tag in pairs])
+    emb = model.params["emb"].data
+
+    out: list[list[str]] = [[] for _ in pairs]
+    live = np.arange(len(pairs))  # rows that have not emitted EOS yet
+    state = None
+    for t in range(model.max_len):
+        logits, state = decode_step(model, emb[idx[live, t]], summary[live], morph[live], state)
+        logits[:, [PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
+        best = np.argmax(logits, axis=1)
+        going = best != EOS
+        live, best = live[going], best[going]
+        for r, ix in zip(live.tolist(), best.tolist()):
+            out[r].append(model.vocab.chars[ix])
+        if not live.size:
+            break
+        state = (state[0][going], state[1][going])
+    return ["".join(chars) for chars in out]
+
+
+def predict_many(model: Seq2SeqModel, items) -> list[str]:
+    """Greedy decodes of (lemma, tag) pairs, each stopping at EOS or max_len.
+
+    Each distinct pair is decoded once; the distinct pairs, in first-seen
+    order, go through the model PREDICT_CHUNK at a time.  Returns one form
+    per item, in item order.  Raises ValueError for an empty lemma.
+    """
+    items = list(items)
+    distinct = list(dict.fromkeys(items))
+    forms: dict = {}
+    for start in range(0, len(distinct), PREDICT_CHUNK):
+        chunk = distinct[start : start + PREDICT_CHUNK]
+        forms.update(zip(chunk, _decode_chunk(model, chunk)))
+    return [forms[item] for item in items]
+
+
 def predict(model: Seq2SeqModel, lemma: str, tag: MorphTag) -> str:
     """Greedily decode the inflected form; stops at EOS or max_len."""
-    if not lemma:
-        raise ValueError("empty input")
-    lemma_ix = model.vocab.encode(lemma)
-    summary_vec = encode(model, lemma_ix)
-    morph_vec = feature_vector(tag, model.inventory)
-    emb = model.params["emb"].data
-    state = None
-    out_chars: list[str] = []
-    for t in range(model.max_len):
-        char_ix = lemma_ix[t] if t < len(lemma_ix) else PAD
-        logits, state = decode_step(model, emb[char_ix], summary_vec, morph_vec, state)
-        logits = logits.copy()
-        logits[[PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
-        best = int(np.argmax(logits))
-        if best == EOS:
-            break
-        out_chars.append(model.vocab.chars[best])
-    return "".join(out_chars)
+    return predict_many(model, [(lemma, tag)])[0]
 
 
 def load_training_file(text: str) -> tuple[list[TrainExample], list[str]]:

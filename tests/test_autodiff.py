@@ -5,6 +5,12 @@ import numpy as np
 from udrealize import autodiff as ad
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar fn w.r.t. array x."""
     g = np.zeros_like(x)
@@ -76,7 +82,7 @@ def test_softmax_cross_entropy_matches_manual():
     logits = rng.standard_normal((5, 7))
     targets = rng.integers(0, 7, size=5)
     out = ad.softmax_cross_entropy(ad.Tensor(logits), targets)
-    probs = ad.softmax(logits)
+    probs = softmax(logits)
     manual = -np.log(probs[np.arange(5), targets])
     assert np.allclose(out.data, manual, atol=1e-12)
 

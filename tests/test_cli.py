@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -129,6 +130,22 @@ def test_reinflector_skips_corrupt_lines(tmp_path, capfd):
     assert "skipped 1 bad lines" in captured.err
 
 
+def test_reinflector_max_len_drops_are_reported(tmp_path, capfd):
+    data = tmp_path / "long.tsv"
+    data.write_text("walk\tV;PST\twalked\nrun\tV;PST\tran\n")
+    out = tmp_path / "m.bin"
+    flags = ["--model-out", str(out), "--hidden-size", "4", "--epochs", "1"]
+    assert cli.main(["train-reinflector", str(data), *flags, "--max-len", "4"]) == 0
+    assert "skipped 1 examples too long for max_len 4\n" in capfd.readouterr().err
+
+    # every example too long: a data error with a message, not a traceback
+    assert cli.main(["train-reinflector", str(data), *flags, "--max-len", "3"]) == cli.EXIT_DATA
+    err = capfd.readouterr().err
+    assert "skipped 2 examples too long for max_len 3\n" in err
+    assert f"error: {data}: no training example fits max_len 3\n" in err
+    assert "Traceback" not in err
+
+
 def test_reinflector_no_usable_data_is_data_error(tmp_path):
     data = tmp_path / "junk.tsv"
     data.write_text("only one field\n")
@@ -199,6 +216,21 @@ def test_realize_degrades_per_sentence(workspace, tmp_path, capfd):
     assert "failed" in captured.err
     preds = _read_predictions(out)
     assert set(preds) == {"good", "broken"}
+    notes = captured.err.splitlines()
+    assert "broken: realization failed (empty input), emitted lemmas in id order" in notes
+    [good_note] = [line for line in notes if line.startswith("good: ")]
+    assert re.fullmatch(r"good: method=\S+ lm_score=-?\d+\.\d{4}", good_note)
+
+    # the failing sentence changes nothing for the good one
+    alone = tmp_path / "good.conllu"
+    alone.write_text(tb.read_text().split("\n\n")[0] + "\n")
+    alone_out = tmp_path / "alone.txt"
+    assert cli.main(
+        ["realize", str(alone), "--lm", str(workspace["arpa"]),
+         "--reinflector", str(workspace["checkpoint"]), "--out", str(alone_out)]
+    ) == 0
+    assert capfd.readouterr().err.splitlines() == [good_note]
+    assert _read_predictions(alone_out) == {"good": preds["good"]}
 
 
 def test_realize_all_failed_is_data_error(workspace, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from udrealize import autodiff as ad
 from udrealize import reinflect as rf
-from udrealize.morphmap import MorphTag
+from udrealize.morphmap import MorphTag, feature_vector
 from udrealize.reinflect import (
     BOS,
     EOS,
@@ -22,12 +22,19 @@ from udrealize.reinflect import (
     load_training_file,
     loss,
     predict,
+    predict_many,
     save_model,
     train,
 )
 
 N_TAG = MorphTag(("N",))
 PL_TAG = MorphTag(("N", "PL"))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def tiny_model(hidden=3, seed=0, examples=None):
@@ -99,7 +106,7 @@ def test_decode_step_zero_model_is_uniform():
     logits, _ = decode_step(
         model, np.zeros(64), np.zeros(2 * model.hidden_size), np.zeros(model.feature_size)
     )
-    probs = ad.softmax(logits)
+    probs = softmax(logits)
     assert np.allclose(probs, np.full(v, 1.0 / v), atol=1e-15)
 
 
@@ -111,7 +118,7 @@ def test_decode_step_bias_saturation():
     logits, _ = decode_step(
         model, np.zeros(64), np.zeros(2 * model.hidden_size), np.zeros(model.feature_size)
     )
-    probs = ad.softmax(logits)
+    probs = softmax(logits)
     assert probs[4] > 0.999
     assert int(np.argmax(logits)) == 4
 
@@ -125,7 +132,7 @@ def test_decode_step_argmax_matches_softmax_argmax():
         rng.standard_normal(2 * model.hidden_size),
         rng.standard_normal(model.feature_size),
     )
-    assert int(np.argmax(logits)) == int(np.argmax(ad.softmax(logits)))
+    assert int(np.argmax(logits)) == int(np.argmax(softmax(logits)))
 
 
 def test_decode_step_softmax_is_distribution():
@@ -140,7 +147,7 @@ def test_decode_step_softmax_is_distribution():
             rng.standard_normal(model.feature_size),
             state,
         )
-        probs = ad.softmax(logits)
+        probs = softmax(logits)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert (probs >= 0).all()
 
@@ -403,6 +410,75 @@ def test_predict_empty_lemma_errors():
     model, _ = tiny_model()
     with pytest.raises(ValueError, match="empty input"):
         predict(model, "", N_TAG)
+    with pytest.raises(ValueError, match="empty input"):
+        predict_many(model, [("ab", N_TAG), ("", N_TAG)])
+
+
+def _predict_oracle(model, lemma, tag):
+    """Greedy decoding of one pair through the autodiff graph, one row at a time.
+
+    This is the decoder that ``predict`` ran before inference became
+    graph-free and batched: ``_encode_batch`` over one row, then one
+    ``_lstm_step`` per output character.
+    """
+    params = model.params
+    lemma_ix = model.vocab.encode(lemma)
+    summary = rf._encode_batch(model, np.asarray([lemma_ix], dtype=np.intp), np.asarray([len(lemma_ix)]))
+    morph = ad.Tensor(feature_vector(tag, model.inventory)[None, :])
+    h = c = ad.Tensor(np.zeros((1, model.hidden_size)))
+    out = []
+    for t in range(model.max_len):
+        char_ix = lemma_ix[t] if t < len(lemma_ix) else PAD
+        x = ad.concat([ad.rows(params["emb"], np.asarray([char_ix])), summary, morph], axis=1)
+        h, c = rf._lstm_step("dec", params, x, h, c)
+        logits = ad.add(ad.matmul(h, params["out.w"]), params["out.b"]).data[0].copy()
+        logits[[PAD, BOS, UNK]] = -np.inf
+        best = int(np.argmax(logits))
+        if best == EOS:
+            break
+        out.append(model.vocab.chars[best])
+    return "".join(out)
+
+
+@pytest.fixture(scope="module")
+def oracle_case():
+    """A briefly trained model and more than one chunk of (lemma, tag) pairs."""
+    from _synth import make_dataset
+
+    train_set, held = make_dataset(seed=4, per_class=60)
+    model = build_model(train_set + held, hidden_size=16, max_len=10, seed=4)
+    model, _ = train(model, train_set, epochs=3, lr=5e-3, seed=4, batch_size=32)
+    pairs = [(ex.lemma, ex.tag) for ex in train_set + held]  # each lemma under 3 tags
+    stems = sorted({ex.lemma for ex in train_set + held})
+    pairs += [(stem, N_TAG) for stem in stems]
+    pairs += [(stem * 3, PL_TAG) for stem in stems[:20]]  # longer than max_len
+    pairs += [("q!", N_TAG), ("é", PL_TAG), ("a", N_TAG), ("zz\tz", MorphTag(("V", "FUT")))]
+    items = pairs + pairs[::3] + pairs[:5]  # repeats, the last ones in another chunk
+    return model, items
+
+
+def test_predict_many_matches_oracle(oracle_case):
+    model, items = oracle_case
+    assert len(set(items)) > rf.PREDICT_CHUNK
+    expected = {item: _predict_oracle(model, *item) for item in set(items)}
+    assert predict_many(model, items) == [expected[item] for item in items]
+    # the cases the batch must handle all occur
+    assert len({len(lemma) for lemma, _ in items}) >= 5
+    assert any(ch not in model.vocab.chars for lemma, _ in items for ch in lemma)
+    assert any(len(form) == model.max_len for form in expected.values())
+    assert any(len(form) < model.max_len for form in expected.values())
+    assert predict(model, *items[0]) == expected[items[0]]
+
+
+def test_predict_many_builds_no_graph(oracle_case, monkeypatch):
+    model, items = oracle_case
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("inference built an autodiff node")
+
+    for op in ("add", "mul", "scale", "matmul", "sigmoid", "tanh", "concat", "cols", "rows"):
+        monkeypatch.setattr(ad, op, no_graph)
+    assert len(predict_many(model, items[:40])) == 40
 
 
 # ------------------------------------------------------------ serialization

@@ -154,7 +154,8 @@ def cmd_train_reinflector(args) -> int:
         raise DataError(f"{args.data}: no usable training examples")
     fitting = [ex for ex in examples if len(ex.lemma) <= cfg.max_len and len(ex.target) < cfg.max_len]
     if len(fitting) < len(examples):
-        print(f"skipped {len(examples) - len(fitting)} examples too long for max_len {cfg.max_len}", file=sys.stderr)
+        dropped = len(examples) - len(fitting)
+        print(f"skipped {dropped} examples too long for max_len {cfg.max_len}", file=sys.stderr)
     if not fitting:
         raise DataError(f"{args.data}: no training example fits max_len {cfg.max_len}")
     examples = fitting
@@ -182,27 +183,17 @@ def _load_corpus(path) -> conllu.Corpus:
     return corpus
 
 
-def _reinflection_key(token: conllu.Token, table=None):
-    """The (lemma, tag) pair a token is reinflected from; None for punctuation."""
-    if token.upos == "PUNCT" or order.is_punct(token.lemma):
-        return None
-    return token.lemma, morphmap.convert(token.upos, token.feats, table)
+def surface_forms(model, tokens, table=None) -> list[str | None]:
+    """Surface forms of tokens, decoding each distinct (lemma, tag) once.
 
-
-def predict_surface(model, token: conllu.Token, table=None) -> str:
-    """Surface form of one token; punctuation passes through unchanged."""
-    key = _reinflection_key(token, table)
-    if key is None:
-        return token.lemma
-    return reinflect.predict(model, *key) or token.lemma
-
-
-def _surface_forms(model, tokens, table) -> list[str | None]:
-    """``predict_surface`` of every token, decoding each distinct (lemma, tag) once.
-
-    A token with an empty lemma gets None: it has nothing to reinflect.
+    Punctuation passes through unchanged.  A token with an empty lemma
+    gets None: it has nothing to reinflect.
     """
-    keys = [_reinflection_key(tok, table) for tok in tokens]
+    keys = [
+        None if tok.upos == "PUNCT" or order.is_punct(tok.lemma)
+        else (tok.lemma, morphmap.convert(tok.upos, tok.feats, table))
+        for tok in tokens
+    ]
     wanted = [key for key in keys if key is not None and key[0]]
     decoded = dict(zip(wanted, reinflect.predict_many(model, wanted)))
     forms: list[str | None] = []
@@ -227,28 +218,23 @@ def cmd_reinflect(args) -> int:
     corpus = _load_corpus(args.conllu)
     model = _load_reinflector(args.model)
     tokens = [tok for sentence in corpus.sentences for tok in sentence.tokens]
-    for tok, form in zip(tokens, _surface_forms(model, tokens, morphmap.default_table())):
+    for tok, form in zip(tokens, surface_forms(model, tokens, morphmap.default_table())):
         tok.form = tok.lemma if form is None else form
     Path(args.out).write_text(conllu.emit_conllu(corpus), encoding="utf-8")
     print(f"reinflected {len(tokens)} tokens in {len(corpus.sentences)} sentences -> {args.out}")
     return EXIT_OK
 
 
-def _realize_one(sentence, tokens, forms, lm_model, order_cfg):
+def _realize_one(sentence, tokens, words, lm_model, order_cfg):
     """Realize a single sentence; falls back to id-ordered lemmas on failure.
 
-    ``tokens`` are the sentence's tokens in id order and ``forms`` their
-    surface forms from ``_surface_forms``, or None to order FORM (or the
-    lemma where FORM is empty).  Returns (text, stderr note, whether the
-    sentence degraded).
+    ``words`` holds one word per token of ``tokens`` (id order), or None
+    for a token whose lemma is empty and so could not be reinflected.
+    Returns (text, stderr note, whether the sentence degraded).
     """
     try:
-        if forms is None:
-            words = [tok.form or tok.lemma for tok in tokens]
-        elif None in forms:
+        if None in words:
             raise ValueError("empty input")  # what predict raises for an empty lemma
-        else:
-            words = forms
         text, result = order.realize_order(words, lm_model, order_cfg)
         note = f"{sentence.sent_id}: method={result.method.value} lm_score={result.lm_score.total:.4f}"
         return text, note, False
@@ -267,17 +253,17 @@ def cmd_realize(args) -> int:
 
     sentence_tokens = [sorted(s.tokens, key=lambda t: t.id) for s in corpus.sentences]
     if reinf_model is None:
-        sentence_forms = [None] * len(sentence_tokens)
+        sentence_words = [[tok.form or tok.lemma for tok in tokens] for tokens in sentence_tokens]
     else:
         # one batch over the whole file; each sentence takes back its share
         all_tokens = [tok for tokens in sentence_tokens for tok in tokens]
-        flat = iter(_surface_forms(reinf_model, all_tokens, morphmap.default_table()))
-        sentence_forms = [list(islice(flat, len(tokens))) for tokens in sentence_tokens]
+        flat = iter(surface_forms(reinf_model, all_tokens, morphmap.default_table()))
+        sentence_words = [list(islice(flat, len(tokens))) for tokens in sentence_tokens]
 
     failures = 0
     out_lines = []
-    for sentence, tokens, forms in zip(corpus.sentences, sentence_tokens, sentence_forms):
-        text, note, failed = _realize_one(sentence, tokens, forms, lm_model, order_cfg)
+    for sentence, tokens, words in zip(corpus.sentences, sentence_tokens, sentence_words):
+        text, note, failed = _realize_one(sentence, tokens, words, lm_model, order_cfg)
         out_lines.append(f"{sentence.sent_id}\t{text}")
         print(note, file=sys.stderr)
         failures += int(failed)

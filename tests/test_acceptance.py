@@ -157,10 +157,7 @@ def test_end_to_end_permutation_invariant(trained_reinflector, toy_model):
     methods = set()
     violations = 0
     for sentence in corpus.sentences:
-        forms = [
-            cli.predict_surface(model, tok)
-            for tok in sorted(sentence.tokens, key=lambda t: t.id)
-        ]
+        forms = cli.surface_forms(model, sorted(sentence.tokens, key=lambda t: t.id))
         bag = order.preprocess(forms)
         sizes.add(len(bag))
         result = order.order_words(bag, toy_model, cfg)

@@ -176,10 +176,7 @@ def test_realize_end_to_end(workspace, tmp_path):
         text = preds[sentence.sent_id]
         assert text.endswith(" .")
         assert text[0].isupper()
-        forms = [
-            cli.predict_surface(model, tok)
-            for tok in sorted(sentence.tokens, key=lambda t: t.id)
-        ]
+        forms = cli.surface_forms(model, sorted(sentence.tokens, key=lambda t: t.id))
         expected = Counter(order.preprocess(forms).words)
         got = Counter(w.lower() for w in text[:-2].split())
         assert got == expected, sentence.sent_id

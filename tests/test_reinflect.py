@@ -401,9 +401,14 @@ def test_train_rolls_back_on_divergence(monkeypatch):
 
 def test_predict_respects_max_len_and_reserved_chars():
     model, _ = tiny_model(seed=15)
-    out = predict(model, "abcab", PL_TAG)
-    assert len(out) <= model.max_len
-    assert not set(out) & {"<pad>", "<bos>", "<eos>", "<unk>"}
+    # unmasked, PAD, BOS and UNK would win every step
+    model.params["out.b"].data[[PAD, BOS, UNK]] += 50.0
+    items = [("abcab", PL_TAG), ("cde", N_TAG), ("a", N_TAG)]
+    outs = predict_many(model, items)
+    assert outs == [_predict_oracle(model, *item) for item in items]
+    for out in outs:
+        assert len(out) <= model.max_len
+        assert not any(name in out for name in ("<pad>", "<bos>", "<eos>", "<unk>"))
 
 
 def test_predict_empty_lemma_errors():

@@ -123,15 +123,13 @@ def matmul(a, b) -> Tensor:
 def logistic(x: np.ndarray) -> np.ndarray:
     """Plain elementwise 1 / (1 + exp(-x)), split by sign so exp never overflows.
 
-    The value of ``sigmoid``; graph-free inference calls it directly, so the
-    two agree to the last bit.
+    ``e = exp(-|x|)`` is exp(-x) where x >= 0 and exp(x) elsewhere, so
+    this is 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for
+    x < 0.  The value of ``sigmoid``; graph-free inference calls it
+    directly, so the two agree to the last bit.
     """
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a) -> Tensor:

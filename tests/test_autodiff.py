@@ -63,6 +63,21 @@ def test_sigmoid_tanh_grad():
     check_op(lambda a: ad.tanh(a), (4, 3))
 
 
+def test_logistic_matches_split_formula_bitwise():
+    # reference: exp of -x on the non-negative part, of x on the rest
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(500) * s for s in (0.1, 1.0, 10.0, 800.0)])
+    x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    got = ad.logistic(x)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(ad.sigmoid(ad.Tensor(x)).data.view(np.int64), expected.view(np.int64))
+
+
 def test_scale_and_cols_grad():
     check_op(lambda a: ad.scale(a, -2.5), (3, 3))
     check_op(lambda a: ad.cols(a, 1, 3), (3, 5))

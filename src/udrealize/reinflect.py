@@ -408,10 +408,11 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
     # one index row per pair serves both stages: the encoder reads its
     # first len(lemma) entries, the decoder reads entry t at step t (PAD
     # past the lemma's end)
-    idx = np.full((len(rows), max(int(lengths.max()), model.max_len)), PAD, dtype=np.intp)
+    longest = int(lengths.max())
+    idx = np.full((len(rows), max(longest, model.max_len)), PAD, dtype=np.intp)
     for r, row in enumerate(rows):
         idx[r, : len(row)] = row
-    summary = _encode_rows(model, idx[:, : int(lengths.max())], lengths)
+    summary = _encode_rows(model, idx[:, :longest], lengths)
     morph = np.stack([feature_vector(tag, model.inventory) for _, tag in pairs])
     emb = model.params["emb"].data
 

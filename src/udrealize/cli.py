@@ -78,6 +78,10 @@ class PipelineConfig:
         )
 
 
+# The JSON values each PipelineConfig field type accepts; true and false are not integers.
+_CONFIG_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
+
+
 def _load_config(args) -> PipelineConfig:
     """Start from defaults, apply --config file values, let explicit flags win."""
     cfg = PipelineConfig()
@@ -87,10 +91,15 @@ def _load_config(args) -> PipelineConfig:
             raw = json.loads(_read_text(config_path))
         except json.JSONDecodeError as exc:
             raise DataError(f"{config_path}: invalid JSON ({exc})") from None
-        known = {f.name for f in fields(PipelineConfig)}
+        if type(raw) is not dict:
+            raise UsageError(f"{config_path}: config must be a JSON object")
+        kinds = {f.name: f.type for f in fields(PipelineConfig)}
         for key, value in raw.items():
-            if key not in known:
+            if key not in kinds:
                 raise UsageError(f"{config_path}: unknown config key {key!r}")
+            accepted, kind = _CONFIG_TYPES[kinds[key]]
+            if type(value) not in accepted:
+                raise UsageError(f"{config_path}: config key {key!r} must be {kind}, got {json.dumps(value)}")
             setattr(cfg, key, value)
     overrides = {
         "order": "lm_order",

@@ -6,12 +6,14 @@ embedding of the lemma character aligned with that step (padding index 0
 past the lemma's end), the encoder summary, and the binary morphological
 feature vector, then a softmax layer predicts the output character.
 
-Training runs on the package's own float64 autodiff kernel; no external
-ML framework is involved, which keeps gradient checks exact and
-checkpoints bit-reproducible.  Inference builds no graph: ``predict_many``
-runs the same LSTM formula on plain numpy arrays, decoding each distinct
-(lemma, tag) pair once, many pairs at a time, and ``predict`` is its
-one-pair case.
+Everything is float64 numpy; no ML framework is involved.  One LSTM
+step, ``_lstm_cell``, serves training and inference.  Training runs
+``_forward`` (the teacher-forced loss, keeping each step's inputs and
+gates on a tape) and ``_backward``, the LSTM's closed-form gradient
+(Graves 2012, ch. 4) summed in a fixed order, so gradient checks stay
+exact and checkpoints bit-reproducible.  ``predict_many`` keeps no tape:
+it decodes each distinct (lemma, tag) pair once, many pairs at a time,
+and ``predict`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .morphmap import MorphTag, build_inventory, feature_vector
 
 EMB_DIM = 64
@@ -118,100 +118,70 @@ class Seq2SeqModel:
             "dec.wx": (dec_in, 4 * h), "dec.wh": (h, 4 * h), "dec.b": (4 * h,),
             "out.w": (h, v), "out.b": (v,),
         }
-        self.params: dict[str, Tensor] = {
-            name: ad.parameter(shapes[name], rng=rng, scale=k) for name in self.PARAM_NAMES
+        self.params: dict[str, np.ndarray] = {
+            name: rng.uniform(-k, k, size=shapes[name]) for name in self.PARAM_NAMES
         }
 
     @property
     def feature_size(self) -> int:
         return len(self.inventory)
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def check_finite(self) -> None:
         for name, p in self.params.items():
-            if not np.all(np.isfinite(p.data)):
+            if not np.all(np.isfinite(p)):
                 raise GradientError(f"non-finite values in parameter block {name!r}")
 
 
-def _lstm_step(prefix: str, params: dict[str, Tensor], x: Tensor, h: Tensor, c: Tensor):
-    hid = params[f"{prefix}.wh"].data.shape[0]
-    z = ad.add(ad.add(ad.matmul(x, params[f"{prefix}.wx"]), ad.matmul(h, params[f"{prefix}.wh"])), params[f"{prefix}.b"])
-    i = ad.sigmoid(ad.cols(z, 0, hid))
-    f = ad.sigmoid(ad.cols(z, hid, 2 * hid))
-    g = ad.tanh(ad.cols(z, 2 * hid, 3 * hid))
-    o = ad.sigmoid(ad.cols(z, 3 * hid, 4 * hid))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Plain elementwise 1 / (1 + exp(-x)), split by sign so exp never overflows.
 
-
-def _masked(new: Tensor, old: Tensor, mask: np.ndarray) -> Tensor:
-    # mask is (B, 1) of 0/1: rows past their sequence end keep the old state
-    return ad.add(ad.mul(new, mask), ad.mul(old, 1.0 - mask))
-
-
-def _encode_batch(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray) -> Tensor:
-    """Run both encoder directions over padded index rows; returns the (B, 2H) summary."""
-    b, max_t = idx.shape
-    h = model.hidden_size
-    params = model.params
-    zero = Tensor(np.zeros((b, h)))
-
-    hf, cf = zero, zero
-    for t in range(max_t):
-        x = ad.rows(params["emb"], idx[:, t])
-        hn, cn = _lstm_step("enc_f", params, x, hf, cf)
-        m = (t < lengths).astype(np.float64)[:, None]
-        hf, cf = _masked(hn, hf, m), _masked(cn, cf, m)
-
-    hb, cb = zero, zero
-    for t in range(max_t - 1, -1, -1):
-        x = ad.rows(params["emb"], idx[:, t])
-        hn, cn = _lstm_step("enc_b", params, x, hb, cb)
-        m = (t < lengths).astype(np.float64)[:, None]
-        hb, cb = _masked(hn, hb, m), _masked(cn, cb, m)
-
-    return ad.concat([hf, hb], axis=1)
+    ``e = exp(-|x|)`` is exp(-x) where x >= 0 and exp(x) elsewhere, so
+    this is 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for
+    x < 0.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _lstm_cell(model: Seq2SeqModel, prefix: str, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """``_lstm_step`` on plain arrays: the same formula, evaluated in the same order."""
+    """One LSTM step of B rows: the new (h, c) and the gates (i, f, g, o, tanh(c))."""
     params = model.params
     hid = h.shape[1]
-    z = x @ params[f"{prefix}.wx"].data + h @ params[f"{prefix}.wh"].data + params[f"{prefix}.b"].data
-    i = ad.logistic(z[:, 0:hid])
-    f = ad.logistic(z[:, hid : 2 * hid])
+    z = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
+    i = logistic(z[:, 0:hid])
+    f = logistic(z[:, hid : 2 * hid])
     g = np.tanh(z[:, 2 * hid : 3 * hid])
-    o = ad.logistic(z[:, 3 * hid : 4 * hid])
+    o = logistic(z[:, 3 * hid : 4 * hid])
     c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
+    tanh_c = np.tanh(c_new)
+    return o * tanh_c, c_new, (i, f, g, o, tanh_c)
 
 
-def _encode_rows(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Graph-free ``_encode_batch``: the (B, 2H) summary of padded index rows."""
+def _encode_rows(
+    model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray, tape: list | None = None
+) -> np.ndarray:
+    """The (B, 2H) encoder summary of padded index rows.
+
+    With a ``tape``, each step appends what ``_backward`` reads:
+    (prefix, index column, x, h, c, gates, mask).
+    """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
     b, max_t = idx.shape
-    emb = model.params["emb"].data
+    emb = model.params["emb"]
     zero = np.zeros((b, model.hidden_size))
-
-    hf, cf = zero, zero
-    for t in range(max_t):
-        hn, cn = _lstm_cell(model, "enc_f", emb[idx[:, t]], hf, cf)
-        m = (t < lengths)[:, None]  # rows past their end keep the old state
-        hf, cf = np.where(m, hn, hf), np.where(m, cn, cf)
-
-    hb, cb = zero, zero
-    for t in range(max_t - 1, -1, -1):
-        hn, cn = _lstm_cell(model, "enc_b", emb[idx[:, t]], hb, cb)
-        m = (t < lengths)[:, None]
-        hb, cb = np.where(m, hn, hb), np.where(m, cn, cb)
-
-    return np.concatenate([hf, hb], axis=1)
+    finals = []
+    for prefix, steps in (("enc_f", range(max_t)), ("enc_b", range(max_t - 1, -1, -1))):
+        h, c = zero, zero
+        for t in steps:
+            x = emb[idx[:, t]]
+            hn, cn, gates = _lstm_cell(model, prefix, x, h, c)
+            m = (t < lengths)[:, None]  # rows past their end keep the old state
+            if tape is not None:
+                tape.append((prefix, idx[:, t], x, h, c, gates, m))
+            h, c = np.where(m, hn, h), np.where(m, cn, c)
+        finals.append(h)
+    return np.concatenate(finals, axis=1)
 
 
 def encode(model: Seq2SeqModel, lemma_indices) -> np.ndarray:
@@ -245,8 +215,8 @@ def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
     x = np.concatenate([np.atleast_2d(char_vec), np.atleast_2d(summary), np.atleast_2d(morph_vec)], axis=1)
     if state is None:
         state = (np.zeros((x.shape[0], h)), np.zeros((x.shape[0], h)))
-    h_t, c_t = _lstm_cell(model, "dec", x, np.atleast_2d(state[0]), np.atleast_2d(state[1]))
-    logits = h_t @ model.params["out.w"].data + model.params["out.b"].data
+    h_t, c_t, _ = _lstm_cell(model, "dec", x, np.atleast_2d(state[0]), np.atleast_2d(state[1]))
+    logits = h_t @ model.params["out.w"] + model.params["out.b"]
     if single:
         return logits[0], (h_t[0], c_t[0])
     return logits, (h_t, c_t)
@@ -278,63 +248,131 @@ def _make_batch(model: Seq2SeqModel, examples, diagnostics: list[str] | None = N
     return enc_idx, enc_len, dec_idx, targets, mask, morph
 
 
-def _batch_loss(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None) -> Tensor:
-    """Mean over examples of the per-example mean cross-entropy (teacher forced)."""
+def _forward(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
+    """Teacher-forced batch loss and the tape that ``_backward`` reads.
+
+    The loss is the mean over examples of each example's mean
+    cross-entropy over its target characters and EOS.
+    """
     enc_idx, enc_len, dec_idx, targets, mask, morph = _make_batch(model, examples, diagnostics)
     b, max_dec = targets.shape
     params = model.params
-    summary = _encode_batch(model, enc_idx, enc_len)
-    morph_t = Tensor(morph)
-
-    h = Tensor(np.zeros((b, model.hidden_size)))
-    c = Tensor(np.zeros((b, model.hidden_size)))
-    per_example = None
+    enc_tape: list = []
+    summary = _encode_rows(model, enc_idx, enc_len, enc_tape)
+    inv_len = 1.0 / mask.sum(axis=1)
+    d_ce = np.full(b, 1.0 / b) * inv_len  # d loss / d cross-entropy of each row
+    rows = np.arange(b)
+    h = c = np.zeros((b, model.hidden_size))
+    dec_tape = []
     for t in range(max_dec):
-        x_char = ad.rows(params["emb"], dec_idx[:, t])
-        x = ad.concat([x_char, summary, morph_t], axis=1)
-        h, c = _lstm_step("dec", params, x, h, c)
-        logits = ad.add(ad.matmul(h, params["out.w"]), params["out.b"])
-        ce = ad.softmax_cross_entropy(logits, targets[:, t])
-        step = ad.mul(ce, mask[:, t])
-        per_example = step if per_example is None else ad.add(per_example, step)
-    per_example = ad.mul(per_example, 1.0 / mask.sum(axis=1))
-    return ad.scale(ad.sum_all(per_example), 1.0 / b)
+        x = np.concatenate([params["emb"][dec_idx[:, t]], summary, morph], axis=1)
+        h_new, c_new, gates = _lstm_cell(model, "dec", x, h, c)
+        logits = h_new @ params["out.w"] + params["out.b"]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        z = exp.sum(axis=1, keepdims=True)
+        step = -(shifted[rows, targets[:, t]] - np.log(z[:, 0])) * mask[:, t]
+        per_example = step if t == 0 else per_example + step
+        dec_tape.append((dec_idx[:, t], x, h, c, gates, h_new, exp / z, targets[:, t], d_ce * mask[:, t]))
+        h, c = h_new, c_new
+    return float((per_example * inv_len).sum() * (1.0 / b)), (enc_tape, dec_tape)
+
+
+def _cell_backward(model: Seq2SeqModel, prefix: str, grads: dict, x, h, c, gates, dh, dc):
+    """Backward pass of one ``_lstm_cell`` call, given the gradients of its new (h, c).
+
+    Adds the call's terms to the ``prefix`` blocks of ``grads`` and
+    returns the gradients of x, h and c.
+    """
+    i, f, g, o, tanh_c = gates
+    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    dz = np.concatenate(
+        [
+            dc * g * i * (1.0 - i),  # input gate
+            dc * c * f * (1.0 - f),  # forget gate
+            dc * i * (1.0 - g * g),  # cell candidate
+            dh * tanh_c * o * (1.0 - o),  # output gate
+        ],
+        axis=1,
+    )
+    grads[f"{prefix}.wx"] += x.T @ dz
+    grads[f"{prefix}.wh"] += h.T @ dz
+    grads[f"{prefix}.b"] += dz.sum(axis=0)
+    return dz @ model.params[f"{prefix}.wx"].T, dz @ model.params[f"{prefix}.wh"].T, dc * f
+
+
+def _backward(model: Seq2SeqModel, tape) -> dict[str, np.ndarray]:
+    """Gradients of the ``_forward`` loss for every parameter block.
+
+    Each block adds its per-step terms in one fixed order, since another
+    order changes the last bits of trained checkpoints: ``out.*`` in time
+    order; the LSTM blocks and the encoder summary last step first;
+    ``emb`` the decoder's steps last to first, then the forward
+    encoder's, then the backward encoder's, each in reverse of the order
+    it ran them.
+    """
+    enc_tape, dec_tape = tape
+    params = model.params
+    grads = {name: np.zeros_like(params[name]) for name in model.PARAM_NAMES}
+    hid = model.hidden_size
+
+    def scatter(idx, d_x):
+        full = np.zeros_like(params["emb"])
+        np.add.at(full, idx, d_x)  # repeated characters of a step add up in row order
+        grads["emb"] += full
+
+    d_logits = []
+    for *_, h, probs, target, d_ce in dec_tape:
+        d = probs.copy()  # softmax cross-entropy
+        d[np.arange(len(target)), target] -= 1.0
+        d = d * d_ce[:, None]
+        grads["out.w"] += h.T @ d
+        grads["out.b"] += d.sum(axis=0)
+        d_logits.append(d)
+
+    dh = dc = np.zeros((len(d_logits[0]), hid))
+    d_summary = 0.0
+    for (idx, x, h, c, gates, *_), d in zip(reversed(dec_tape), reversed(d_logits)):
+        dx, dh, dc = _cell_backward(model, "dec", grads, x, h, c, gates, d @ params["out.w"].T + dh, dc)
+        scatter(idx, dx[:, :EMB_DIM])
+        d_summary = d_summary + dx[:, EMB_DIM : EMB_DIM + 2 * hid]
+
+    for prefix, dh in (("enc_f", d_summary[:, :hid]), ("enc_b", d_summary[:, hid:])):
+        dc = np.zeros_like(dh)
+        for _, idx, x, h, c, gates, m in reversed([s for s in enc_tape if s[0] == prefix]):
+            # a row past its end carried its state through this step unchanged
+            dx, dh_prev, dc_prev = _cell_backward(
+                model, prefix, grads, x, h, c, gates, np.where(m, dh, 0.0), np.where(m, dc, 0.0)
+            )
+            dh, dc = dh_prev + np.where(m, 0.0, dh), dc_prev + np.where(m, 0.0, dc)
+            scatter(idx, dx)
+    return grads
 
 
 def loss(model: Seq2SeqModel, example: TrainExample, diagnostics: list[str] | None = None) -> float:
     """Mean per-position cross-entropy of the gold target (with EOS) for one example."""
     if not example.lemma:
         raise ValueError("empty input")
-    return float(_batch_loss(model, [example], diagnostics).data)
+    return _forward(model, [example], diagnostics)[0]
 
 
 def grad(model: Seq2SeqModel, batch) -> dict[str, np.ndarray]:
     """Gradient of the batch loss for every parameter block."""
     if not batch:
         raise ValueError("empty batch")
-    model.zero_grads()
-    out = _batch_loss(model, list(batch))
-    ad.backward(out)
-    grads: dict[str, np.ndarray] = {}
-    for name, p in model.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+    grads = _backward(model, _forward(model, list(batch))[1])
+    for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient in parameter block {name!r}")
-        grads[name] = g.copy()
     return grads
 
 
-def _clip_gradients(model: Seq2SeqModel, max_norm: float) -> None:
-    total = 0.0
-    for p in model.params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = np.sqrt(total)
+def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > max_norm:
         factor = max_norm / norm
-        for p in model.params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        for g in grads.values():
+            g *= factor
 
 
 def train(
@@ -358,43 +396,41 @@ def train(
         raise ValueError("no training data")
     rng = np.random.default_rng(seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_state = {n: np.zeros_like(p.data) for n, p in model.params.items()}
-    v_state = {n: np.zeros_like(p.data) for n, p in model.params.items()}
+    params = model.params
+    m_state = {n: np.zeros_like(p) for n, p in params.items()}
+    v_state = {n: np.zeros_like(p) for n, p in params.items()}
     step = 0
     trace: list[float] = []
-    snapshot = {n: p.data.copy() for n, p in model.params.items()}
+    snapshot = {n: p.copy() for n, p in params.items()}
     for epoch in range(epochs):
         order = rng.permutation(len(data))
         epoch_losses: list[float] = []
         diverged = False
         for start in range(0, len(data), batch_size):
             batch = [data[i] for i in order[start : start + batch_size]]
-            model.zero_grads()
-            out = _batch_loss(model, batch)
-            batch_loss = float(out.data)
+            batch_loss, tape = _forward(model, batch)
             if not np.isfinite(batch_loss):
                 diverged = True
                 break
-            ad.backward(out)
-            _clip_gradients(model, clip_norm)
+            grads = _backward(model, tape)
+            _clip_gradients(grads, clip_norm)
             step += 1
             bias1 = 1.0 - beta1**step
             bias2 = 1.0 - beta2**step
-            for name, p in model.params.items():
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            for name, p in params.items():
+                g = grads[name]
                 m_state[name] = beta1 * m_state[name] + (1.0 - beta1) * g
                 v_state[name] = beta2 * v_state[name] + (1.0 - beta2) * g * g
-                p.data -= lr * (m_state[name] / bias1) / (np.sqrt(v_state[name] / bias2) + eps)
+                p -= lr * (m_state[name] / bias1) / (np.sqrt(v_state[name] / bias2) + eps)
             epoch_losses.append(batch_loss)
         if diverged:
-            for name, p in model.params.items():
-                p.data = snapshot[name].copy()
+            params.update(snapshot)
             if log is not None:
                 log(f"epoch {epoch + 1}: loss diverged, rolled back to last checkpoint")
             break
         mean_loss = float(np.mean(epoch_losses))
         trace.append(mean_loss)
-        snapshot = {n: p.data.copy() for n, p in model.params.items()}
+        snapshot = {n: p.copy() for n, p in params.items()}
         if log is not None:
             log(f"epoch {epoch + 1}/{epochs}: loss {mean_loss:.6f}")
     model.check_finite()
@@ -414,7 +450,7 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
         idx[r, : len(row)] = row
     summary = _encode_rows(model, idx[:, :longest], lengths)
     morph = np.stack([feature_vector(tag, model.inventory) for _, tag in pairs])
-    emb = model.params["emb"].data
+    emb = model.params["emb"]
 
     out: list[list[str]] = [[] for _ in pairs]
     live = np.arange(len(pairs))  # rows that have not emitted EOS yet
@@ -499,28 +535,62 @@ def save_model(model: Seq2SeqModel, path) -> None:
         "hidden_size": model.hidden_size,
         "max_len": model.max_len,
         "emb_dim": EMB_DIM,
-        "params": [[name, list(model.params[name].data.shape)] for name in model.PARAM_NAMES],
+        "params": [[name, list(model.params[name].shape)] for name in model.PARAM_NAMES],
     }
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for name in model.PARAM_NAMES:
-            fh.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+
+
+def _is_str_list(value) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
+# What save_model writes in the checkpoint header, field by field.
+_HEADER_FIELDS = {
+    "chars": ("a list of strings", _is_str_list),
+    "inventory": ("a list of strings", _is_str_list),
+    "hidden_size": ("a positive integer", lambda v: type(v) is int and v > 0),
+    "max_len": ("a positive integer", lambda v: type(v) is int and v > 0),
+    "emb_dim": ("an integer", lambda v: type(v) is int),
+    "params": (
+        "a list of [name, shape] pairs",
+        lambda v: type(v) is list
+        and all(type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is list for e in v),
+    ),
+}
+
+
+def _check_header(path, header) -> None:
+    if type(header) is not dict:
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    unknown = sorted(header.keys() - _HEADER_FIELDS.keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown checkpoint header field {unknown[0]!r}")
+    for key, (kind, fits) in _HEADER_FIELDS.items():
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header has no field {key!r}")
+        if not fits(header[key]):
+            raise ValueError(f"{path}: checkpoint header field {key!r} is not {kind}")
 
 
 def load_model(path) -> Seq2SeqModel:
     """Read a checkpoint written by ``save_model``.
 
-    Raises ValueError when the file does not hold exactly the blocks, in
-    the shapes, that its header's vocabulary, inventory and hidden size
-    imply.
+    Raises ValueError when the header does not have exactly the fields
+    and types that ``save_model`` writes, or the file does not hold
+    exactly the blocks, in the shapes, that its header's vocabulary,
+    inventory and hidden size imply.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a reinflector checkpoint")
         header = json.loads(fh.readline().decode("utf-8"))
+        _check_header(path, header)
         if header["emb_dim"] != EMB_DIM:
             raise ValueError(f"{path}: embedding width {header['emb_dim']} differs from {EMB_DIM}")
         model = Seq2SeqModel(
@@ -533,14 +603,14 @@ def load_model(path) -> Seq2SeqModel:
         if names != list(model.PARAM_NAMES):
             raise ValueError(f"{path}: parameter blocks {names} are not {list(model.PARAM_NAMES)}")
         for name, shape in header["params"]:
-            expected = model.params[name].data.shape
+            expected = model.params[name].shape
             if tuple(shape) != expected:
                 raise ValueError(f"{path}: parameter block {name!r} has shape {tuple(shape)}, expected {expected}")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ValueError(f"{path}: truncated parameter block {name!r}")
-            model.params[name].data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            model.params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last parameter block")
     return model

@@ -88,7 +88,7 @@ def test_gradient_correctness():
     checked = 0
     while checked < 120:
         name = names[int(rng.integers(0, len(names)))]
-        index = int(rng.integers(0, model.params[name].data.size))
+        index = int(rng.integers(0, model.params[name].size))
         worst = max(worst, relative_grad_error(model, examples, analytic, name, index))
         checked += 1
     criterion(

@@ -364,17 +364,23 @@ def test_missing_model_file_is_data_error(workspace, tmp_path):
     assert code == cli.EXIT_DATA
 
 
+_HEADER_EDITS = {
+    "unknown-block": lambda h: {**h, "params": [["embedding", h["params"][0][1]]] + h["params"][1:]},
+    "missing-key": lambda h: {k: v for k, v in h.items() if k != "emb_dim"},
+    "array-header": lambda h: list(h.items()),
+    "string-hidden-size": lambda h: {**h, "hidden_size": str(h["hidden_size"])},
+}
+
+
 @pytest.mark.parametrize(
-    "edit", ["unknown-block", "trailing-bytes"],
+    "edit", ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size"],
 )
 def test_realize_inconsistent_checkpoint_is_data_error(workspace, tmp_path, capfd, edit):
     magic, header, blocks = workspace["checkpoint"].read_bytes().split(b"\n", 2)
-    if edit == "unknown-block":
-        parsed = json.loads(header)
-        parsed["params"][0][0] = "embedding"
-        header = json.dumps(parsed).encode()
-    else:
+    if edit == "trailing-bytes":
         blocks += b"\0" * 8
+    else:
+        header = json.dumps(_HEADER_EDITS[edit](json.loads(header))).encode()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(magic + b"\n" + header + b"\n" + blocks)
     code = cli.main(
@@ -436,3 +442,40 @@ def test_config_invalid_values_are_usage_error(workspace, tmp_path):
          "--vocab-out", str(tmp_path / "o.vocab"), "--config", str(config)]
     )
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ([1], None),
+        ({"threshold": "5"}, "threshold"),
+        ({"lr": "x"}, "lr"),
+        ({"jobs": None}, "jobs"),
+        ({"epochs": True}, "epochs"),
+        ({"seed": 1.5}, "seed"),
+        ({"lr": False}, "lr"),
+        ({"capitalize": 1}, "capitalize"),
+    ],
+    ids=["array", "string-int", "string-lr", "null-int", "bool-int", "float-int", "bool-lr", "int-bool"],
+)
+def test_config_wrong_types_are_usage_error(workspace, tmp_path, capfd, raw, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    code = cli.main(
+        ["reorder", str(workspace["treebank"]), "--lm", str(workspace["arpa"]),
+         "--out", str(tmp_path / "p.txt"), "--config", str(config)]
+    )
+    assert code == cli.EXIT_USAGE
+    err = capfd.readouterr().err
+    assert f"{config}: " in err
+    assert key is None or repr(key) in err
+
+
+def test_config_accepts_integer_lr(workspace, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr": 1, "capitalize": False}))
+    code = cli.main(
+        ["reorder", str(workspace["treebank"]), "--lm", str(workspace["arpa"]),
+         "--out", str(tmp_path / "p.txt"), "--config", str(config)]
+    )
+    assert code == cli.EXIT_OK

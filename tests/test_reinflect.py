@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from udrealize import autodiff as ad
 from udrealize import reinflect as rf
 from udrealize.morphmap import MorphTag, feature_vector
 from udrealize.reinflect import (
@@ -37,6 +36,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _lstm(p, prefix, x, state):
+    """One LSTM step on 1-D vectors, written independently of ``rf._lstm_cell``."""
+    hp, cp = state
+    h = hp.shape[0]
+    z = x @ p[f"{prefix}.wx"] + hp @ p[f"{prefix}.wh"] + p[f"{prefix}.b"]
+    i = 1 / (1 + np.exp(-z[0:h]))
+    f = 1 / (1 + np.exp(-z[h : 2 * h]))
+    g = np.tanh(z[2 * h : 3 * h])
+    o = 1 / (1 + np.exp(-z[3 * h : 4 * h]))
+    c = f * cp + i * g
+    return o * np.tanh(c), c
+
+
+def _oracle_summary(p, lemma_ix):
+    """Both encoder directions over one lemma with ``_lstm``: the (2H,) summary."""
+    zero = np.zeros(p["enc_f.wh"].shape[0])
+    hf = cf = hb = cb = zero
+    for ix in lemma_ix:
+        hf, cf = _lstm(p, "enc_f", p["emb"][ix], (hf, cf))
+    for ix in reversed(lemma_ix):
+        hb, cb = _lstm(p, "enc_b", p["emb"][ix], (hb, cb))
+    return np.concatenate([hf, hb])
+
+
 def tiny_model(hidden=3, seed=0, examples=None):
     examples = examples or [
         TrainExample("ab", PL_TAG, "abs"),
@@ -61,6 +84,22 @@ def test_char_vocab_encode_counts_unknown():
     assert len(diags) == 1
 
 
+# --------------------------------------------------------------------- cell
+
+def test_logistic_matches_split_formula_bitwise():
+    # reference: exp of -x on the non-negative part, of x on the rest
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.standard_normal(500) * s for s in (0.1, 1.0, 10.0, 800.0)])
+    x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    got = rf.logistic(x)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 # ------------------------------------------------------------------- encode
 
 def test_encode_shapes():
@@ -82,7 +121,7 @@ def test_encode_mirrored_weights_reverse_input():
     mirrored, _ = tiny_model(seed=5, examples=examples)
     for a, b in (("enc_f", "enc_b"), ("enc_b", "enc_f")):
         for part in ("wx", "wh", "b"):
-            mirrored.params[f"{a}.{part}"].data = model.params[f"{b}.{part}"].data.copy()
+            mirrored.params[f"{a}.{part}"] = model.params[f"{b}.{part}"].copy()
 
     seq = model.vocab.encode("abcde")
     summary = encode(model, seq)
@@ -93,7 +132,7 @@ def test_encode_mirrored_weights_reverse_input():
 
 def test_decoder_input_width_invariant():
     model, _ = tiny_model(hidden=4)
-    assert model.params["dec.wx"].data.shape[0] == 64 + 2 * 4 + model.feature_size
+    assert model.params["dec.wx"].shape[0] == 64 + 2 * 4 + model.feature_size
 
 
 # --------------------------------------------------------------- decode_step
@@ -101,7 +140,7 @@ def test_decoder_input_width_invariant():
 def test_decode_step_zero_model_is_uniform():
     model, _ = tiny_model()
     for p in model.params.values():
-        p.data[:] = 0.0
+        p[:] = 0.0
     v = len(model.vocab)
     logits, _ = decode_step(
         model, np.zeros(64), np.zeros(2 * model.hidden_size), np.zeros(model.feature_size)
@@ -113,8 +152,8 @@ def test_decode_step_zero_model_is_uniform():
 def test_decode_step_bias_saturation():
     model, _ = tiny_model()
     for p in model.params.values():
-        p.data[:] = 0.0
-    model.params["out.b"].data[4] = 10.0
+        p[:] = 0.0
+    model.params["out.b"][4] = 10.0
     logits, _ = decode_step(
         model, np.zeros(64), np.zeros(2 * model.hidden_size), np.zeros(model.feature_size)
     )
@@ -169,7 +208,7 @@ def test_decode_step_width_mismatch_errors():
 def test_loss_uniform_model_is_log_vocab():
     model, examples = tiny_model()
     for p in model.params.values():
-        p.data[:] = 0.0
+        p[:] = 0.0
     assert loss(model, examples[0]) == pytest.approx(np.log(len(model.vocab)), abs=1e-12)
 
 
@@ -180,51 +219,31 @@ def test_loss_zero_for_certain_decoder():
     example = TrainExample("a", N_TAG, "a")
     model = build_model([example], hidden_size=1, max_len=8, seed=0)
     for p in model.params.values():
-        p.data[:] = 0.0
+        p[:] = 0.0
     [a_ix] = model.vocab.encode("a")
-    model.params["emb"].data[a_ix, 0] = 1.0
-    model.params["emb"].data[PAD, 0] = -1.0
+    model.params["emb"][a_ix, 0] = 1.0
+    model.params["emb"][PAD, 0] = -1.0
     # decoder gates driven hard by input channel 0: i, f, g saturate with x0
-    model.params["dec.wx"].data[0, 0] = 50.0  # input gate
-    model.params["dec.wx"].data[0, 1] = 50.0  # forget gate
-    model.params["dec.wx"].data[0, 2] = 50.0  # cell candidate
+    model.params["dec.wx"][0, 0] = 50.0  # input gate
+    model.params["dec.wx"][0, 1] = 50.0  # forget gate
+    model.params["dec.wx"][0, 2] = 50.0  # cell candidate
     big = 20000.0
-    model.params["out.w"].data[0, a_ix] = big
-    model.params["out.w"].data[0, EOS] = -big
-    model.params["out.b"].data[a_ix] = -0.19 * big
-    model.params["out.b"].data[EOS] = 0.19 * big
+    model.params["out.w"][0, a_ix] = big
+    model.params["out.w"][0, EOS] = -big
+    model.params["out.b"][a_ix] = -0.19 * big
+    model.params["out.b"][EOS] = 0.19 * big
     assert loss(model, example) == 0.0
     assert predict(model, "a", N_TAG) == "a"
 
 
 def test_loss_matches_independent_forward_oracle():
-    # straight-line numpy forward pass, written independently of the autodiff
+    # straight-line numpy forward pass, written independently of reinflect
     model, examples = tiny_model(hidden=2, seed=4)
     example = examples[0]
-    p = {k: t.data for k, t in model.params.items()}
+    p = model.params
     h = model.hidden_size
-
-    def lstm(prefix, x, state):
-        hp, cp = state
-        z = x @ p[f"{prefix}.wx"] + hp @ p[f"{prefix}.wh"] + p[f"{prefix}.b"]
-        i = 1 / (1 + np.exp(-z[0:h]))
-        f = 1 / (1 + np.exp(-z[h : 2 * h]))
-        g = np.tanh(z[2 * h : 3 * h])
-        o = 1 / (1 + np.exp(-z[3 * h : 4 * h]))
-        c = f * cp + i * g
-        return o * np.tanh(c), c
-
     lemma_ix = model.vocab.encode(example.lemma)
-    hf = cf = np.zeros(h)
-    for ix in lemma_ix:
-        hf, cf = lstm("enc_f", p["emb"][ix], (hf, cf))
-    hb = cb = np.zeros(h)
-    for ix in reversed(lemma_ix):
-        hb, cb = lstm("enc_b", p["emb"][ix], (hb, cb))
-    summary = np.concatenate([hf, hb])
-
-    from udrealize.morphmap import feature_vector
-
+    summary = _oracle_summary(p, lemma_ix)
     morph = feature_vector(example.tag, model.inventory)
     target_ix = model.vocab.encode(example.target) + [EOS]
     hd = cd = np.zeros(h)
@@ -232,7 +251,7 @@ def test_loss_matches_independent_forward_oracle():
     for t, gold in enumerate(target_ix):
         char = p["emb"][lemma_ix[t]] if t < len(lemma_ix) else p["emb"][PAD]
         x = np.concatenate([char, summary, morph])
-        hd, cd = lstm("dec", x, (hd, cd))
+        hd, cd = _lstm(p, "dec", x, (hd, cd))
         logits = hd @ p["out.w"] + p["out.b"]
         shifted = logits - logits.max()
         total += -(shifted[gold] - np.log(np.exp(shifted).sum()))
@@ -269,27 +288,37 @@ def relative_grad_error(model, examples, analytic, name, index, eps=1e-5):
     1e-11 in the loss at this epsilon) from dominating entries whose true
     gradient is itself tiny.
     """
-    flat = model.params[name].data.reshape(-1)
+    flat = model.params[name].reshape(-1)
     old = flat[index]
     flat[index] = old + eps
-    up = rf._batch_loss(model, examples).data.item()
+    up = rf._forward(model, examples)[0]
     flat[index] = old - eps
-    down = rf._batch_loss(model, examples).data.item()
+    down = rf._forward(model, examples)[0]
     flat[index] = old
     fd = (up - down) / (2 * eps)
     an = analytic[name].reshape(-1)[index]
     return abs(fd - an) / max(abs(fd), abs(an), 1e-6)
 
 
-def test_grad_finite_difference_all_parameters():
+@pytest.mark.parametrize(
+    "examples",
+    [
+        [TrainExample("ab", PL_TAG, "abs"), TrainExample("ba", N_TAG, "ba")],
+        # lemma and target lengths both differ: the encoder carries the short
+        # row's state through masked steps, and the decoder mask drops its
+        # steps past EOS
+        [TrainExample("abc", PL_TAG, "abcs"), TrainExample("b", N_TAG, "b")],
+    ],
+    ids=["equal-lengths", "masked-lengths"],
+)
+def test_grad_finite_difference_all_parameters(examples):
     # small-model exhaustive check: every scalar parameter against central
     # differences
-    examples = [TrainExample("ab", PL_TAG, "abs"), TrainExample("ba", N_TAG, "ba")]
     model = build_model(examples, hidden_size=2, max_len=8, seed=3)
     analytic = grad(model, examples)
     worst = 0.0
-    for name, tensor in model.params.items():
-        for i in range(tensor.data.size):
+    for name, block in model.params.items():
+        for i in range(block.size):
             worst = max(worst, relative_grad_error(model, examples, analytic, name, i))
     assert worst < 1e-4, f"worst relative error {worst}"
 
@@ -311,7 +340,7 @@ def test_grad_empty_batch_errors():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grad_error_names_broken_block():
     model, examples = tiny_model()
-    model.params["out.w"].data[0, 0] = np.inf
+    model.params["out.w"][0, 0] = np.inf
     with pytest.raises(GradientError, match="block"):
         grad(model, examples)
 
@@ -346,7 +375,7 @@ def test_train_is_seed_deterministic():
     _, trace2 = train(m2, examples, epochs=3, lr=1e-3, seed=1, batch_size=2)
     assert trace1 == trace2
     for name in m1.params:
-        assert np.array_equal(m1.params[name].data, m2.params[name].data)
+        assert np.array_equal(m1.params[name], m2.params[name])
 
 
 def test_train_loss_decreases_over_first_epochs():
@@ -379,22 +408,22 @@ def test_train_rolls_back_on_divergence(monkeypatch):
     clean, _ = train(clean, examples, epochs=1, lr=1e-3, seed=5, batch_size=2)
 
     model = build_model(examples, hidden_size=4, max_len=8, seed=0)
-    real_batch_loss = rf._batch_loss
+    real_forward = rf._forward
     calls = {"n": 0}
 
     def poisoned(model_, batch, diagnostics=None):
         calls["n"] += 1
         if calls["n"] > 2:  # two batches per epoch: blow up in epoch 2
-            return ad.Tensor(np.float64("nan"))
-        return real_batch_loss(model_, batch, diagnostics)
+            return float("nan"), None
+        return real_forward(model_, batch, diagnostics)
 
-    monkeypatch.setattr(rf, "_batch_loss", poisoned)
+    monkeypatch.setattr(rf, "_forward", poisoned)
     model, trace = train(model, examples, epochs=3, lr=1e-3, seed=5, batch_size=2)
     monkeypatch.undo()
 
     assert len(trace) == 1  # only the finished epoch is recorded
     for name in clean.params:
-        assert np.array_equal(model.params[name].data, clean.params[name].data)
+        assert np.array_equal(model.params[name], clean.params[name])
 
 
 # ------------------------------------------------------------------ predict
@@ -402,7 +431,7 @@ def test_train_rolls_back_on_divergence(monkeypatch):
 def test_predict_respects_max_len_and_reserved_chars():
     model, _ = tiny_model(seed=15)
     # unmasked, PAD, BOS and UNK would win every step
-    model.params["out.b"].data[[PAD, BOS, UNK]] += 50.0
+    model.params["out.b"][[PAD, BOS, UNK]] += 50.0
     items = [("abcab", PL_TAG), ("cde", N_TAG), ("a", N_TAG)]
     outs = predict_many(model, items)
     assert outs == [_predict_oracle(model, *item) for item in items]
@@ -420,23 +449,17 @@ def test_predict_empty_lemma_errors():
 
 
 def _predict_oracle(model, lemma, tag):
-    """Greedy decoding of one pair through the autodiff graph, one row at a time.
-
-    This is the decoder that ``predict`` ran before inference became
-    graph-free and batched: ``_encode_batch`` over one row, then one
-    ``_lstm_step`` per output character.
-    """
-    params = model.params
+    """Greedy decoding of one pair, one character at a time, with ``_lstm`` on 1-D vectors."""
+    p = model.params
     lemma_ix = model.vocab.encode(lemma)
-    summary = rf._encode_batch(model, np.asarray([lemma_ix], dtype=np.intp), np.asarray([len(lemma_ix)]))
-    morph = ad.Tensor(feature_vector(tag, model.inventory)[None, :])
-    h = c = ad.Tensor(np.zeros((1, model.hidden_size)))
+    summary = _oracle_summary(p, lemma_ix)
+    morph = feature_vector(tag, model.inventory)
+    state = (np.zeros(model.hidden_size), np.zeros(model.hidden_size))
     out = []
     for t in range(model.max_len):
         char_ix = lemma_ix[t] if t < len(lemma_ix) else PAD
-        x = ad.concat([ad.rows(params["emb"], np.asarray([char_ix])), summary, morph], axis=1)
-        h, c = rf._lstm_step("dec", params, x, h, c)
-        logits = ad.add(ad.matmul(h, params["out.w"]), params["out.b"]).data[0].copy()
+        state = _lstm(p, "dec", np.concatenate([p["emb"][char_ix], summary, morph]), state)
+        logits = state[0] @ p["out.w"] + p["out.b"]
         logits[[PAD, BOS, UNK]] = -np.inf
         best = int(np.argmax(logits))
         if best == EOS:
@@ -475,17 +498,6 @@ def test_predict_many_matches_oracle(oracle_case):
     assert predict(model, *items[0]) == expected[items[0]]
 
 
-def test_predict_many_builds_no_graph(oracle_case, monkeypatch):
-    model, items = oracle_case
-
-    def no_graph(*args, **kwargs):
-        raise AssertionError("inference built an autodiff node")
-
-    for op in ("add", "mul", "scale", "matmul", "sigmoid", "tanh", "concat", "cols", "rows"):
-        monkeypatch.setattr(ad, op, no_graph)
-    assert len(predict_many(model, items[:40])) == 40
-
-
 # ------------------------------------------------------------ serialization
 
 def test_checkpoint_round_trip(tmp_path):
@@ -515,25 +527,41 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def _corrupt_checkpoint(path, edit_header=None, trailer=b""):
-    """Rewrite a saved checkpoint with an edited JSON header and/or extra bytes."""
+    """Rewrite a saved checkpoint with an edited JSON header and/or extra bytes.
+
+    ``edit_header`` takes the parsed header and returns the one to write.
+    """
     magic, header, blocks = path.read_bytes().split(b"\n", 2)
     header = json.loads(header)
     if edit_header is not None:
-        edit_header(header)
+        header = edit_header(header)
     path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blocks + trailer)
 
 
 def _set_emb_dim(header):
-    header["emb_dim"] = 32
+    return {**header, "emb_dim": 32}
 
 
 def _rename_first_block(header):
     header["params"][0][0] = "embedding"
+    return header
 
 
 def _add_vocab_char(header):
     # one more character means emb and out blocks one row/column short
-    header["chars"].append("~")
+    return {**header, "chars": header["chars"] + ["~"]}
+
+
+def _drop_emb_dim(header):
+    return {k: v for k, v in header.items() if k != "emb_dim"}
+
+
+def _header_as_array(header):
+    return list(header.items())
+
+
+def _hidden_size_as_string(header):
+    return {**header, "hidden_size": str(header["hidden_size"])}
 
 
 @pytest.mark.parametrize(
@@ -543,8 +571,11 @@ def _add_vocab_char(header):
         (_rename_first_block, b"", "parameter blocks"),
         (_add_vocab_char, b"", "has shape"),
         (None, b"\0" * 8, "unexpected bytes"),
+        (_drop_emb_dim, b"", "no field 'emb_dim'"),
+        (_header_as_array, b"", "not a JSON object"),
+        (_hidden_size_as_string, b"", "field 'hidden_size' is not a positive integer"),
     ],
-    ids=["emb-dim", "unknown-block", "shape", "trailing-bytes"],
+    ids=["emb-dim", "unknown-block", "shape", "trailing-bytes", "missing-key", "array-header", "string-hidden-size"],
 )
 def test_checkpoint_rejects_inconsistent_file(tmp_path, edit_header, trailer, message):
     model, _ = tiny_model(seed=19)

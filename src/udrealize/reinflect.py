@@ -179,6 +179,7 @@ def _encode_rows(
             m = (t < lengths)[:, None]  # rows past their end keep the old state
             if tape is not None:
                 tape.append((prefix, idx[:, t], x, h, c, gates, m))
+            del x, gates  # without a tape, held through the next step they raise peak memory
             h, c = np.where(m, hn, h), np.where(m, cn, c)
         finals.append(h)
     return np.concatenate(finals, axis=1)
@@ -215,7 +216,7 @@ def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
     x = np.concatenate([np.atleast_2d(char_vec), np.atleast_2d(summary), np.atleast_2d(morph_vec)], axis=1)
     if state is None:
         state = (np.zeros((x.shape[0], h)), np.zeros((x.shape[0], h)))
-    h_t, c_t, _ = _lstm_cell(model, "dec", x, np.atleast_2d(state[0]), np.atleast_2d(state[1]))
+    h_t, c_t = _lstm_cell(model, "dec", x, np.atleast_2d(state[0]), np.atleast_2d(state[1]))[:2]
     logits = h_t @ model.params["out.w"] + model.params["out.b"]
     if single:
         return logits[0], (h_t[0], c_t[0])

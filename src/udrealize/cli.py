@@ -79,7 +79,11 @@ class PipelineConfig:
 
 
 # The JSON values each PipelineConfig field type accepts; true and false are not integers.
-_CONFIG_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
+_CONFIG_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+}
 
 
 def _load_config(args) -> PipelineConfig:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from collections import Counter
@@ -63,8 +64,8 @@ class PipelineConfig:
         for name in numeric:
             if getattr(self, name) < 1:
                 raise UsageError(f"config field {name} must be positive")
-        if self.lr <= 0:
-            raise UsageError("config field lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise UsageError(f"config field lr must be a finite positive number, got {self.lr}")
         try:
             self.order_config().validate()
         except ValueError as exc:

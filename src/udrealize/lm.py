@@ -13,21 +13,35 @@ history; expressed in backoff form, bow(h) = T(h) / (C(h) + T(h)).
 All probabilities and backoff weights are log10, matching ARPA files.
 Training sentences are lowercased, wrapped in <s>...</s>, and words
 outside the vocabulary are counted as <unk>.
+
+Storage is the sorted-array layout of KenLM (Heafield 2011, "KenLM:
+Faster and Smaller Language Model Queries", WMT).  A word's id is its
+position in the vocabulary of V words.  The n-grams of order n form one
+``NGramTable`` of parallel arrays sorted by ``key = prefix_row * V +
+word_id``, where ``prefix_row`` is the row of the n-gram's first n - 1
+words in the order n - 1 table (0 for unigrams): ``logp`` and, below
+the highest order, ``bow``.  Finding an n-gram is one binary search per
+word, so ``NGramModel.logprob_ids`` answers a whole array of queries
+with a few ``searchsorted`` calls.  The layout needs the model to be
+prefix-closed: the first n - 1 words of every n-gram are an entry of
+the order n - 1 table.  ``train_lm`` output always is, and
+``parse_arpa`` rejects a file that is not.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 BOS_WORD = "<s>"
 EOS_WORD = "</s>"
 UNK_WORD = "<unk>"
 RESERVED_WORDS = (BOS_WORD, EOS_WORD, UNK_WORD)
-
-# Ngram entries are (log10 prob, log10 backoff weight or None).
-_Entry = tuple[float, "float | None"]
 
 
 class EmptyCorpusError(ValueError):
@@ -94,18 +108,61 @@ class LmScore:
     ngrams_used: tuple[int, ...]
 
 
-class NGramModel:
-    """Immutable after training; safe to score from many threads at once."""
+@dataclass(frozen=True, eq=False)
+class NGramTable:
+    """The n-grams of one order as parallel arrays sorted by ``key``.
 
-    def __init__(self, order: int, vocab: Vocabulary, tables: list[dict[tuple[str, ...], _Entry]]):
+    ``key = prefix_row * V + word_id`` (int64); ``logp`` and ``bow`` are
+    log10 values, and ``bow`` is None at the model's highest order.
+    """
+
+    key: np.ndarray
+    logp: np.ndarray
+    bow: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Row of each key in the table, or -1 where it has no such entry."""
+        rows = np.searchsorted(self.key, keys)
+        found = self.key.take(rows, mode="clip") == keys if len(self.key) else False
+        return np.where(found, rows, -1)
+
+
+def _sorted_table(key: np.ndarray, logp: np.ndarray, bow: np.ndarray | None) -> NGramTable:
+    """The table of these entries; of equal keys the last one is kept, as a
+    later ARPA line replaces an earlier one."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    order = order[last]
+    return NGramTable(key[last], logp[order], None if bow is None else bow[order])
+
+
+def _find_rows(tables: list[NGramTable], ids: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Row of each n-gram ``ids[..., :]`` (word ids, oldest first) in the
+    table of its order, or -1 where it is absent; an id of -1 is never found."""
+    rows = np.zeros(ids.shape[:-1], dtype=np.int64)
+    for n in range(ids.shape[-1]):
+        rows = tables[n].find(rows * vocab_size + ids[..., n])
+    return rows
+
+
+class NGramModel:
+    """Immutable after training; safe to score from many threads at once.
+
+    ``tables[n - 1]`` is the ``NGramTable`` of the n-grams, and
+    ``len(tables[n - 1])`` their count.
+    """
+
+    def __init__(self, order: int, vocab: Vocabulary, tables: list[NGramTable]):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
         self.vocab = vocab
-        self.tables = tables  # tables[n-1] maps n-word tuples to entries
-
-    def map_word(self, word: str) -> str:
-        return word if word in self.vocab else UNK_WORD
+        self.tables = tables
 
     def logprob(self, word: str, history=()) -> float:
         """log10 p(word | history) with standard backoff recursion.
@@ -113,24 +170,64 @@ class NGramModel:
         Inputs are expected already lowercased; OOV words fall back to
         <unk>.  Histories longer than order-1 are truncated on the left.
         """
-        return self._logprob(self.map_word(word), tuple(history))[0]
+        h = tuple(history)[-(self.order - 1) :] if self.order > 1 else ()
+        ids = np.array([self.vocab.index(w) for w in h], dtype=np.int64)
+        return float(self.logprob_ids(ids, self.vocab.index(word))[0])
 
-    def _logprob(self, word: str, history: tuple[str, ...]) -> tuple[float, int]:
-        h = history[-(self.order - 1) :] if self.order > 1 else ()
-        h = tuple(self.map_word(w) for w in h)
-        penalty = 0.0
-        while True:
-            entry = self.tables[len(h)].get(h + (word,))
-            if entry is not None:
-                return penalty + entry[0], len(h) + 1
-            if not h:
-                # Unigram missing: only possible for hand-written ARPA files
-                # that omit a reserved word. Use the -99 placeholder value.
-                return penalty - 99.0, 1
-            bow_entry = self.tables[len(h) - 1].get(h)
-            if bow_entry is not None and bow_entry[1] is not None:
-                penalty += bow_entry[1]
-            h = h[1:]
+    def logprob_ids(self, histories, words) -> tuple[np.ndarray, np.ndarray]:
+        """log10 p(word | history) and the order of the n-gram that gave it, elementwise.
+
+        ``histories`` holds word ids with shape ``S + (L,)``, oldest word
+        first; an id of -1 on the left makes a history shorter.  ``words``
+        holds word ids and broadcasts with ``S``.  Histories longer than
+        order - 1 are cut on the left.  Each result is the float the
+        backoff recursion computes one query at a time: the penalty starts
+        at 0.0 and gains the backoff weight of each history that lacks the
+        word, longest history first, and the n-gram's logp is added last.
+        A word with no unigram (possible only in a hand-written file) ends
+        at the penalty plus -99.0, a placeholder, with matched order 1.
+        """
+        histories = np.asarray(histories, dtype=np.int64)
+        words = np.asarray(words, dtype=np.int64)
+        span = min(histories.shape[-1], self.order - 1)
+        h = histories[..., histories.shape[-1] - span :]
+        v = len(self.vocab)
+        # contexts[k]: row of the last k history words in the order-k table.
+        # After step t, walk[..., j] is the row of h[..., j : j + t].
+        contexts = [np.zeros(h.shape[:-1], dtype=np.int64)]
+        walk = np.zeros(h.shape, dtype=np.int64)
+        for t in range(1, span + 1):
+            walk = self.tables[t - 1].find(walk[..., : span - t + 1] * v + h[..., t - 1 :])
+            contexts.append(walk[..., -1])
+        shape = np.broadcast(contexts[0], words).shape
+        logp = np.empty(shape)
+        matched = np.ones(shape, dtype=np.int64)
+        penalty = np.zeros(shape)
+        pending = np.ones(shape, dtype=bool)
+        for k in range(span, -1, -1):
+            keys = contexts[k] * v + words  # negative where the context is absent
+            rows = self.tables[k].find(keys)
+            hit = pending & (rows >= 0)
+            logp[hit] = penalty[hit] + self.tables[k].logp[rows[hit]]
+            matched[hit] = k + 1
+            pending &= rows < 0
+            if not pending.any():
+                return logp, matched
+            if k:
+                backoff = pending & (keys >= 0)
+                penalty[backoff] += self.tables[k - 1].bow[keys[backoff] // v]
+        logp[pending] = penalty[pending] - 99.0
+        return logp, matched
+
+    def ngrams(self) -> list[list[tuple[str, ...]]]:
+        """The word tuples of every table, order by order, in row order."""
+        words, v = self.vocab.words, len(self.vocab)
+        out, grams = [], [()]
+        for table in self.tables:
+            prefixes, ids = np.divmod(table.key, v)
+            grams = [grams[p] + (words[w],) for p, w in zip(prefixes.tolist(), ids.tolist())]
+            out.append(grams)
+        return out
 
 
 def train_lm(corpus_text, order: int = 3, vocab: Vocabulary | None = None) -> NGramModel:
@@ -195,15 +292,19 @@ def train_lm(corpus_text, order: int = 3, vocab: Vocabulary | None = None) -> NG
             ctotal = ctx_total[len(h)][h]
             probs[n - 1][gram] = (c + t * lower_prob(gram[-1], h[1:])) / (ctotal + t)
 
-    tables: list[dict[tuple[str, ...], _Entry]] = [dict() for _ in range(order)]
+    def backoff(gram: tuple[str, ...]) -> float:
+        t = ctx_types[len(gram)].get(gram, 0)
+        c = ctx_total[len(gram)].get(gram, 0)
+        return math.log10(t / (c + t)) if t else 0.0
+
+    tables: list[NGramTable] = []
     for n in range(1, order + 1):
-        for gram, p in probs[n - 1].items():
-            bow = None
-            if n < order:
-                t = ctx_types[n].get(gram, 0)
-                c = ctx_total[n].get(gram, 0)
-                bow = math.log10(t / (c + t)) if t else 0.0
-            tables[n - 1][gram] = (math.log10(p), bow)
+        grams = list(probs[n - 1])
+        ids = np.array([vocab.index(w) for gram in grams for w in gram], dtype=np.int64).reshape(-1, n)
+        logp = np.array([math.log10(probs[n - 1][gram]) for gram in grams])
+        bow = np.array([backoff(gram) for gram in grams]) if n < order else None
+        prefix = _find_rows(tables, ids[:, :-1], len(vocab))
+        tables.append(_sorted_table(prefix * len(vocab) + ids[:, -1], logp, bow))
     return NGramModel(order, vocab, tables)
 
 
@@ -212,38 +313,43 @@ def score(model: NGramModel, words) -> LmScore:
 
     Words are lowercased and OOV words map to <unk>.  No sentence markers
     are added here; callers scoring whole sentences wrap the sequence in
-    <s>...</s> themselves.
+    <s>...</s> themselves.  The conditionals are added left to right.
     """
-    mapped = [model.map_word(w.lower()) for w in words]
-    oov = sum(1 for w in mapped if w == UNK_WORD)
+    lowered = [w.lower() for w in words]
     # words that literally are <unk> in the input are not OOV events
-    oov -= sum(1 for w in words if w.lower() == UNK_WORD)
+    oov = sum(1 for w in lowered if w not in model.vocab)
+    ids = np.array([model.vocab.index(w) for w in lowered], dtype=np.int64)
+    span = model.order - 1
+    # position i's history: the span ids before it, -1 where the sequence has none
+    padded = np.concatenate([np.full(span, -1, dtype=np.int64), ids])
+    histories = padded[np.arange(len(ids))[:, None] + np.arange(span)]
+    logp, matched = model.logprob_ids(histories, ids)
     total = 0.0
-    used = [0] * model.order
-    for i, w in enumerate(mapped):
-        lp, matched = model._logprob(w, tuple(mapped[:i]))
+    for lp in logp.tolist():
         total += lp
-        used[matched - 1] += 1
-    return LmScore(total=total, oov_count=oov, ngrams_used=tuple(used))
+    used = np.bincount(matched - 1, minlength=model.order)
+    return LmScore(total=total, oov_count=oov, ngrams_used=tuple(used.tolist()))
 
 
 def emit_arpa(model: NGramModel) -> str:
     """Serialize to the standard ARPA layout; byte-deterministic.
 
-    Entries are sorted; floats use repr so parsing them back is exact.
-    The highest-order section never carries a backoff column.
+    Entries are sorted by their word strings (not by id: the reserved
+    words have the first ids); floats use repr so parsing them back is
+    exact.  The highest-order section never carries a backoff column.
     """
     lines = ["\\data\\"]
     for n in range(1, model.order + 1):
         lines.append(f"ngram {n}={len(model.tables[n - 1])}")
-    for n in range(1, model.order + 1):
+    for n, (table, grams) in enumerate(zip(model.tables, model.ngrams()), start=1):
         lines.append("")
         lines.append(f"\\{n}-grams:")
-        for gram in sorted(model.tables[n - 1]):
-            logp, bow = model.tables[n - 1][gram]
-            entry = f"{logp!r}\t{' '.join(gram)}"
+        logp = table.logp.tolist()
+        bow = None if table.bow is None else table.bow.tolist()
+        for row in sorted(range(len(grams)), key=grams.__getitem__):
+            entry = f"{logp[row]!r}\t{' '.join(grams[row])}"
             if bow is not None:
-                entry += f"\t{bow!r}"
+                entry += f"\t{bow[row]!r}"
             lines.append(entry)
     lines.append("")
     lines.append("\\end\\")
@@ -251,9 +357,113 @@ def emit_arpa(model: NGramModel) -> str:
     return "\n".join(lines)
 
 
+def _columns(texts: list[str], sep: str, width: int) -> list[list[str]] | None:
+    """The ``width`` columns of ``texts`` split at ``sep``, or None unless
+    every text has exactly ``width`` fields.
+
+    One split does the whole list: a field holding only a newline, which
+    no text contains, closes each text, so the texts have ``width``
+    fields each exactly when the closing fields fall at every
+    ``width + 1``-th place.
+    """
+    if not texts:
+        return [[] for _ in range(width)]
+    fields = (sep + "\n" + sep).join(texts).split(sep)
+    closing = fields[width :: width + 1]
+    if len(fields) != len(texts) * (width + 1) - 1 or closing.count("\n") != len(closing):
+        return None
+    return [fields[k :: width + 1] for k in range(width)]
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
+    """The numbers of the texts before the first one ``float`` rejects, and how many there are."""
+    values: list[float] = []
+    try:
+        values.extend(map(float, texts))  # keeps the values converted before a failure
+    except ValueError:
+        pass
+    return np.array(values, dtype=np.float64), len(values)
+
+
+def _parse_section(
+    body: list[str], linenos: list[int], n: int, top: int, tables: list[NGramTable], vocab: Vocabulary | None
+) -> tuple[NGramTable, Vocabulary]:
+    """Check and convert the stripped entry lines of the n-grams section.
+
+    The checks run column-wise, in the order one line's checks would run;
+    each one looks only at the lines before the first failure so far, so
+    the failure left at the end is the one at the earliest line.  Returns
+    the table and the vocabulary, which the 1-grams section defines.
+    """
+    limit, message = len(body), None
+
+    def check(bad: np.ndarray, describe) -> None:
+        nonlocal limit, message
+        hits = np.flatnonzero(bad[:limit])
+        if len(hits):
+            limit = int(hits[0])
+            message = describe(limit)
+
+    def fail_if_any() -> None:
+        if message is not None:
+            raise ArpaFormatError(f"line {linenos[limit]}: {message}")
+
+    widths = (2, 3) if n == top else (3, 2)
+    width = widths[0]
+    cols = _columns(body, "\t", width)
+    if cols is None:
+        width = widths[1]
+        cols = _columns(body, "\t", width)
+    if cols is None:  # entries of both widths, or of neither
+        tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
+        check((tabs < 1) | (tabs > 2), lambda r: "expected 2 or 3 tab-separated fields")
+        tabs = tabs[:limit]
+        width = 3 if 2 in tabs else 2
+        rows = body[:limit]
+        if width == 3:  # an entry without a backoff column has backoff 0.0
+            rows = [line if t == 2 else line + "\t0.0" for line, t in zip(rows, tabs.tolist())]
+        cols = _columns(rows, "\t", width)
+    else:
+        tabs = np.full(limit, width - 1)
+
+    logp, good = _floats(cols[0])
+    bow, good_bow = _floats(cols[2]) if width == 3 else (np.zeros(limit), limit)
+    check(np.arange(limit) == min(good, good_bow), lambda r: f"malformed number in {body[r]!r}")
+
+    grams = cols[1]
+    gram_message = lambda r: f"expected a {n}-gram, got {grams[r]!r}"  # noqa: E731
+    words = _columns(grams[:limit], " ", n)
+    if words is None:  # a gram with the wrong number of words
+        check(np.fromiter(map(str.count, grams, repeat(" ")), np.int64, len(grams)) != n - 1, gram_message)
+        words = _columns(grams[:limit], " ", n)
+    for col in words:
+        if "" in col:
+            check(np.array([not w for w in col], dtype=bool), gram_message)
+    if n == top:
+        check(tabs == 2, lambda r: "highest order must not carry a backoff")
+    fail_if_any()
+
+    if n == 1:
+        vocab = Vocabulary.from_words(words[0])
+    ids = np.empty((limit, n), dtype=np.int64)
+    for i, col in enumerate(words):
+        ids[:, i] = np.fromiter(map(vocab._index.get, col, repeat(-1)), np.int64, limit)
+    check(ids[:, -1] < 0, lambda r: f"word {words[-1][r]!r} has no 1-gram")
+    prefix = _find_rows(tables, ids[:, :-1], len(vocab))
+    check(prefix < 0, lambda r: f"prefix {' '.join(col[r] for col in words[:-1])!r} has no {n - 1}-gram")
+    fail_if_any()
+    return _sorted_table(prefix * len(vocab) + ids[:, -1], logp, bow if n < top else None), vocab
+
+
 def parse_arpa(text: str) -> NGramModel:
-    """Parse ARPA text into a model; raises ArpaFormatError with line numbers."""
-    lines = text.splitlines()
+    """Parse ARPA text into a model; raises ArpaFormatError with line numbers.
+
+    Each n-grams section is converted column by column.  Besides the
+    format, the model must be prefix-closed: an n-gram whose first
+    n - 1 words are not an (n-1)-gram, or whose last word is not a
+    1-gram, is an error.
+    """
+    lines = [line.strip() for line in text.splitlines()]
     pos = 0
 
     def next_content() -> tuple[int, str]:
@@ -261,8 +471,8 @@ def parse_arpa(text: str) -> NGramModel:
         while pos < len(lines):
             line = lines[pos]
             pos += 1
-            if line.strip():
-                return pos, line.strip()
+            if line:
+                return pos, line
         return pos, ""
 
     lineno, line = next_content()
@@ -285,35 +495,31 @@ def parse_arpa(text: str) -> NGramModel:
     if sorted(declared) != list(range(1, order + 1)):
         raise ArpaFormatError(f"line {lineno}: ngram orders must be contiguous from 1")
 
-    tables: list[dict[tuple[str, ...], _Entry]] = [dict() for _ in range(order)]
+    # a section's entries run up to the next line that starts with a backslash
+    marks = [i for i, entry in enumerate(lines) if entry[:1] == "\\"]
+    tables: list[NGramTable] = []
+    vocab = None
     for n in range(1, order + 1):
         if line != f"\\{n}-grams:":
             raise ArpaFormatError(f"line {lineno}: expected \\{n}-grams: section, got {line!r}")
-        read = 0
-        while True:
-            lineno, line = next_content()
-            if line.startswith("\\"):
-                break
-            cols = line.split("\t")
-            if len(cols) not in (2, 3):
-                raise ArpaFormatError(f"line {lineno}: expected 2 or 3 tab-separated fields")
-            try:
-                logp = float(cols[0])
-                bow = float(cols[2]) if len(cols) == 3 else None
-            except ValueError:
-                raise ArpaFormatError(f"line {lineno}: malformed number in {line!r}") from None
-            gram = tuple(cols[1].split(" "))
-            if len(gram) != n or not all(gram):
-                raise ArpaFormatError(f"line {lineno}: expected a {n}-gram, got {cols[1]!r}")
-            if n == order and bow is not None:
-                raise ArpaFormatError(f"line {lineno}: highest order must not carry a backoff")
-            tables[n - 1][gram] = (logp, bow if bow is not None else (0.0 if n < order else None))
-            read += 1
-        if read != declared[n]:
+        k = bisect.bisect_left(marks, pos)
+        end = marks[k] if k < len(marks) else len(lines)
+        linenos = list(range(pos + 1, end + 1))
+        body = lines[pos:end]
+        if "" in body:
+            linenos = [i for i, entry in zip(linenos, body) if entry]
+            body = [entry for entry in body if entry]
+        if end == len(lines):  # no terminator: the end of the text reads as an empty entry, which fails
+            linenos.append(len(lines))
+            body.append("")
+        table, vocab = _parse_section(body, linenos, n, order, tables, vocab)
+        tables.append(table)
+        pos = end + 1
+        lineno, line = pos, lines[end]
+        if len(body) != declared[n]:
             raise ArpaFormatError(
-                f"line {lineno}: \\{n}-grams: section has {read} entries, header declared {declared[n]}"
+                f"line {lineno}: \\{n}-grams: section has {len(body)} entries, header declared {declared[n]}"
             )
     if line != "\\end\\":
         raise ArpaFormatError(f"line {lineno}: expected \\end\\, got {line!r}")
-    vocab = Vocabulary.from_words(g[0] for g in tables[0])
     return NGramModel(order, vocab, tables)

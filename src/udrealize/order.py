@@ -16,11 +16,12 @@ Every search reads one per-bag ``ScoreTable``.  The bag's distinct words
 get integer ids in sorted order, so comparing id tuples compares word
 tuples.  The table holds the exact ``model.logprob`` value of every
 predicted bag word or ``</s>`` after every history of up to
-``order - 1`` bag words, or ``<s>`` followed by bag words.  Histories of
-up to two words are dense arrays (at order 3: a 1-D, a 2-D and a 3-D
-array); longer ones, at LM order 4 and up, get a row each on first use.
-The searches score whole grids of id tuples at once by numpy
-broadcasting.
+``order - 1`` bag words, or ``<s>`` followed by bag words, filled by
+``NGramModel.logprob_ids``.  Histories of up to two words are dense
+arrays, one LM call each (at order 3: a 1-D, a 2-D and a 3-D array);
+longer ones, at LM order 4 and up, get a row each on first use, or one
+LM call for a whole grid of them.  The searches score whole grids of id
+tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -48,7 +49,6 @@ preprocesses, dispatches, and applies casing and the final stop.
 
 from __future__ import annotations
 
-import itertools
 import math
 import unicodedata
 from dataclasses import dataclass, field
@@ -156,14 +156,21 @@ class ScoreTable:
         self.counts = np.bincount([index[w] for w in bag.words], minlength=m)
         self.span = model.order - 1
         self.start = model.logprob(BOS_WORD, ())
-        self.heads, self.predicted = [*self.words, BOS_WORD], [*self.words, EOS_WORD]
+        ids = [model.vocab.index(w) for w in self.words]
+        # vocabulary ids of the history words and of the predicted words
+        self.heads = np.array([*ids, model.vocab.index(BOS_WORD)], dtype=np.int64)
+        self.predicted = np.array([*ids, model.vocab.index(EOS_WORD)], dtype=np.int64)
         self.tables = []
         for length in range(min(self.span, _DENSE_HISTORY) + 1):
-            axes = [self.heads] + [self.words] * (length - 1) if length else []
-            values = [model.logprob(w, h) for h in itertools.product(*axes) for w in self.predicted]
-            shape = tuple(len(a) for a in axes) + (m + 1,)
-            self.tables.append(np.array(values, dtype=np.float64).reshape(shape))
+            shape = (m + 1,) + (m,) * (length - 1) if length else ()
+            self.tables.append(self.lookup(np.moveaxis(np.indices(shape), 0, -1)))
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    def lookup(self, histories: np.ndarray) -> np.ndarray:
+        """log10 p(w | h) for every predicted id w after each history of ids
+        ``histories`` (shape ``S + (L,)``), in one LM call; shape ``S + (m + 1,)``."""
+        logp, _ = self.model.logprob_ids(self.heads[histories][..., None, :], self.predicted)
+        return logp.reshape(*histories.shape[:-1], self.marker + 1)
 
     def grid(self, size: int) -> tuple:
         """Open mesh of every ordered ``size``-tuple of word ids."""
@@ -172,8 +179,7 @@ class ScoreTable:
     def row(self, history: tuple[int, ...]) -> np.ndarray:
         """log10 p(w | history) for every predicted id w, for a long history."""
         if history not in self.rows:
-            words = tuple(self.heads[i] for i in history)
-            self.rows[history] = np.array([self.model.logprob(w, words) for w in self.predicted])
+            self.rows[history] = self.lookup(np.array(history, dtype=np.int64))
         return self.rows[history]
 
     def cond(self, history, word):
@@ -181,11 +187,12 @@ class ScoreTable:
         h = tuple(history[max(0, len(history) - self.span) :])
         if len(h) <= _DENSE_HISTORY:
             return self.tables[len(h)][(*h, word)]
-        *hs, ws = np.broadcast_arrays(*h, word)
-        out = np.empty(ws.shape)
-        for i in np.ndindex(ws.shape):
-            out[i] = self.row(tuple(int(a[i]) for a in hs))[ws[i]]
-        return out
+        if all(np.ndim(i) == 0 for i in h):
+            return self.row(tuple(int(i) for i in h))[word]
+        # a grid of long histories: one LM call for the whole grid
+        histories = np.stack(np.broadcast_arrays(*h), axis=-1)
+        logp, _ = self.model.logprob_ids(self.heads[histories], self.predicted[word])
+        return logp
 
     def extend(self, total, history, ids):
         """``total`` plus the conditionals of ``ids`` after ``history``, added left to right."""
@@ -251,14 +258,11 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     """Best 4-word sentence-initial seed, then greedy one-word extensions.
 
     The seed stage scores every ordered 4-tuple of distinct bag positions
-    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix with trigram
-    histories, one first word at a time; the remaining words then join
-    one at a time, each time appending the word whose addition scores
-    highest (the smallest word on a tie).
-
-    Seeds are scored with at most two-word histories at every LM order:
-    with an order-4 or higher model the seed ranking ignores context the
-    model has, while the growth stage uses the full order-1 history.
+    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix, with the full
+    ``order - 1`` word history at every LM order, one first word at a
+    time; the remaining words then join one at a time, each time
+    appending the word whose addition scores highest (the smallest word
+    on a tie).
     """
     n = len(bag)
     if n < 5:
@@ -268,16 +272,8 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     rest = table.grid(3)
     best, best_seed = -math.inf, None
     for first in range(table.marker):  # ascending, so a tie keeps the smaller seed
-        a, b, c, d = seed = (first, *rest)
-        # seed histories hold at most two words, whatever the LM order
-        s = (
-            table.start
-            + table.cond([bos], a)
-            + table.cond([bos, a], b)
-            + table.cond([a, b], c)
-            + table.cond([b, c], d)
-        )
-        s, tail = _argmax(s, _fits(table.counts, seed))
+        seed = (first, *rest)
+        s, tail = _argmax(table.extend(table.start, [bos], seed), _fits(table.counts, seed))
         if s > best:
             best, best_seed = s, (first, *tail)
 

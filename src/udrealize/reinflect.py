@@ -97,29 +97,27 @@ class Seq2SeqModel:
         self,
         vocab: CharVocab,
         inventory: tuple[str, ...],
-        hidden_size: int = 128,
-        max_len: int = 40,
-        seed: int = 0,
+        hidden_size: int,
+        max_len: int,
+        params: dict[str, np.ndarray],
     ):
         self.vocab = vocab
         self.inventory = tuple(inventory)
         self.hidden_size = hidden_size
         self.max_len = max_len
-        h = hidden_size
-        v = len(vocab)
-        f = len(self.inventory)
-        dec_in = EMB_DIM + 2 * h + f
-        rng = np.random.default_rng(seed)
-        k = 1.0 / np.sqrt(h)
-        shapes = {
+        self.params = params
+
+    @classmethod
+    def shapes(cls, vocab_size: int, feature_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+        """The shape of every parameter block, in ``PARAM_NAMES`` order."""
+        h, v = hidden_size, vocab_size
+        dec_in = EMB_DIM + 2 * h + feature_size
+        return {
             "emb": (v, EMB_DIM),
             "enc_f.wx": (EMB_DIM, 4 * h), "enc_f.wh": (h, 4 * h), "enc_f.b": (4 * h,),
             "enc_b.wx": (EMB_DIM, 4 * h), "enc_b.wh": (h, 4 * h), "enc_b.b": (4 * h,),
             "dec.wx": (dec_in, 4 * h), "dec.wh": (h, 4 * h), "dec.b": (4 * h,),
             "out.w": (h, v), "out.b": (v,),
-        }
-        self.params: dict[str, np.ndarray] = {
-            name: rng.uniform(-k, k, size=shapes[name]) for name in self.PARAM_NAMES
         }
 
     @property
@@ -525,7 +523,11 @@ def build_model(
     examples = list(examples)
     vocab = CharVocab.build([ex.lemma for ex in examples] + [ex.target for ex in examples])
     inventory = build_inventory([ex.tag for ex in examples])
-    return Seq2SeqModel(vocab, inventory, hidden_size=hidden_size, max_len=max_len, seed=seed)
+    shapes = Seq2SeqModel.shapes(len(vocab), len(inventory), hidden_size)
+    rng = np.random.default_rng(seed)
+    k = 1.0 / np.sqrt(hidden_size)
+    params = {name: rng.uniform(-k, k, size=shapes[name]) for name in Seq2SeqModel.PARAM_NAMES}
+    return Seq2SeqModel(vocab, inventory, hidden_size, max_len, params)
 
 
 def save_model(model: Seq2SeqModel, path) -> None:
@@ -594,24 +596,21 @@ def load_model(path) -> Seq2SeqModel:
         _check_header(path, header)
         if header["emb_dim"] != EMB_DIM:
             raise ValueError(f"{path}: embedding width {header['emb_dim']} differs from {EMB_DIM}")
-        model = Seq2SeqModel(
-            CharVocab(tuple(header["chars"])),
-            tuple(header["inventory"]),
-            hidden_size=header["hidden_size"],
-            max_len=header["max_len"],
-        )
+        vocab = CharVocab(tuple(header["chars"]))
+        shapes = Seq2SeqModel.shapes(len(vocab), len(header["inventory"]), header["hidden_size"])
         names = [name for name, _ in header["params"]]
-        if names != list(model.PARAM_NAMES):
-            raise ValueError(f"{path}: parameter blocks {names} are not {list(model.PARAM_NAMES)}")
+        if names != list(Seq2SeqModel.PARAM_NAMES):
+            raise ValueError(f"{path}: parameter blocks {names} are not {list(Seq2SeqModel.PARAM_NAMES)}")
+        params = {}
         for name, shape in header["params"]:
-            expected = model.params[name].shape
+            expected = shapes[name]
             if tuple(shape) != expected:
                 raise ValueError(f"{path}: parameter block {name!r} has shape {tuple(shape)}, expected {expected}")
             count = int(np.prod(shape))
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ValueError(f"{path}: truncated parameter block {name!r}")
-            model.params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last parameter block")
-    return model
+    return Seq2SeqModel(vocab, header["inventory"], header["hidden_size"], header["max_len"], params)

@@ -471,6 +471,31 @@ def test_config_wrong_types_are_usage_error(workspace, tmp_path, capfd, raw, key
     assert key is None or repr(key) in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lr_flag_is_usage_error(workspace, tmp_path, capfd, value):
+    out = tmp_path / "m.bin"
+    code = cli.main(
+        ["train-reinflector", str(workspace["tsv"]), "--model-out", str(out),
+         "--hidden-size", "4", "--epochs", "1", "--lr", value]
+    )
+    assert code == cli.EXIT_USAGE
+    assert "config field lr" in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_config_nan_lr_is_usage_error(workspace, tmp_path, capfd):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"lr": NaN}')  # Python's json module reads NaN as a float
+    out = tmp_path / "m.bin"
+    code = cli.main(
+        ["train-reinflector", str(workspace["tsv"]), "--model-out", str(out),
+         "--hidden-size", "4", "--epochs", "1", "--config", str(config)]
+    )
+    assert code == cli.EXIT_USAGE
+    assert "config field lr" in capfd.readouterr().err
+    assert not out.exists()
+
+
 def test_config_accepts_integer_lr(workspace, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"lr": 1, "capitalize": False}))

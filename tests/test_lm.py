@@ -17,7 +17,8 @@ from udrealize.lm import (
     train_lm,
 )
 
-from conftest import TOY_VOCAB, random_bag
+from conftest import TOY_VOCAB, random_bag, toy_corpus_sentences
+from _lm_oracle import DictLM
 
 
 def prob_sum(model: NGramModel, history) -> float:
@@ -83,19 +84,20 @@ def test_training_lowercases():
 
 def test_prefix_closure_invariant(toy_lm):
     # every (n>1)-gram's prefix exists one order down, with a backoff weight
+    grams = toy_lm.ngrams()
     for n in range(2, toy_lm.order + 1):
-        for gram in toy_lm.tables[n - 1]:
-            prefix = gram[:-1]
-            entry = toy_lm.tables[n - 2].get(prefix)
-            assert entry is not None, gram
-            assert entry[1] is not None, gram
+        lower = set(grams[n - 2])
+        for gram in grams[n - 1]:
+            assert gram[:-1] in lower, gram
+        assert len(toy_lm.tables[n - 2].bow) == len(toy_lm.tables[n - 2])
 
 
 def test_backoff_weights_nonpositive(toy_lm):
     # Witten-Bell leftover mass T/(C+T) is always < 1
     for n in range(1, toy_lm.order):
-        for gram, (_, bow) in toy_lm.tables[n - 1].items():
-            assert bow is not None and bow <= 0.0
+        bow = toy_lm.tables[n - 1].bow
+        assert bow is not None and np.all(bow <= 0.0)
+    assert toy_lm.tables[-1].bow is None
 
 
 # ------------------------------------------------------------------- scoring
@@ -167,13 +169,104 @@ def test_normalization_over_random_histories(toy_lm):
 def test_removing_ngram_never_raises_its_probability(toy_lm):
     # with non-positive backoff weights, the backed-off estimate must not
     # exceed the explicit entry it replaces
-    trigrams = sorted(toy_lm.tables[2])[:50]
-    for gram in trigrams:
+    grams = toy_lm.ngrams()[2]
+    top = toy_lm.tables[2]
+    for gram in sorted(grams)[:50]:
         explicit = toy_lm.logprob(gram[-1], gram[:-1])
-        pruned = NGramModel(toy_lm.order, toy_lm.vocab,
-                            [dict(t) for t in toy_lm.tables])
-        del pruned.tables[2][gram]
+        keep = np.arange(len(top)) != grams.index(gram)
+        pruned = NGramModel(
+            toy_lm.order, toy_lm.vocab, [*toy_lm.tables[:2], lm.NGramTable(top.key[keep], top.logp[keep], None)]
+        )
         assert pruned.logprob(gram[-1], gram[:-1]) <= explicit + 1e-12
+
+
+# -------------------------------------------------------------- array store
+
+def _same_floats(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def _assert_matches_dict_oracle(model, histories, words):
+    """logprob_ids, logprob and score against the dict oracle, bit for bit."""
+    oracle = DictLM(model)
+    width = max(len(h) for h in histories)
+    ids = np.array([[-1] * (width - len(h)) + [model.vocab.index(w) for w in h] for h in histories])
+    logp, matched = model.logprob_ids(ids[:, None, :], np.array([model.vocab.index(w) for w in words]))
+    for i, h in enumerate(histories):
+        for j, w in enumerate(words):
+            expected = oracle._logprob(oracle.map_word(w), h)
+            assert _same_floats(logp[i, j], expected[0]) and matched[i, j] == expected[1], (h, w)
+            assert _same_floats(model.logprob(w, h), expected[0])
+        if h:
+            got, (total, used) = score(model, h), _score_oracle(oracle, h)
+            assert _same_floats(got.total, total) and got.ngrams_used == used
+
+
+def _score_oracle(oracle, words):
+    total, used = 0.0, [0] * oracle.order
+    for i, w in enumerate(words):
+        lp, n = oracle._logprob(oracle.map_word(w), tuple(oracle.map_word(v) for v in words[:i]))
+        total += lp
+        used[n - 1] += 1
+    return total, tuple(used)
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_logprob_ids_matches_the_dict_oracle(lm_order):
+    model = train_lm(toy_corpus_sentences(), order=lm_order)
+    words = [*model.vocab.words, "zebrawood", "quix"]  # <s>, </s>, <unk> and two OOV words
+    rng = np.random.default_rng(lm_order)
+    histories = [()] + [
+        tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, lm_order + 2)))) for _ in range(60)
+    ]
+    # histories longer than order - 1 are cut on the left
+    histories += [("<s>", *TOY_VOCAB[i : i + lm_order + 1]) for i in range(0, 30, 3)]
+    _assert_matches_dict_oracle(model, histories, words)
+
+
+_HAND_WRITTEN_BIGRAMS = (
+    "\\data\\\n"
+    "ngram 1=2\n"
+    "ngram 2=2\n"
+    "\n"
+    "\\1-grams:\n"
+    "-0.30103\ta\t-0.5\n"
+    "-0.60206\tb\n"
+    "\n"
+    "\\2-grams:\n"
+    "-0.1\ta b\n"
+    "-0.2\tb a\n"
+    "\n"
+    "\\end\\\n"
+)
+
+
+def test_logprob_ids_matches_the_dict_oracle_without_reserved_unigrams():
+    # no <s>, </s> or <unk> unigram: those words get the -99 placeholder,
+    # after any backoff weight; "b" has no backoff column, so weight 0.0
+    model = parse_arpa(_HAND_WRITTEN_BIGRAMS)
+    words = ["a", "b", "zzz", "<s>", "</s>", "<unk>"]
+    histories = [()] + [(w,) for w in words] + [(v, w) for v in words for w in words]
+    _assert_matches_dict_oracle(model, histories, words)
+    assert model.logprob("zzz", ("a",)) == -0.5 - 99.0
+    assert model.logprob("b", ("b",)) == 0.0 + -0.60206
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4])
+def test_emit_parse_round_trip_is_byte_identical(lm_order):
+    text = emit_arpa(train_lm(toy_corpus_sentences(), order=lm_order))
+    assert emit_arpa(parse_arpa(text)) == text
+
+
+def test_score_adds_conditionals_left_to_right(toy_lm):
+    # nine or more terms: a pairwise sum (np.sum) would round differently
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        words = ["<s>", *random_bag(rng, int(rng.integers(9, 16))), "</s>"]
+        total = 0.0
+        for i, w in enumerate(words):
+            total += toy_lm.logprob(w, words[:i])
+        assert score(toy_lm, words).total == total
 
 
 # ---------------------------------------------------------------------- ARPA
@@ -247,6 +340,96 @@ def test_arpa_parse_errors_carry_line_numbers(toy_lm, mutation, message):
 def test_arpa_malformed_count_line():
     with pytest.raises(ArpaFormatError):
         parse_arpa("\\data\\\nngram x=y\n\\end\\\n")
+
+
+# Ways to break one entry (its tab-separated fields), and the error each gives.
+_BAD_ENTRIES = {
+    "one-field": (lambda f: f[0], "expected 2 or 3 tab-separated fields"),
+    "four-fields": (lambda f: "\t".join(f + ["0.0"] * (4 - len(f))), "expected 2 or 3 tab-separated fields"),
+    "bad-logp": (lambda f: "\t".join(["-1.2.3", *f[1:]]), "malformed number"),
+    "bad-bow": (lambda f: "\t".join([*f[:2], "x"]), "malformed number"),
+    "long-gram": (lambda f: "\t".join([f[0], f[1] + " the", *f[2:]]), "expected a [1-3]-gram, got"),
+    "empty-word": (lambda f: "\t".join([f[0], " " + f[1], *f[2:]]), "expected a [1-3]-gram, got"),
+    "top-bow": (lambda f: "\t".join([*f, "-0.5"]), "highest order must not carry a backoff"),
+}
+
+
+def _break_entries(text, edits):
+    """``text`` with entry ``index`` of the n-grams section broken as ``kind``,
+    for each (n, index, kind) in ``edits``; returns the text and the entries' line numbers."""
+    lines = text.split("\n")
+    numbers = []
+    for n, index, kind in edits:
+        at = lines.index(f"\\{n}-grams:") + 1 + index
+        lines[at] = _BAD_ENTRIES[kind][0](lines[at].split("\t"))
+        numbers.append(at + 1)
+    return "\n".join(lines), numbers
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in (1, 2) for kind in _BAD_ENTRIES if kind != "top-bow"]
+    + [(3, kind) for kind in _BAD_ENTRIES if kind != "bad-bow"],
+)
+def test_arpa_bad_entry_reports_its_line(toy_lm, n, kind):
+    text, (lineno,) = _break_entries(emit_arpa(toy_lm), [(n, 7, kind)])
+    with pytest.raises(ArpaFormatError, match=f"^line {lineno}: {_BAD_ENTRIES[kind][1]}"):
+        parse_arpa(text)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("long-gram", "one-field"), ("bad-logp", "four-fields"), ("top-bow", "empty-word"), ("one-field", "bad-logp")],
+)
+def test_arpa_earliest_bad_entry_wins(toy_lm, first, second):
+    # each check runs column-wise over the section, but the reported line is the earliest
+    text, (lineno, _) = _break_entries(emit_arpa(toy_lm), [(3, 20, first), (3, 40, second)])
+    with pytest.raises(ArpaFormatError, match=f"^line {lineno}: {_BAD_ENTRIES[first][1]}"):
+        parse_arpa(text)
+
+
+def _insert_trigram(text, entry):
+    lines = text.split("\n")
+    at = lines.index("\\3-grams:") + 1
+    lines.insert(at, entry)
+    count = next(i for i, line in enumerate(lines) if line.startswith("ngram 3="))
+    lines[count] = f"ngram 3={int(lines[count].split('=')[1]) + 1}"
+    return "\n".join(lines), at + 1
+
+
+def test_arpa_missing_prefix_is_rejected_with_its_line(toy_lm):
+    bigrams = set(toy_lm.ngrams()[1])
+    prefix = next((a, b) for a in TOY_VOCAB for b in TOY_VOCAB if (a, b) not in bigrams)
+    text, lineno = _insert_trigram(emit_arpa(toy_lm), f"-1.0\t{' '.join(prefix)} dog")
+    with pytest.raises(ArpaFormatError, match=f"^line {lineno}: prefix '{' '.join(prefix)}' has no 2-gram"):
+        parse_arpa(text)
+
+
+def test_arpa_word_without_unigram_is_rejected_with_its_line(toy_lm):
+    first = toy_lm.ngrams()[1][0]
+    text, lineno = _insert_trigram(emit_arpa(toy_lm), f"-1.0\t{' '.join(first)} zebrawood")
+    with pytest.raises(ArpaFormatError, match=f"^line {lineno}: word 'zebrawood' has no 1-gram"):
+        parse_arpa(text)
+
+
+def test_arpa_entry_without_backoff_column_gets_zero(toy_lm):
+    lines = emit_arpa(toy_lm).split("\n")
+    at = lines.index("\\2-grams:") + 4
+    logp, gram, _ = lines[at].split("\t")
+    expected = lines.copy()
+    lines[at] = f"{logp}\t{gram}"
+    expected[at] = f"{logp}\t{gram}\t0.0"
+    assert emit_arpa(parse_arpa("\n".join(lines))) == "\n".join(expected)
+
+
+def test_arpa_repeated_entry_keeps_the_last(toy_lm):
+    lines = emit_arpa(toy_lm).split("\n")
+    lines.insert(lines.index("\\2-grams:") - 1, "-0.25\tdog\t-0.5")
+    lines[1] = f"ngram 1={len(toy_lm.tables[0]) + 1}"
+    model = parse_arpa("\n".join(lines))
+    assert len(model.tables[0]) == len(toy_lm.tables[0])
+    assert model.logprob("dog") == -0.25
+    assert model.tables[0].bow[model.ngrams()[0].index(("dog",))] == -0.5
 
 
 # ------------------------------------------------------------------ property

@@ -26,6 +26,7 @@ from udrealize.order import (
 )
 
 from conftest import TOY_VOCAB, random_bag
+from _lm_oracle import DictLM
 
 
 def brute_force_best(model, words):
@@ -160,21 +161,29 @@ def test_method1_permutation_invariant(toy_lm):
 
 
 def _memo_logprob(model):
-    """``model.logprob`` memoized per (history cut to order - 1 words, word)."""
+    """The dict oracle's ``logprob``, memoized per (history cut to order - 1 words, word)."""
+    oracle = DictLM(model)
     span = model.order - 1
     memo = {}
 
     def cond(word, history):
         key = (history[-span:] if span else (), word)
         if key not in memo:
-            memo[key] = model.logprob(word, key[0])
+            memo[key] = oracle.logprob(word, key[0])
         return memo[key]
 
     return cond
 
 
 def _method1_oracle(model, words):
-    """The seed-and-grow loop of method1, one candidate at a time."""
+    """The seed-and-grow loop of method1, one candidate at a time.
+
+    Every ordered 4-tuple of bag words is scored as ``lm.score`` scores
+    the sentence prefix <s> w0 w1 w2 w3: each word's conditional given
+    everything before it (cut to order - 1 words), added left to right.
+    Calling ``lm.score`` itself for each of the 759k tuples the random-bag
+    test visits would take minutes; the winner's score is checked against it.
+    """
     cond = _memo_logprob(model)
     words = sorted(words)
     best, best_seed = -math.inf, None
@@ -185,11 +194,12 @@ def _method1_oracle(model, words):
             c0
             + cond(w[0], ("<s>",))
             + cond(w[1], ("<s>", w[0]))
-            + cond(w[2], (w[0], w[1]))
-            + cond(w[3], (w[1], w[2]))
+            + cond(w[2], ("<s>", w[0], w[1]))
+            + cond(w[3], ("<s>", w[0], w[1], w[2]))
         )
         if s > best or (s == best and w < best_seed):
             best, best_seed = s, w
+    assert lm.score(model, ["<s>", *best_seed]).total == best
     sequence = list(best_seed)
     remaining = words.copy()
     for w in best_seed:
@@ -334,7 +344,8 @@ def test_unknown_words_tie_break_to_smallest_sequence(toy_lm):
 def _unigram_model(logp):
     """Order-1 model with the given log10 probabilities. Every order of a
     bag sums the same terms, so scores differ only by rounding."""
-    return lm.NGramModel(1, lm.Vocabulary(tuple(logp)), [{(w,): (v, None) for w, v in logp.items()}])
+    entries = "".join(f"{v!r}\t{w}\n" for w, v in logp.items())
+    return lm.parse_arpa(f"\\data\\\nngram 1={len(logp)}\n\n\\1-grams:\n{entries}\n\\end\\\n")
 
 
 def test_method2_keeps_prefixes_that_differ_by_rounding():
@@ -369,6 +380,17 @@ def test_score_table_holds_exact_logprobs(lm_order):
             for w in range(m + 1):
                 expected = model.logprob(predicted[w], [heads[i] for i in history])
                 assert table.cond(history, w) == expected
+
+
+@pytest.mark.parametrize("lm_order", [4, 5])
+def test_method1_seeds_see_the_full_history(lm_order):
+    # at order 4 and up a seed's third and fourth words are scored after
+    # three and four earlier words, not after two
+    from conftest import toy_corpus_sentences
+
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    for bag in _oracle_bags(61, 12, 5, 12):
+        _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words))
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 4, 5])

@@ -519,6 +519,21 @@ def test_checkpoint_bytes_are_reproducible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_loads_without_a_random_initialisation(tmp_path, monkeypatch):
+    model, _ = tiny_model(seed=19)
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_model drew a random initialisation")
+
+    monkeypatch.setattr(rf.np.random, "default_rng", no_generator)
+    loaded = load_model(path)
+    assert (loaded.hidden_size, loaded.max_len) == (model.hidden_size, model.max_len)
+    for name in model.PARAM_NAMES:
+        assert np.array_equal(loaded.params[name], model.params[name])
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint")

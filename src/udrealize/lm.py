@@ -375,14 +375,18 @@ def _columns(texts: list[str], sep: str, width: int) -> list[list[str]] | None:
     return [fields[k :: width + 1] for k in range(width)]
 
 
-def _floats(texts: list[str]) -> tuple[np.ndarray, int]:
-    """The numbers of the texts before the first one ``float`` rejects, and how many there are."""
-    values: list[float] = []
+def _floats(texts: list[str]) -> tuple[np.ndarray | None, int]:
+    """The numbers of the texts and their count, or None and the index of
+    the first text ``float`` rejects."""
     try:
-        values.extend(map(float, texts))  # keeps the values converted before a failure
+        return np.fromiter(map(float, texts), np.float64, len(texts)), len(texts)
     except ValueError:
-        pass
-    return np.array(values, dtype=np.float64), len(values)
+        for i, text in enumerate(texts):
+            try:
+                float(text)
+            except ValueError:
+                return None, i
+        raise
 
 
 def _parse_section(

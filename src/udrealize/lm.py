@@ -125,7 +125,7 @@ class NGramTable:
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Row of each key in the table, or -1 where it has no such entry."""
-        rows = np.searchsorted(self.key, keys)
+        rows = self.key.searchsorted(keys)
         found = self.key.take(rows, mode="clip") == keys if len(self.key) else False
         return np.where(found, rows, -1)
 
@@ -508,8 +508,10 @@ def parse_arpa(text: str) -> NGramModel:
             raise ArpaFormatError(f"line {lineno}: expected \\{n}-grams: section, got {line!r}")
         k = bisect.bisect_left(marks, pos)
         end = marks[k] if k < len(marks) else len(lines)
-        linenos = list(range(pos + 1, end + 1))
-        body = lines[pos:end]
+        stop = end
+        while stop > pos and not lines[stop - 1]:  # the blank lines before the next header
+            stop -= 1
+        body, linenos = lines[pos:stop], list(range(pos + 1, stop + 1))
         if "" in body:
             linenos = [i for i, entry in zip(linenos, body) if entry]
             body = [entry for entry in body if entry]

@@ -18,9 +18,9 @@ tuples.  The table holds the exact ``model.logprob`` value of every
 predicted bag word or ``</s>`` after every history of up to
 ``order - 1`` bag words, or ``<s>`` followed by bag words, filled by
 ``NGramModel.logprob_ids``.  Histories of up to two words are dense
-arrays, one LM call each (at order 3: a 1-D, a 2-D and a 3-D array);
-longer ones, at LM order 4 and up, get a row each on first use, or one
-LM call for a whole grid of them.  The searches score whole grids of id
+arrays (at order 3: a 1-D, a 2-D and a 3-D array), all filled by one LM
+call; longer ones, at LM order 4 and up, get a row each on first use,
+one LM call per row, or one LM call for a whole grid of them.  The searches score whole grids of id
 tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
@@ -155,15 +155,22 @@ class ScoreTable:
         index = {w: i for i, w in enumerate(self.words)}
         self.counts = np.bincount([index[w] for w in bag.words], minlength=m)
         self.span = model.order - 1
-        self.start = model.logprob(BOS_WORD, ())
         ids = [model.vocab.index(w) for w in self.words]
-        # vocabulary ids of the history words and of the predicted words
-        self.heads = np.array([*ids, model.vocab.index(BOS_WORD)], dtype=np.int64)
+        bos = model.vocab.index(BOS_WORD)
+        # vocabulary ids of the history words (the id -1, no word, pads a
+        # short history) and of the predicted words
+        self.heads = np.array([*ids, bos, -1], dtype=np.int64)
         self.predicted = np.array([*ids, model.vocab.index(EOS_WORD)], dtype=np.int64)
-        self.tables = []
-        for length in range(min(self.span, _DENSE_HISTORY) + 1):
-            shape = (m + 1,) + (m,) * (length - 1) if length else ()
-            self.tables.append(self.lookup(np.moveaxis(np.indices(shape), 0, -1)))
+        # One LM call fills every dense table, each history padded on the left
+        # to the longest, and gives log p(<s>) after the empty history (row 0).
+        dense = min(self.span, _DENSE_HISTORY)
+        shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
+        grids = [np.indices(shape).reshape(len(shape), math.prod(shape)).T for shape in shapes]
+        histories = np.concatenate([np.pad(g, ((0, 0), (dense - g.shape[1], 0)), constant_values=-1) for g in grids])
+        logp, _ = model.logprob_ids(self.heads[histories][:, None, :], np.append(self.predicted, bos))
+        self.start = float(logp[0, -1])
+        ends = np.cumsum([len(g) for g in grids])
+        self.tables = [logp[e - len(g) : e, :-1].reshape(*shape, m + 1) for g, e, shape in zip(grids, ends, shapes)]
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
 
     def lookup(self, histories: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ predicted bag word or ``</s>`` after every history of up to
 ``NGramModel.logprob_ids``.  Histories of up to two words are dense
 arrays (at order 3: a 1-D, a 2-D and a 3-D array), all filled by one LM
 call; longer ones, at LM order 4 and up, get a row each on first use,
-one LM call per row, or one LM call for a whole grid of them.  The searches score whole grids of id
-tuples at once by numpy broadcasting.
+one LM call per row, or one LM call for a whole grid of them.  The
+searches score whole grids of id tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -165,12 +165,14 @@ class ScoreTable:
         # to the longest, and gives log p(<s>) after the empty history (row 0).
         dense = min(self.span, _DENSE_HISTORY)
         shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
-        grids = [np.indices(shape).reshape(len(shape), math.prod(shape)).T for shape in shapes]
-        histories = np.concatenate([np.pad(g, ((0, 0), (dense - g.shape[1], 0)), constant_values=-1) for g in grids])
-        logp, _ = model.logprob_ids(self.heads[histories][:, None, :], np.append(self.predicted, bos))
+        sizes = [math.prod(shape) for shape in shapes]
+        grids = [np.indices(shape).reshape(len(shape), size).T for shape, size in zip(shapes, sizes)]
+        padded = [np.pad(g, ((0, 0), (dense - g.shape[1], 0)), constant_values=-1) for g in grids]
+        histories = self.heads[np.concatenate(padded)]
+        logp, _ = model.logprob_ids(histories[:, None, :], np.append(self.predicted, bos))
         self.start = float(logp[0, -1])
-        ends = np.cumsum([len(g) for g in grids])
-        self.tables = [logp[e - len(g) : e, :-1].reshape(*shape, m + 1) for g, e, shape in zip(grids, ends, shapes)]
+        parts = np.split(logp[:, :-1], np.cumsum(sizes)[:-1])
+        self.tables = [part.reshape(*shape, m + 1) for part, shape in zip(parts, shapes)]
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
 
     def lookup(self, histories: np.ndarray) -> np.ndarray:

@@ -107,8 +107,8 @@ class Seq2SeqModel:
         self.max_len = max_len
         self.params = params
 
-    @classmethod
-    def shapes(cls, vocab_size: int, feature_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+    @staticmethod
+    def shapes(vocab_size: int, feature_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
         """The shape of every parameter block, in ``PARAM_NAMES`` order."""
         h, v = hidden_size, vocab_size
         dec_in = EMB_DIM + 2 * h + feature_size

@@ -174,9 +174,8 @@ def test_removing_ngram_never_raises_its_probability(toy_lm):
     for gram in sorted(grams)[:50]:
         explicit = toy_lm.logprob(gram[-1], gram[:-1])
         keep = np.arange(len(top)) != grams.index(gram)
-        pruned = NGramModel(
-            toy_lm.order, toy_lm.vocab, [*toy_lm.tables[:2], lm.NGramTable(top.key[keep], top.logp[keep], None)]
-        )
+        tables = [*toy_lm.tables[:2], lm.NGramTable(top.key[keep], top.logp[keep], None)]
+        pruned = NGramModel(toy_lm.order, toy_lm.vocab, tables)
         assert pruned.logprob(gram[-1], gram[:-1]) <= explicit + 1e-12
 
 
@@ -379,7 +378,12 @@ def test_arpa_bad_entry_reports_its_line(toy_lm, n, kind):
 
 @pytest.mark.parametrize(
     "first, second",
-    [("long-gram", "one-field"), ("bad-logp", "four-fields"), ("top-bow", "empty-word"), ("one-field", "bad-logp")],
+    [
+        ("long-gram", "one-field"),
+        ("bad-logp", "four-fields"),
+        ("top-bow", "empty-word"),
+        ("one-field", "bad-logp"),
+    ],
 )
 def test_arpa_earliest_bad_entry_wins(toy_lm, first, second):
     # each check runs column-wise over the section, but the reported line is the earliest

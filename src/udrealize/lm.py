@@ -34,7 +34,7 @@ import bisect
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -151,10 +151,14 @@ def _find_rows(tables: list[NGramTable], ids: np.ndarray, vocab_size: int) -> np
 
 
 class NGramModel:
-    """Immutable after training; safe to score from many threads at once.
+    """Backoff n-gram model on sorted integer-id arrays (KenLM's layout).
 
     ``tables[n - 1]`` is the ``NGramTable`` of the n-grams, and
-    ``len(tables[n - 1])`` their count.
+    ``len(tables[n - 1])`` their count.  Row r of the order-n table is
+    the n-gram whose key is ``key[r] = prefix_row * V + word_id``: its
+    first n - 1 words are row ``prefix_row`` of the order n - 1 table,
+    which must hold them (the tables are prefix-closed).  Immutable
+    after training; safe to score from many threads at once.
     """
 
     def __init__(self, order: int, vocab: Vocabulary, tables: list[NGramTable]):
@@ -300,9 +304,10 @@ def train_lm(corpus_text, order: int = 3, vocab: Vocabulary | None = None) -> NG
     tables: list[NGramTable] = []
     for n in range(1, order + 1):
         grams = list(probs[n - 1])
-        ids = np.array([vocab.index(w) for gram in grams for w in gram], dtype=np.int64).reshape(-1, n)
-        logp = np.array([math.log10(probs[n - 1][gram]) for gram in grams])
-        bow = np.array([backoff(gram) for gram in grams]) if n < order else None
+        words = chain.from_iterable(grams)
+        ids = np.fromiter(map(vocab.index, words), np.int64, n * len(grams)).reshape(len(grams), n)
+        logp = np.fromiter(map(math.log10, probs[n - 1].values()), np.float64, len(grams))
+        bow = np.fromiter(map(backoff, grams), np.float64, len(grams)) if n < order else None
         prefix = _find_rows(tables, ids[:, :-1], len(vocab))
         tables.append(_sorted_table(prefix * len(vocab) + ids[:, -1], logp, bow))
     return NGramModel(order, vocab, tables)
@@ -412,13 +417,9 @@ def _parse_section(
         if message is not None:
             raise ArpaFormatError(f"line {linenos[limit]}: {message}")
 
-    widths = (2, 3) if n == top else (3, 2)
-    width = widths[0]
+    width = 2 if n == top else 3
     cols = _columns(body, "\t", width)
-    if cols is None:
-        width = widths[1]
-        cols = _columns(body, "\t", width)
-    if cols is None:  # entries of both widths, or of neither
+    if cols is None:  # entries of another width, or of several
         tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
         check((tabs < 1) | (tabs > 2), lambda r: "expected 2 or 3 tab-separated fields")
         tabs = tabs[:limit]

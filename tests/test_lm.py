@@ -223,6 +223,17 @@ def test_logprob_ids_matches_the_dict_oracle(lm_order):
     _assert_matches_dict_oracle(model, histories, words)
 
 
+_HAND_WRITTEN_UNIGRAMS = (
+    "\\data\\\n"
+    "ngram 1=2\n"
+    "\n"
+    "\\1-grams:\n"
+    "-0.30103\ta\n"
+    "-0.60206\tb\n"
+    "\n"
+    "\\end\\\n"
+)
+
 _HAND_WRITTEN_BIGRAMS = (
     "\\data\\\n"
     "ngram 1=2\n"
@@ -240,15 +251,20 @@ _HAND_WRITTEN_BIGRAMS = (
 )
 
 
-def test_logprob_ids_matches_the_dict_oracle_without_reserved_unigrams():
+@pytest.mark.parametrize("text", [_HAND_WRITTEN_UNIGRAMS, _HAND_WRITTEN_BIGRAMS], ids=["unigrams", "bigrams"])
+def test_logprob_ids_matches_the_dict_oracle_without_reserved_unigrams(text):
     # no <s>, </s> or <unk> unigram: those words get the -99 placeholder,
-    # after any backoff weight; "b" has no backoff column, so weight 0.0
-    model = parse_arpa(_HAND_WRITTEN_BIGRAMS)
+    # after any backoff weight
+    model = parse_arpa(text)
     words = ["a", "b", "zzz", "<s>", "</s>", "<unk>"]
     histories = [()] + [(w,) for w in words] + [(v, w) for v in words for w in words]
     _assert_matches_dict_oracle(model, histories, words)
+
+
+def test_backoff_reaches_the_placeholder():
+    model = parse_arpa(_HAND_WRITTEN_BIGRAMS)
     assert model.logprob("zzz", ("a",)) == -0.5 - 99.0
-    assert model.logprob("b", ("b",)) == 0.0 + -0.60206
+    assert model.logprob("b", ("b",)) == 0.0 + -0.60206  # "b" has no backoff column: weight 0.0
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 3, 4])
@@ -292,17 +308,7 @@ def test_order1_arpa_has_no_backoff_column():
 
 
 def test_hand_written_unigram_arpa():
-    text = (
-        "\\data\\\n"
-        "ngram 1=2\n"
-        "\n"
-        "\\1-grams:\n"
-        "-0.30103\ta\n"
-        "-0.60206\tb\n"
-        "\n"
-        "\\end\\\n"
-    )
-    model = parse_arpa(text)
+    model = parse_arpa(_HAND_WRITTEN_UNIGRAMS)
     assert model.order == 1
     assert 10 ** model.logprob("a") == pytest.approx(0.5, abs=1e-6)
     assert 10 ** model.logprob("b") == pytest.approx(0.25, abs=1e-6)

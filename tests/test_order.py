@@ -181,8 +181,9 @@ def _method1_oracle(model, words):
     Every ordered 4-tuple of bag words is scored as ``lm.score`` scores
     the sentence prefix <s> w0 w1 w2 w3: each word's conditional given
     everything before it (cut to order - 1 words), added left to right.
-    Calling ``lm.score`` itself for each of the 759k tuples the random-bag
-    test visits would take minutes; the winner's score is checked against it.
+    Calling ``lm.score`` itself for each of the hundreds of thousands of
+    tuples the random-bag test visits would take minutes; the winner's
+    score is checked against it.
     """
     cond = _memo_logprob(model)
     words = sorted(words)

@@ -304,8 +304,8 @@ def train_lm(corpus_text, order: int = 3, vocab: Vocabulary | None = None) -> NG
     tables: list[NGramTable] = []
     for n in range(1, order + 1):
         grams = list(probs[n - 1])
-        words = chain.from_iterable(grams)
-        ids = np.fromiter(map(vocab.index, words), np.int64, n * len(grams)).reshape(len(grams), n)
+        words = map(vocab._index.__getitem__, chain.from_iterable(grams))  # all in the vocabulary
+        ids = np.fromiter(words, np.int64, n * len(grams)).reshape(len(grams), n)
         logp = np.fromiter(map(math.log10, probs[n - 1].values()), np.float64, len(grams))
         bow = np.fromiter(map(backoff, grams), np.float64, len(grams)) if n < order else None
         prefix = _find_rows(tables, ids[:, :-1], len(vocab))

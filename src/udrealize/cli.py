@@ -129,11 +129,18 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _input_error(path, exc: OSError) -> DataError:
+    """The data error for an input file that cannot be read."""
+    if isinstance(exc, FileNotFoundError):
+        return DataError(f"{path}: no such file")
+    return DataError(f"{path}: {exc.strerror}")
+
+
 def _read_text(path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{path}: no such file")
-    return p.read_text(encoding="utf-8", errors="replace")
+    try:
+        return Path(path).read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise _input_error(path, exc) from None
 
 
 def _report(lines, label: str) -> None:
@@ -149,12 +156,16 @@ def cmd_train_lm(args) -> int:
         model = lm.train_lm(sentences, order=cfg.lm_order, vocab=vocab)
     except lm.EmptyCorpusError as exc:
         raise DataError(f"{args.corpus}: {exc}") from None
+    arpa = lm.emit_arpa(model).encode("utf-8")
+    tables = lm.tables_path(args.lm_out)
     Path(args.vocab_out).write_text(vocab.to_text(), encoding="utf-8")
-    Path(args.lm_out).write_text(lm.emit_arpa(model), encoding="utf-8")
+    Path(args.lm_out).write_bytes(arpa)
+    tables.write_bytes(lm.tables_image(model, arpa))
     counts = " ".join(f"{n + 1}-grams={len(t)}" for n, t in enumerate(model.tables))
     print(f"trained order-{model.order} model on {len(sentences)} sentences: {counts}")
     print(f"vocabulary: {len(vocab)} words -> {args.vocab_out}")
     print(f"model -> {args.lm_out}")
+    print(f"tables -> {tables}")
     return EXIT_OK
 
 
@@ -224,6 +235,8 @@ def surface_forms(model, tokens, table=None) -> list[str | None]:
 def _load_reinflector(path) -> reinflect.Seq2SeqModel:
     try:
         return reinflect.load_model(path)
+    except OSError as exc:
+        raise _input_error(path, exc) from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
@@ -295,7 +308,9 @@ def cmd_reorder(args) -> int:
 
 def _parse_lm(path) -> lm.NGramModel:
     try:
-        return lm.parse_arpa(_read_text(path))
+        return lm.load_arpa(path, warn=lambda note: _report([note], "warning"))
+    except OSError as exc:
+        raise _input_error(path, exc) from None
     except lm.ArpaFormatError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -334,7 +349,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="udrealize", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("train-lm", help="train the backoff n-gram model, write vocab + ARPA")
+    p = subs.add_parser("train-lm", help="train the backoff n-gram model, write vocab + ARPA + tables image")
     p.add_argument("corpus", help="ordered sentences, one per line")
     p.add_argument("--lm-out", required=True)
     p.add_argument("--vocab-out", required=True)

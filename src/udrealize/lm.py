@@ -26,15 +26,27 @@ with a few ``searchsorted`` calls.  The layout needs the model to be
 prefix-closed: the first n - 1 words of every n-gram are an entry of
 the order n - 1 table.  ``train_lm`` output always is, and
 ``parse_arpa`` rejects a file that is not.
+
+``train-lm`` writes a tables image beside its ARPA file
+(``tables_path``): the vocabulary and these arrays, raw, with the
+sha256 of the ARPA bytes and of the image's own payload.  ``load_arpa``
+trusts the image only when both digests match, so the model it returns
+equals ``parse_arpa`` of the text bit for bit; an ARPA file without an
+image, edited after training, or beside a damaged image is parsed as
+text.  Reading an image takes milliseconds where parsing the text takes
+a large share of a whole ``reorder`` command.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
+import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +54,8 @@ BOS_WORD = "<s>"
 EOS_WORD = "</s>"
 UNK_WORD = "<unk>"
 RESERVED_WORDS = (BOS_WORD, EOS_WORD, UNK_WORD)
+TABLES_SUFFIX = ".tables"
+_TABLES_MAGIC = b"udrealize-ngram-tables-v1\n"
 
 
 class EmptyCorpusError(ValueError):
@@ -50,6 +64,10 @@ class EmptyCorpusError(ValueError):
 
 class ArpaFormatError(ValueError):
     """Raised on malformed ARPA input, with a line number in the message."""
+
+
+class TablesError(ValueError):
+    """Raised when a tables image may not stand in for its ARPA file."""
 
 
 @dataclass(frozen=True)
@@ -530,3 +548,118 @@ def parse_arpa(text: str) -> NGramModel:
     if line != "\\end\\":
         raise ArpaFormatError(f"line {lineno}: expected \\end\\, got {line!r}")
     return NGramModel(order, vocab, tables)
+
+
+def tables_path(arpa_path) -> Path:
+    """Where ``train-lm`` writes the tables image of the ARPA file ``arpa_path``."""
+    return Path(f"{arpa_path}{TABLES_SUFFIX}")
+
+
+def tables_image(model: NGramModel, arpa: bytes) -> bytes:
+    """The tables image of ``model``, to be trusted beside the ARPA bytes ``arpa``.
+
+    A magic line, a JSON header (sorted keys) and the payload: the
+    vocabulary as UTF-8 words joined by newlines, then order by order
+    the table's ``key`` (``<i8``), ``logp`` and, below the highest
+    order, ``bow`` (``<f8``).  ``arpa`` must parse to ``model`` exactly,
+    as ``emit_arpa(model)`` does; the image holds no timestamp, so it is
+    byte-deterministic.
+    """
+    vocab = "\n".join(model.vocab.words).encode("utf-8")
+    blocks = [vocab]
+    for table in model.tables:
+        blocks.append(np.ascontiguousarray(table.key, dtype="<i8").tobytes())
+        blocks += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (table.logp, table.bow) if a is not None]
+    payload = b"".join(blocks)
+    header = {
+        "arpa_sha256": hashlib.sha256(arpa).hexdigest(),
+        "counts": [len(table) for table in model.tables],
+        "order": model.order,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "vocab_bytes": len(vocab),
+    }
+    return _TABLES_MAGIC + json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+
+
+# What tables_image writes in the header, field by field.
+_TABLES_HEADER = {
+    "arpa_sha256": lambda v: type(v) is str,
+    "counts": lambda v: type(v) is list and all(type(c) is int and c >= 0 for c in v),
+    "order": lambda v: type(v) is int and v >= 1,
+    "payload_sha256": lambda v: type(v) is str,
+    "vocab_bytes": lambda v: type(v) is int and v >= 0,
+}
+
+
+def read_tables(image: bytes, arpa: bytes) -> NGramModel:
+    """The model of a ``tables_image`` written beside the ARPA bytes ``arpa``.
+
+    Raises TablesError on a wrong magic line, a header without exactly
+    the fields ``tables_image`` writes, an ARPA digest that is not that
+    of ``arpa``, a payload of another length than the header implies,
+    or a payload digest mismatch.  The arrays are read-only views of
+    ``image``.
+    """
+    if not image.startswith(_TABLES_MAGIC):
+        raise TablesError("not an n-gram tables image")
+    end = image.find(b"\n", len(_TABLES_MAGIC))
+    try:
+        header = json.loads(image[len(_TABLES_MAGIC) : end]) if end >= 0 else None
+    except ValueError:  # also a header that is not UTF-8
+        header = None
+    if (
+        type(header) is not dict
+        or sorted(header) != sorted(_TABLES_HEADER)
+        or not all(fits(header[name]) for name, fits in _TABLES_HEADER.items())
+        or len(header["counts"]) != header["order"]
+    ):
+        raise TablesError("header does not hold the fields train-lm writes")
+    if header["arpa_sha256"] != hashlib.sha256(arpa).hexdigest():
+        raise TablesError("written for other ARPA bytes (the ARPA file changed after train-lm)")
+    order, counts, at = header["order"], header["counts"], header["vocab_bytes"]
+    payload = memoryview(image)[end + 1 :]
+    size = at + sum(8 * c * (3 if n < order else 2) for n, c in enumerate(counts, start=1))
+    if len(payload) != size:
+        raise TablesError(f"payload has {len(payload)} bytes, the header implies {size}")
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        raise TablesError("payload digest mismatch")
+    try:
+        vocab = Vocabulary(tuple(str(payload[:at], "utf-8").split("\n")))
+    except ValueError:
+        vocab = None
+    if vocab is None or vocab.words[: len(RESERVED_WORDS)] != RESERVED_WORDS:
+        raise TablesError("malformed vocabulary")
+
+    def block(dtype: str, count: int) -> np.ndarray:
+        nonlocal at
+        at += 8 * count
+        return np.frombuffer(payload, dtype, count, at - 8 * count)
+
+    tables = []
+    for n, count in enumerate(counts, start=1):
+        key, logp = block("<i8", count), block("<f8", count)
+        tables.append(NGramTable(key, logp, block("<f8", count) if n < order else None))
+    return NGramModel(order, vocab, tables)
+
+
+def load_arpa(path, warn) -> NGramModel:
+    """The model of the ARPA file at ``path``.
+
+    It comes from the tables image beside the file (``tables_path``)
+    when ``read_tables`` accepts that image for the file's bytes, and
+    from ``parse_arpa`` of the text otherwise; both give the same model.
+    An image that is present but rejected or unreadable passes one line
+    to ``warn``; a missing one is silent.  Errors reading ``path``
+    itself propagate as OSError, and malformed text as ArpaFormatError.
+    """
+    arpa = Path(path).read_bytes()
+    image = tables_path(path)
+    try:
+        return read_tables(image.read_bytes(), arpa)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        warn(f"{image}: {exc.strerror}; parsing the ARPA text instead")
+    except TablesError as exc:
+        warn(f"{image}: {exc}; parsing the ARPA text instead")
+    return parse_arpa(arpa.decode("utf-8", errors="replace"))

@@ -166,9 +166,10 @@ class ScoreTable:
         dense = min(self.span, _DENSE_HISTORY)
         shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
         sizes = [math.prod(shape) for shape in shapes]
-        grids = [np.indices(shape).reshape(len(shape), size).T for shape, size in zip(shapes, sizes)]
-        padded = [np.pad(g, ((0, 0), (dense - g.shape[1], 0)), constant_values=-1) for g in grids]
-        histories = self.heads[np.concatenate(padded)]
+        padded = np.full((sum(sizes), dense), -1, dtype=np.int64)
+        for shape, size, end in zip(shapes, sizes, np.cumsum(sizes)):
+            padded[end - size : end, dense - len(shape) :] = np.indices(shape).reshape(len(shape), size).T
+        histories = self.heads[padded]
         logp, _ = model.logprob_ids(histories[:, None, :], np.append(self.predicted, bos))
         self.start = float(logp[0, -1])
         parts = np.split(logp[:, :-1], np.cumsum(sizes)[:-1])

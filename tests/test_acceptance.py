@@ -245,11 +245,11 @@ def test_pipeline_determinism(tmp_path):
         assert cli.main(["realize", treebank, "--lm", str(arpa),
                          "--reinflector", str(ckpt), "--out", str(pred),
                          "--jobs", "8", "--seed", "5"]) == 0
-        artifacts.append([p.read_bytes() for p in (arpa, vocab, ckpt, pred)])
+        artifacts.append([p.read_bytes() for p in (arpa, lm.tables_path(arpa), vocab, ckpt, pred)])
     identical = all(a == b for a, b in zip(*artifacts))
     criterion(
         "pipeline-determinism",
         identical,
-        "two seeded runs: ARPA, vocab, checkpoint, and --jobs 8 realization "
+        "two seeded runs: ARPA, tables image, vocab, checkpoint, and --jobs 8 realization "
         f"outputs byte-identical = {identical}",
     )

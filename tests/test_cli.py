@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from udrealize import cli, conllu, metrics, morphmap, order, reinflect
+from udrealize import cli, conllu, lm, metrics, morphmap, order, reinflect
 
 from conftest import DATA_DIR, toy_corpus_sentences
 from _synth import make_dataset
@@ -59,6 +59,8 @@ def test_train_lm_outputs(workspace):
     vocab_words = workspace["vocab"].read_text().split()
     assert "the" in vocab_words
     assert "<s>" not in vocab_words
+    image = lm.tables_path(workspace["arpa"]).read_bytes()
+    assert lm.read_tables(image, workspace["arpa"].read_bytes()).vocab.words == lm.parse_arpa(text).vocab.words
 
 
 def test_train_lm_missing_input_is_data_error(tmp_path):
@@ -87,6 +89,7 @@ def test_train_lm_reruns_are_byte_identical(workspace, tmp_path):
     ) == 0
     assert again.read_bytes() == workspace["arpa"].read_bytes()
     assert vocab2.read_bytes() == workspace["vocab"].read_bytes()
+    assert lm.tables_path(again).read_bytes() == lm.tables_path(workspace["arpa"]).read_bytes()
 
 
 def test_train_lm_respects_order_flag(workspace, tmp_path):
@@ -258,6 +261,93 @@ def test_realize_malformed_lm_is_data_error(workspace, tmp_path):
          "--out", str(tmp_path / "p.txt")]
     )
     assert code == cli.EXIT_DATA
+
+
+def _copy_lm(workspace, directory, edit=None):
+    """The workspace LM and its tables image copied into ``directory``, changed by
+    ``edit(arpa, image) -> (arpa, image or None)``; returns the ARPA path."""
+    arpa, image = workspace["arpa"].read_bytes(), lm.tables_path(workspace["arpa"]).read_bytes()
+    if edit is not None:
+        arpa, image = edit(arpa, image)
+    path = directory / "m.arpa"
+    path.write_bytes(arpa)
+    if image is not None:
+        lm.tables_path(path).write_bytes(image)
+    return path
+
+
+def _flip_last_byte(image):
+    return image[:-1] + bytes([image[-1] ^ 1])
+
+
+# Changes after train-lm that leave the model as it was but the tables image untrusted.
+_LM_EDITS = {
+    "arpa-edited": lambda arpa, image: (arpa + b"\n", image),
+    "tables-missing": lambda arpa, image: (arpa, None),
+    "wrong-magic": lambda arpa, image: (arpa, b"#" + image),
+    "header-edit": lambda arpa, image: (arpa, image.replace(b'"order": 3', b'"order": 2', 1)),
+    "truncated": lambda arpa, image: (arpa, image[:-1]),
+    "flipped-byte": lambda arpa, image: (arpa, _flip_last_byte(image)),
+}
+
+
+def _reorder(workspace, arpa, out, monkeypatch):
+    """Run reorder with ``arpa``; returns how many ARPA texts it parsed."""
+    parsed, real = [], lm.parse_arpa
+    monkeypatch.setattr(lm, "parse_arpa", lambda text: parsed.append(text) or real(text))
+    assert cli.main(["reorder", str(workspace["treebank"]), "--lm", str(arpa), "--out", str(out)]) == 0
+    return len(parsed)
+
+
+def test_reorder_loads_the_tables_image_without_a_new_stderr_line(workspace, tmp_path, monkeypatch, capfd):
+    parsed = _reorder(workspace, workspace["arpa"], tmp_path / "pred.txt", monkeypatch)
+    assert parsed == 0
+    assert not any(line.startswith("warning: ") for line in capfd.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("edit", list(_LM_EDITS))
+def test_reorder_parses_the_text_beside_an_untrusted_tables_image(workspace, tmp_path, monkeypatch, capfd, edit):
+    expected = tmp_path / "expected.txt"
+    _reorder(workspace, workspace["arpa"], expected, monkeypatch)
+    clean = capfd.readouterr().err.splitlines()
+    arpa, out = _copy_lm(workspace, tmp_path, _LM_EDITS[edit]), tmp_path / "pred.txt"
+    assert _reorder(workspace, arpa, out, monkeypatch) == 1
+    assert out.read_bytes() == expected.read_bytes()
+    err = capfd.readouterr().err.splitlines()
+    warnings = [line for line in err if line.startswith("warning: ")]
+    assert [line for line in err if line not in warnings] == clean
+    # a missing image is no fault: a hand-written ARPA file has none
+    assert len(warnings) == (0 if edit == "tables-missing" else 1)
+    assert all(line.startswith(f"warning: {lm.tables_path(arpa)}: ") for line in warnings)
+
+
+@pytest.mark.parametrize("edit", [None, _LM_EDITS["arpa-edited"]], ids=["trusted", "stale"])
+def test_reorder_writes_no_file_but_its_out(workspace, tmp_path, edit):
+    arpa = _copy_lm(workspace, tmp_path, edit)
+    image = lm.tables_path(arpa).read_bytes()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["reorder", str(workspace["treebank"]), "--lm", str(arpa), "--out", str(tmp_path / "p.txt")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["p.txt"])
+    assert lm.tables_path(arpa).read_bytes() == image
+
+
+@pytest.mark.parametrize("which", ["lm", "conllu", "reinflector", "pred", "refs"])
+def test_unreadable_input_is_data_error(workspace, tmp_path, capfd, which):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {
+        "lm": workspace["arpa"], "conllu": workspace["treebank"], "reinflector": workspace["checkpoint"],
+        "pred": workspace["refs"], "refs": workspace["refs"], which: folder,
+    }
+    if which in ("pred", "refs"):
+        argv = ["evaluate", str(paths["pred"]), str(paths["refs"])]
+    else:
+        argv = [
+            "realize", str(paths["conllu"]), "--lm", str(paths["lm"]),
+            "--reinflector", str(paths["reinflector"]), "--out", str(tmp_path / "p.txt"),
+        ]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"error: {folder}: Is a directory" in capfd.readouterr().err.splitlines()
 
 
 def test_reorder_no_full_stop_flag(workspace, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from udrealize.lm import (
     ArpaFormatError,
     EmptyCorpusError,
     NGramModel,
+    TablesError,
     Vocabulary,
     emit_arpa,
     parse_arpa,
@@ -440,6 +442,139 @@ def test_arpa_repeated_entry_keeps_the_last(toy_lm):
     assert len(model.tables[0]) == len(toy_lm.tables[0])
     assert model.logprob("dog") == -0.25
     assert model.tables[0].bow[model.ngrams()[0].index(("dog",))] == -0.5
+
+
+# -------------------------------------------------------------- tables image
+
+def _write_lm(directory, model):
+    """The ARPA file and tables image of ``model``, as train-lm writes them; returns the ARPA path."""
+    arpa = emit_arpa(model).encode("utf-8")
+    path = directory / "m.arpa"
+    path.write_bytes(arpa)
+    lm.tables_path(path).write_bytes(lm.tables_image(model, arpa))
+    return path
+
+
+def _assert_same_model(got, expected):
+    assert got.order == expected.order and got.vocab.words == expected.vocab.words
+    for a, b in zip(got.tables, expected.tables, strict=True):
+        for x, y in ((a.key, b.key), (a.logp, b.logp), (a.bow, b.bow)):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _text_parses(monkeypatch):
+    """Make lm.parse_arpa record its calls; returns the list of parsed texts."""
+    calls, real = [], lm.parse_arpa
+    monkeypatch.setattr(lm, "parse_arpa", lambda text: calls.append(text) or real(text))
+    return calls
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_load_arpa_through_the_tables_equals_parse_arpa(tmp_path, monkeypatch, lm_order):
+    path = _write_lm(tmp_path, train_lm(toy_corpus_sentences(), order=lm_order))
+    expected = parse_arpa(path.read_text(encoding="utf-8"))
+    parsed, notes = _text_parses(monkeypatch), []
+    _assert_same_model(lm.load_arpa(path, notes.append), expected)
+    assert parsed == [] and notes == []
+
+
+def _edit_header(edit):
+    def apply(image):
+        magic, header, payload = image.split(b"\n", 2)
+        return b"\n".join([magic, json.dumps(edit(json.loads(header))).encode(), payload])
+
+    return apply
+
+
+def _flip_byte(image, at):
+    return image[:at] + bytes([image[at] ^ 1]) + image[at + 1 :]
+
+
+# Ways to damage a tables image, and the reason read_tables gives.
+_IMAGE_EDITS = {
+    "wrong-magic": (lambda img: b"udrealize-ngram-tables-v0" + img[img.index(b"\n") :], "not an n-gram tables"),
+    "no-header-line": (lambda img: img[: img.index(b"\n") + 1] + b'{"order": 3', "header does not hold"),
+    "not-json": (lambda img: img.replace(b"{", b"{{", 1), "header does not hold"),
+    "array-header": (_edit_header(lambda h: list(h.items())), "header does not hold"),
+    "missing-field": (_edit_header(lambda h: {k: h[k] for k in h if k != "vocab_bytes"}), "header does not hold"),
+    "extra-field": (_edit_header(lambda h: {**h, "created": 0}), "header does not hold"),
+    "string-order": (_edit_header(lambda h: {**h, "order": str(h["order"])}), "header does not hold"),
+    "counts-length": (_edit_header(lambda h: {**h, "counts": h["counts"] + [0]}), "header does not hold"),
+    "other-arpa": (_edit_header(lambda h: {**h, "arpa_sha256": "0" * 64}), "written for other ARPA bytes"),
+    "counts-edit": (_edit_header(lambda h: {**h, "counts": [h["counts"][0] + 1, *h["counts"][1:]]}), "payload has"),
+    "truncated": (lambda img: img[:-8], "payload has"),
+    "trailing-byte": (lambda img: img + b"\0", "payload has"),
+    "flipped-vocab-byte": (lambda img: _flip_byte(img, img.index(b"<unk>")), "payload digest mismatch"),
+    "flipped-table-byte": (lambda img: _flip_byte(img, len(img) - 100), "payload digest mismatch"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_IMAGE_EDITS))
+def test_damaged_tables_image_is_rejected_and_the_text_parsed(tmp_path, monkeypatch, toy_lm, edit):
+    path = _write_lm(tmp_path, toy_lm)
+    damage, reason = _IMAGE_EDITS[edit]
+    image = damage(lm.tables_path(path).read_bytes())
+    with pytest.raises(TablesError, match=reason):
+        lm.read_tables(image, path.read_bytes())
+    lm.tables_path(path).write_bytes(image)
+    parsed, notes = _text_parses(monkeypatch), []
+    _assert_same_model(lm.load_arpa(path, notes.append), parse_arpa(emit_arpa(toy_lm)))
+    assert len(parsed) == 1
+    assert len(notes) == 1 and notes[0].startswith(f"{lm.tables_path(path)}: ") and reason in notes[0]
+
+
+def test_stale_tables_image_is_rejected_and_the_text_parsed(tmp_path, monkeypatch, toy_lm):
+    path = _write_lm(tmp_path, toy_lm)
+    path.write_bytes(path.read_bytes() + b"\n")  # the same model, other bytes
+    parsed, notes = _text_parses(monkeypatch), []
+    _assert_same_model(lm.load_arpa(path, notes.append), toy_lm)
+    assert len(parsed) == 1
+    assert len(notes) == 1 and "written for other ARPA bytes" in notes[0]
+
+
+def test_missing_tables_image_parses_the_text_silently(tmp_path, monkeypatch, toy_lm):
+    path = _write_lm(tmp_path, toy_lm)
+    lm.tables_path(path).unlink()
+    parsed, notes = _text_parses(monkeypatch), []
+    _assert_same_model(lm.load_arpa(path, notes.append), toy_lm)
+    assert len(parsed) == 1 and notes == []
+
+
+def test_unreadable_tables_image_is_rejected_and_the_text_parsed(tmp_path, toy_lm):
+    path = _write_lm(tmp_path, toy_lm)
+    lm.tables_path(path).unlink()
+    lm.tables_path(path).mkdir()
+    notes = []
+    _assert_same_model(lm.load_arpa(path, notes.append), toy_lm)
+    assert notes == [f"{lm.tables_path(path)}: Is a directory; parsing the ARPA text instead"]
+
+
+def test_malformed_arpa_beside_stale_tables_reports_its_line(tmp_path, toy_lm):
+    path = _write_lm(tmp_path, toy_lm)
+    text, (lineno,) = _break_entries(emit_arpa(toy_lm), [(2, 7, "bad-logp")])
+    path.write_text(text, encoding="utf-8")
+    notes = []
+    with pytest.raises(ArpaFormatError, match=f"^line {lineno}: malformed number"):
+        lm.load_arpa(path, notes.append)
+    assert len(notes) == 1 and "written for other ARPA bytes" in notes[0]
+
+
+def test_tables_image_without_the_reserved_words_is_rejected():
+    # only a hand-made image can get here: the payload digest matches
+    table = lm.NGramTable(np.arange(2, dtype=np.int64), np.array([-0.3, -0.3]), None)
+    model = NGramModel(1, Vocabulary(("a", "b")), [table])
+    with pytest.raises(TablesError, match="malformed vocabulary"):
+        lm.read_tables(lm.tables_image(model, b"arpa"), b"arpa")
+
+
+def test_tables_image_is_byte_deterministic(toy_sentences):
+    images = []
+    for _ in range(2):
+        model = train_lm(list(toy_sentences), order=3)
+        images.append(lm.tables_image(model, emit_arpa(model).encode("utf-8")))
+    assert images[0] == images[1]
 
 
 # ------------------------------------------------------------------ property

@@ -54,7 +54,6 @@ BOS_WORD = "<s>"
 EOS_WORD = "</s>"
 UNK_WORD = "<unk>"
 RESERVED_WORDS = (BOS_WORD, EOS_WORD, UNK_WORD)
-TABLES_SUFFIX = ".tables"
 _TABLES_MAGIC = b"udrealize-ngram-tables-v1\n"
 
 
@@ -552,7 +551,7 @@ def parse_arpa(text: str) -> NGramModel:
 
 def tables_path(arpa_path) -> Path:
     """Where ``train-lm`` writes the tables image of the ARPA file ``arpa_path``."""
-    return Path(f"{arpa_path}{TABLES_SUFFIX}")
+    return Path(f"{arpa_path}.tables")
 
 
 def tables_image(model: NGramModel, arpa: bytes) -> bytes:

@@ -166,13 +166,14 @@ class ScoreTable:
         dense = min(self.span, _DENSE_HISTORY)
         shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
         sizes = [math.prod(shape) for shape in shapes]
-        padded = np.full((sum(sizes), dense), -1, dtype=np.int64)
-        for shape, size, end in zip(shapes, sizes, np.cumsum(sizes)):
+        ends = np.cumsum(sizes)
+        padded = np.full((ends[-1], dense), -1, dtype=np.int64)
+        for shape, size, end in zip(shapes, sizes, ends):
             padded[end - size : end, dense - len(shape) :] = np.indices(shape).reshape(len(shape), size).T
         histories = self.heads[padded]
         logp, _ = model.logprob_ids(histories[:, None, :], np.append(self.predicted, bos))
         self.start = float(logp[0, -1])
-        parts = np.split(logp[:, :-1], np.cumsum(sizes)[:-1])
+        parts = np.split(logp[:, :-1], ends[:-1])
         self.tables = [part.reshape(*shape, m + 1) for part, shape in zip(parts, shapes)]
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
 

@@ -4,8 +4,8 @@ Subcommands: train-lm, train-reinflector, reinflect, reorder, realize,
 evaluate.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 internal error.  All files are UTF-8.
 
-``realize`` and ``reorder`` realize sentences one at a time, in input
-order, through ``order.realize_order``; ``--jobs`` is accepted and
+``realize`` and ``reorder`` order a whole file's sentences with one call
+of ``order.realize_orders``, in input order; ``--jobs`` is accepted and
 validated but runs no worker pool.  ``--config`` takes a JSON object of
 ``PipelineConfig`` fields.
 """
@@ -18,6 +18,7 @@ import math
 import sys
 import traceback
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
@@ -143,6 +144,15 @@ def _read_text(path) -> str:
         raise _input_error(path, exc) from None
 
 
+@contextmanager
+def _output(path):
+    """Turns an output file that cannot be written into a data error."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+
+
 def _report(lines, label: str) -> None:
     for line in lines:
         print(f"{label}: {line}", file=sys.stderr)
@@ -158,9 +168,12 @@ def cmd_train_lm(args) -> int:
         raise DataError(f"{args.corpus}: {exc}") from None
     arpa = lm.emit_arpa(model).encode("utf-8")
     tables = lm.tables_path(args.lm_out)
-    Path(args.vocab_out).write_text(vocab.to_text(), encoding="utf-8")
-    Path(args.lm_out).write_bytes(arpa)
-    tables.write_bytes(lm.tables_image(model, arpa))
+    with _output(args.vocab_out):
+        Path(args.vocab_out).write_text(vocab.to_text(), encoding="utf-8")
+    with _output(args.lm_out):
+        Path(args.lm_out).write_bytes(arpa)
+    with _output(tables):
+        tables.write_bytes(lm.tables_image(model, arpa))
     counts = " ".join(f"{n + 1}-grams={len(t)}" for n, t in enumerate(model.tables))
     print(f"trained order-{model.order} model on {len(sentences)} sentences: {counts}")
     print(f"vocabulary: {len(vocab)} words -> {args.vocab_out}")
@@ -196,7 +209,8 @@ def cmd_train_reinflector(args) -> int:
         batch_size=cfg.batch_size,
         log=print,
     )
-    reinflect.save_model(model, args.model_out)
+    with _output(args.model_out):
+        reinflect.save_model(model, args.model_out)
     print(f"trained on {len(examples)} examples, final loss {trace[-1]:.6f}" if trace else "no epochs run")
     print(f"checkpoint -> {args.model_out}")
     return EXIT_OK
@@ -247,28 +261,10 @@ def cmd_reinflect(args) -> int:
     tokens = [tok for sentence in corpus.sentences for tok in sentence.tokens]
     for tok, form in zip(tokens, surface_forms(model, tokens, morphmap.default_table())):
         tok.form = tok.lemma if form is None else form
-    Path(args.out).write_text(conllu.emit_conllu(corpus), encoding="utf-8")
+    with _output(args.out):
+        Path(args.out).write_text(conllu.emit_conllu(corpus), encoding="utf-8")
     print(f"reinflected {len(tokens)} tokens in {len(corpus.sentences)} sentences -> {args.out}")
     return EXIT_OK
-
-
-def _realize_one(sentence, tokens, words, lm_model, order_cfg):
-    """Realize a single sentence; falls back to id-ordered lemmas on failure.
-
-    ``words`` holds one word per token of ``tokens`` (id order), or None
-    for a token whose lemma is empty and so could not be reinflected.
-    Returns (text, stderr note, whether the sentence degraded).
-    """
-    try:
-        if None in words:
-            raise ValueError("empty input")  # what predict raises for an empty lemma
-        text, result = order.realize_order(words, lm_model, order_cfg)
-        note = f"{sentence.sent_id}: method={result.method.value} lm_score={result.lm_score.total:.4f}"
-        return text, note, False
-    except Exception as exc:  # per-sentence degradation keeps the batch going
-        text = " ".join(tok.lemma for tok in tokens if tok.lemma)
-        note = f"{sentence.sent_id}: realization failed ({exc}), emitted lemmas in id order"
-        return text, note, True
 
 
 def cmd_realize(args) -> int:
@@ -287,14 +283,26 @@ def cmd_realize(args) -> int:
         flat = iter(surface_forms(reinf_model, all_tokens, morphmap.default_table()))
         sentence_words = [list(islice(flat, len(tokens))) for tokens in sentence_tokens]
 
+    # a token whose lemma is empty could not be reinflected
+    ready = [i for i, words in enumerate(sentence_words) if None not in words]
+    outcomes: list = [ValueError("empty input")] * len(sentence_words)  # what predict raises
+    for i, outcome in zip(ready, order.realize_orders([sentence_words[i] for i in ready], lm_model, order_cfg)):
+        outcomes[i] = outcome
+
     failures = 0
     out_lines = []
-    for sentence, tokens, words in zip(corpus.sentences, sentence_tokens, sentence_words):
-        text, note, failed = _realize_one(sentence, tokens, words, lm_model, order_cfg)
+    for sentence, tokens, outcome in zip(corpus.sentences, sentence_tokens, outcomes):
+        if isinstance(outcome, Exception):  # per-sentence degradation keeps the batch going
+            text = " ".join(tok.lemma for tok in tokens if tok.lemma)
+            note = f"{sentence.sent_id}: realization failed ({outcome}), emitted lemmas in id order"
+            failures += 1
+        else:
+            text, result = outcome
+            note = f"{sentence.sent_id}: method={result.method.value} lm_score={result.lm_score.total:.4f}"
         out_lines.append(f"{sentence.sent_id}\t{text}")
         print(note, file=sys.stderr)
-        failures += int(failed)
-    Path(args.out).write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
+    with _output(args.out):
+        Path(args.out).write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
     print(f"realized {len(out_lines)} sentences ({failures} degraded) -> {args.out}")
     if out_lines and failures == len(out_lines):
         raise DataError("every sentence failed to realize")

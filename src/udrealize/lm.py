@@ -337,20 +337,31 @@ def score(model: NGramModel, words) -> LmScore:
     are added here; callers scoring whole sentences wrap the sequence in
     <s>...</s> themselves.  The conditionals are added left to right.
     """
-    lowered = [w.lower() for w in words]
-    # words that literally are <unk> in the input are not OOV events
-    oov = sum(1 for w in lowered if w not in model.vocab)
-    ids = np.array([model.vocab.index(w) for w in lowered], dtype=np.int64)
+    return score_many(model, [words])[0]
+
+
+def score_many(model: NGramModel, sequences) -> list[LmScore]:
+    """``score`` of each word sequence, with one LM call for all of them."""
+    lowered = [[w.lower() for w in words] for words in sequences]
+    lengths = np.array([len(words) for words in lowered], dtype=np.int64)
+    ids = np.array([model.vocab.index(w) for words in lowered for w in words], dtype=np.int64)
     span = model.order - 1
-    # position i's history: the span ids before it, -1 where the sequence has none
+    # position i's history: the span ids before it in its own sequence, -1 where it has none
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    col = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    back = np.arange(len(ids))[:, None] + np.arange(span)  # positions in `padded`
     padded = np.concatenate([np.full(span, -1, dtype=np.int64), ids])
-    histories = padded[np.arange(len(ids))[:, None] + np.arange(span)]
+    histories = np.where(col[:, None] + np.arange(span) >= span, padded[back], -1)
     logp, matched = model.logprob_ids(histories, ids)
-    total = 0.0
-    for lp in logp.tolist():
-        total += lp
-    used = np.bincount(matched - 1, minlength=model.order)
-    return LmScore(total=total, oov_count=oov, ngrams_used=tuple(used.tolist()))
+    # each row is 0.0 and then the sequence's conditionals; a running sum adds them left to right
+    rows = np.zeros((len(lengths), lengths.max(initial=0) + 1))
+    rows[seq, col + 1] = logp
+    totals = np.cumsum(rows, axis=1)[np.arange(len(lengths)), lengths].tolist()
+    used = np.bincount(seq * model.order + matched - 1, minlength=len(lengths) * model.order)
+    used = used.reshape(len(lengths), model.order).tolist()
+    # words that literally are <unk> in the input are not OOV events
+    oov = [sum(1 for w in words if w not in model.vocab) for words in lowered]
+    return [LmScore(total=t, oov_count=o, ngrams_used=tuple(u)) for t, o, u in zip(totals, oov, used)]
 
 
 def emit_arpa(model: NGramModel) -> str:

@@ -18,10 +18,11 @@ tuples.  The table holds the exact ``model.logprob`` value of every
 predicted bag word or ``</s>`` after every history of up to
 ``order - 1`` bag words, or ``<s>`` followed by bag words, filled by
 ``NGramModel.logprob_ids``.  Histories of up to two words are dense
-arrays (at order 3: a 1-D, a 2-D and a 3-D array), all filled by one LM
-call; longer ones, at LM order 4 and up, get a row each on first use,
-one LM call per row, or one LM call for a whole grid of them.  The
-searches score whole grids of id tuples at once by numpy broadcasting.
+arrays (at order 3: a 1-D, a 2-D and a 3-D array); ``ScoreTable.many``
+fills those of many bags with one LM call.  Longer ones, at LM order 4
+and up, get a row each on first use, one LM call per row, or one LM
+call for a whole grid of them.  The searches score whole grids of id
+tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -41,14 +42,24 @@ at its state: each later addition closes the gap between two sums by at
 most one ulp, under 1e-12 while sums stay below 4096 in magnitude, so
 fewer than 1000 later additions cannot close a larger gap.  Among prefixes
 with the same score at a state it keeps only the smallest, since their
-continuations score the same.
+continuations score the same.  One pass arranges the chunks of every
+scheme of every ``method2`` bag of a batch, layer by layer (layer L holds
+the states with L chunks used): each kept prefix is a numpy row of
+(scheme, mask, history, score, prefix ids), and both rules are applied
+by sorting the rows.
 
-``realize_order`` is the one path from tokens to a sentence string: it
-preprocesses, dispatches, and applies casing and the final stop.
+``realize_orders`` takes a whole command's token lists to sentence
+strings: it preprocesses, dispatches, and applies casing and the final
+stop.  The bags go through in batches of at most ``ORDER_CHUNK``
+score-table queries, each with one LM call to fill the batch's tables,
+one arrangement pass and one ``lm.score_many`` call for the final
+scores.  ``realize_order``, ``order_words`` and the three searches are
+one-item calls of the same path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import unicodedata
 from dataclasses import dataclass, field
@@ -56,11 +67,19 @@ from enum import Enum
 
 import numpy as np
 
-from .lm import BOS_WORD, EOS_WORD, LmScore, NGramModel, score
+from .lm import BOS_WORD, EOS_WORD, LmScore, NGramModel, score_many
 
 # Largest bag the exhaustive search handles.  The threshold may not fall
 # below it, so every bag past the threshold has the 5 words method1 needs.
 EXHAUSTIVE_LIMIT = 4
+
+# Score-table queries (history rows times predicted words) that one batch
+# of bags fills with one LM call; bounds the memory of a batch.  A bag
+# larger than this is a batch of its own.
+ORDER_CHUNK = 1 << 15
+
+# Chunk schemes with more arrangements than this (9!) are skipped.
+_ARRANGEMENT_CAP = 362880
 
 # Prefixes scoring within this distance of the best at a DP state are kept.
 _TIE_BAND = 1e-9
@@ -137,6 +156,34 @@ def preprocess(tokens) -> WordBag:
     return WordBag(words)
 
 
+def _codes(histories: np.ndarray, base) -> np.ndarray:
+    """Each history of ids (-1 for no word) as one integer: its digits are ``id + 1`` in ``base``."""
+    code = np.zeros(histories.shape[:-1], dtype=np.int64)
+    for column in np.moveaxis(histories, -1, 0):
+        code = code * base + column + 1
+    return code
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_histories(m: int, dense: int):
+    """Every history of up to ``dense`` ids among ``m`` words, the first of
+    which may be the marker, section by section (the empty history, then
+    one id, then two, ...), padded on the left with -1 to ``dense`` ids.
+    Returns the histories, the section shapes and ends, and the row of
+    each history by its ``_codes`` in base ``m + 2``."""
+    shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
+    sizes = [math.prod(shape) for shape in shapes]
+    ends = np.cumsum(sizes)
+    padded = np.full((ends[-1], dense), -1, dtype=np.int64)
+    for shape, size, end in zip(shapes, sizes, ends):
+        padded[end - size : end, dense - len(shape) :] = np.indices(shape).reshape(len(shape), size).T
+    rows = np.zeros((m + 2) ** dense, dtype=np.int64)
+    rows[_codes(padded, m + 2)] = np.arange(len(padded))
+    for array in (padded, ends, rows):
+        array.flags.writeable = False
+    return padded, shapes, ends, rows
+
+
 class ScoreTable:
     """Exact conditional log10 probabilities among one bag's words.
 
@@ -145,37 +192,62 @@ class ScoreTable:
     for ``</s>`` as the predicted word.  ``tables[L]`` holds
     log10 p(word | history of L ids), indexed ``[*history, word]``, for
     histories of up to ``_DENSE_HISTORY`` words; longer histories (LM
-    order 4 and up) get one row each, filled on first use.
+    order 4 and up) get one row each, filled on first use.  The dense
+    tables are views of rows ``first`` onwards of ``block``, which
+    ``many`` shares among the tables it fills together.
     """
 
     def __init__(self, bag: WordBag, model: NGramModel):
+        self._prepare(bag, model)
+        ScoreTable._fill([self])
+
+    @classmethod
+    def many(cls, bags, model: NGramModel) -> list[ScoreTable]:
+        """The tables of ``bags``, filled by one LM call."""
+        tables = [cls.__new__(cls) for _ in bags]
+        for table, bag in zip(tables, bags):
+            table._prepare(bag, model)
+        cls._fill(tables)
+        return tables
+
+    def _prepare(self, bag: WordBag, model: NGramModel) -> None:
         self.model = model
+        self.length = len(bag)
         self.words = sorted(set(bag.words))
         self.marker = m = len(self.words)
         index = {w: i for i, w in enumerate(self.words)}
         self.counts = np.bincount([index[w] for w in bag.words], minlength=m)
         self.span = model.order - 1
         ids = [model.vocab.index(w) for w in self.words]
-        bos = model.vocab.index(BOS_WORD)
         # vocabulary ids of the history words (the id -1, no word, pads a
         # short history) and of the predicted words
-        self.heads = np.array([*ids, bos, -1], dtype=np.int64)
+        self.heads = np.array([*ids, model.vocab.index(BOS_WORD), -1], dtype=np.int64)
         self.predicted = np.array([*ids, model.vocab.index(EOS_WORD)], dtype=np.int64)
-        # One LM call fills every dense table, each history padded on the left
-        # to the longest, and gives log p(<s>) after the empty history (row 0).
         dense = min(self.span, _DENSE_HISTORY)
-        shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
-        sizes = [math.prod(shape) for shape in shapes]
-        ends = np.cumsum(sizes)
-        padded = np.full((ends[-1], dense), -1, dtype=np.int64)
-        for shape, size, end in zip(shapes, sizes, ends):
-            padded[end - size : end, dense - len(shape) :] = np.indices(shape).reshape(len(shape), size).T
-        histories = self.heads[padded]
-        logp, _ = model.logprob_ids(histories[:, None, :], np.append(self.predicted, bos))
-        self.start = float(logp[0, -1])
-        parts = np.split(logp[:, :-1], ends[:-1])
-        self.tables = [part.reshape(*shape, m + 1) for part, shape in zip(parts, shapes)]
+        self.histories, self.shapes, self.ends, self.history_rows = _dense_histories(m, dense)
         self.rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    @staticmethod
+    def _fill(tables: list[ScoreTable]) -> None:
+        """One LM call fills every dense table of ``tables``: each table's
+        histories, stacked table after table, before each of its predicted
+        ids and then ``<s>``, whose log p after the empty history (row 0)
+        starts every sentence.  Rows of narrower tables repeat ``<s>``."""
+        model = tables[0].model
+        bos = model.vocab.index(BOS_WORD)
+        firsts = np.cumsum([0] + [len(t.histories) for t in tables])
+        words = np.full((firsts[-1], max(t.marker for t in tables) + 2), bos, dtype=np.int64)
+        for t, first, end in zip(tables, firsts, firsts[1:]):
+            words[first:end, : t.marker + 1] = t.predicted
+        histories = np.concatenate([t.heads[t.histories] for t in tables])
+        block, _ = model.logprob_ids(histories[:, None, :], words)
+        for t, first in zip(tables, firsts.tolist()):
+            m = t.marker
+            rows = block[first : first + len(t.histories)]
+            t.start = float(rows[0, m + 1])
+            parts = np.split(rows[:, : m + 1], t.ends[:-1])
+            t.tables = [part.reshape(*shape, m + 1) for part, shape in zip(parts, t.shapes)]
+            t.block, t.first = block, first
 
     def lookup(self, histories: np.ndarray) -> np.ndarray:
         """log10 p(w | h) for every predicted id w after each history of ids
@@ -222,6 +294,32 @@ class ScoreTable:
         return [self.words[i] for i in ids]
 
 
+class _Conds:
+    """log10 p(word | history) for rows of (table, history, word) over
+    tables filled together; histories are ``span`` ids, -1 for no word.
+    Read from the dense tables when ``span <= _DENSE_HISTORY``, else from
+    the LM: the two give the same floats."""
+
+    def __init__(self, tables: list[ScoreTable]):
+        self.model, self.block = tables[0].model, tables[0].block
+        self.dense = tables[0].span <= _DENSE_HISTORY
+        self.base = np.array([t.marker + 2 for t in tables])
+        # per table: the block row of each history code, or the vocabulary id of each history id
+        parts = [t.first + t.history_rows for t in tables] if self.dense else [t.heads for t in tables]
+        self.offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        self.lookup = np.concatenate(parts)
+        self.predicted = np.concatenate([t.predicted for t in tables])
+        self.predicted_offsets = np.cumsum([0] + [len(t.predicted) for t in tables[:-1]])
+
+    def __call__(self, table: np.ndarray, history: np.ndarray, word: np.ndarray) -> np.ndarray:
+        if self.dense:
+            return self.block[self.lookup[self.offsets[table] + _codes(history, self.base[table])], word]
+        base = self.base[table, None]  # the id base - 1 is the padding -1 in heads
+        heads = self.lookup[self.offsets[table, None] + np.where(history < 0, base - 1, history)]
+        logp, _ = self.model.logprob_ids(heads, self.predicted[self.predicted_offsets[table] + word])
+        return logp
+
+
 def _fits(counts, ids):
     """True where the id tuple uses no word more often than ``counts`` allows."""
     ok = True
@@ -241,44 +339,17 @@ def _argmax(scores, ok) -> tuple[float, tuple[int, ...]]:
     return float(masked[ids]), tuple(int(i) for i in ids)
 
 
-def _final_score(model: NGramModel, sequence) -> LmScore:
-    return score(model, [BOS_WORD, *sequence, EOS_WORD])
-
-
-def exhaustive(bag: WordBag, model: NGramModel) -> OrderingResult:
+def _exhaustive(table: ScoreTable) -> tuple[tuple[int, ...], dict]:
     """Argmax over every distinct permutation, scored as a full sentence."""
-    n = len(bag)
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"bag of {n} words exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; use method1 or method2"
-        )
-    table = ScoreTable(bag, model)
-    grid = table.grid(n)
+    grid = table.grid(table.length)
     ok = _fits(table.counts, grid)  # exactly the distinct permutations
     _, best = _argmax(table.sentence(grid), ok)
-    sequence = table.decode(best)
-    return OrderingResult(
-        sequence=sequence,
-        lm_score=_final_score(model, sequence),
-        method=OrderMethod.EXHAUSTIVE,
-        candidates_evaluated=int(np.count_nonzero(ok)),
-    )
+    return best, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": int(np.count_nonzero(ok))}
 
 
-def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
-    """Best 4-word sentence-initial seed, then greedy one-word extensions.
-
-    The seed stage scores every ordered 4-tuple of distinct bag positions
-    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix, with the full
-    ``order - 1`` word history at every LM order, one first word at a
-    time; the remaining words then join one at a time, each time
-    appending the word whose addition scores highest (the smallest word
-    on a tie).
-    """
-    n = len(bag)
-    if n < 5:
-        raise ValueError("method1 requires at least 5 words")
-    table = ScoreTable(bag, model)
+def _method1(table: ScoreTable) -> tuple[tuple[int, ...], dict]:
+    """Best 4-word sentence-initial seed, then greedy one-word extensions."""
+    n = table.length
     bos = table.marker
     rest = table.grid(3)
     best, best_seed = -math.inf, None
@@ -303,15 +374,12 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
         evaluated += len(candidates)
         sequence.append(w)
         remaining[w] -= 1
-    sequence = table.decode(sequence)
-    return OrderingResult(
-        sequence=sequence,
-        lm_score=_final_score(model, sequence),
-        method=OrderMethod.METHOD1,
-        candidates_evaluated=evaluated,
-        seed_candidates=seed_count,
-        lrw_iterations=iterations,
-    )
+    return tuple(sequence), {
+        "method": OrderMethod.METHOD1,
+        "candidates_evaluated": evaluated,
+        "seed_candidates": seed_count,
+        "lrw_iterations": iterations,
+    }
 
 
 def chunk_schemes(n: int) -> list[ChunkScheme]:
@@ -319,6 +387,11 @@ def chunk_schemes(n: int) -> list[ChunkScheme]:
     most ceil(n/3)+1 parts; for n=6 that is (3,3), (3,2,1), (2,2,2)."""
     if n < 1:
         raise ValueError("length must be >= 1")
+    return list(_chunk_schemes(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _chunk_schemes(n: int) -> tuple[ChunkScheme, ...]:
     max_parts = math.ceil(n / 3) + 1
     out: list[ChunkScheme] = []
 
@@ -334,66 +407,252 @@ def chunk_schemes(n: int) -> list[ChunkScheme]:
             acc.pop()
 
     descend(n, 3, [])
-    return out
+    return tuple(out)
 
 
-def _arrange(table: ScoreTable, chunks: list[tuple[int, ...]]) -> tuple[float, tuple[int, ...], int]:
-    """Best sentence over every order of ``chunks`` (id tuples).
+def _chunkings(table: ScoreTable, cap: int) -> tuple[list[tuple[tuple[int, ...], ...]], int, list[str]]:
+    """The greedy chunks of every chunk scheme with at most ``cap``
+    arrangements, the chunk fragments scored, and a diagnostic per skipped
+    scheme.
 
-    Held-Karp over states (used-chunk mask, last ``order - 1`` ids), each
-    holding {prefix score: smallest prefix} for the scores within
-    ``_TIE_BAND`` of its best.  Returns (score, id sequence, transitions).
+    Chunks are filled in scheme order with the highest-scoring ordered
+    tuple of still-unused words, scored as a bare fragment.  Schemes come
+    in depth-first order, so neighbours share their first chunk sizes; the
+    fill of each such prefix of sizes is made once.
     """
-    span, k = table.span, len(chunks)
-    steps = {}
+    n = table.length
+    grids = {size: table.grid(size) for size in (1, 2, 3)}
+    fragments = {size: table.extend(0.0, (), grid) for size, grid in grids.items()}
+    fills = {(): ((), table.counts)}  # sizes prefix -> (chunks, remaining word counts)
+    chunkings, diagnostics, evaluated = [], [], 0
+    for scheme in _chunk_schemes(n):
+        k = len(scheme.sizes)
+        if math.factorial(k) > cap:
+            diagnostics.append(f"scheme {scheme.sizes}: {k}! arrangements exceed cap {cap}, skipped")
+            continue
+        unused = n
+        for i, size in enumerate(scheme.sizes):
+            evaluated += math.perm(unused, size)
+            unused -= size
+            sizes = scheme.sizes[: i + 1]
+            if sizes not in fills:
+                chunks, remaining = fills[sizes[:-1]]
+                _, chunk = _argmax(fragments[size], _fits(remaining, grids[size]))
+                remaining = remaining.copy()
+                for w in chunk:
+                    remaining[w] -= 1
+                fills[sizes] = (chunks + (chunk,), remaining)
+        chunkings.append(fills[scheme.sizes][0])
+    return chunkings, evaluated, diagnostics
 
-    def step(history: tuple[int, ...], j: int):
-        # the chunk's conditionals after `history`, and the history after it
-        key = (history, j)
-        if key not in steps:
-            h, terms = list(history), []
-            for w in chunks[j]:
-                terms.append(float(table.cond(h, w)))
-                h.append(w)
-            steps[key] = (tuple(terms), tuple(h[max(0, len(h) - span) :]))
-        return steps[key]
 
-    states: list[dict] = [{} for _ in range(1 << k)]
-    states[0][(table.marker,) if span else ()] = {table.start: ()}
-    transitions = 0
-    for mask in range(1 << k):  # every predecessor of a mask is a smaller number
-        for history, prefixes in states[mask].items():
-            top = max(prefixes)
-            kept = [(s, p) for s, p in prefixes.items() if s >= top - _TIE_BAND]
-            for j in range(k):
-                if mask >> j & 1:
-                    continue
-                terms, after = step(history, j)
-                bucket = states[mask | 1 << j].setdefault(after, {})
-                for s, prefix in kept:
-                    for t in terms:
-                        s += t
-                    prefix += chunks[j]
-                    transitions += 1
-                    if s not in bucket or prefix < bucket[s]:
-                        bucket[s] = prefix
+def _state_keys(columns) -> np.ndarray:
+    """One int64 per row, equal exactly where every column is; each column
+    is (values, base) with values in 0..base-1."""
+    key = np.zeros(len(columns[0][0]), dtype=np.int64)
+    for values, base in columns:
+        if len(key) and int(key.max()) >= np.iinfo(np.int64).max // base:
+            key = np.unique(key, return_inverse=True)[1]  # renumber densely first
+        key = key * base + values
+    return key
 
-    best, best_seq = -math.inf, None
-    for history, prefixes in states[-1].items():
-        close = float(table.cond(history, table.marker))
-        for s, prefix in prefixes.items():
-            s += close
-            transitions += 1
-            if s > best or (s == best and prefix < best_seq):
-                best, best_seq = s, prefix
-    return best, best_seq, transitions
+
+def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per distinct (key, score), the one with the smallest prefix,
+    ordered by key and then by score, highest first; and a flag on the
+    first row of each key, the key's best."""
+    order = np.lexsort((-score, key))
+    key, score = key[order], score[order]
+    head = np.r_[True, key[1:] != key[:-1]]
+    first = np.flatnonzero(head | np.r_[True, score[1:] != score[:-1]])
+    rows = order[first]
+    counts = np.diff(np.append(first, len(order)))
+    tied = counts > 1
+    if tied.any():  # equal key and score: rank those rows by prefix
+        run = np.repeat(np.arange(len(first)), counts)
+        members = np.repeat(tied, counts)
+        rows_, run = order[members], run[members]
+        ranked = np.lexsort((*prefix[rows_].T[::-1], run))
+        lead = np.r_[True, run[ranked][1:] != run[ranked][:-1]]
+        rows[tied] = rows_[ranked][lead]
+    return rows, head[first]
+
+
+def _arrange(tables: list[ScoreTable], plans) -> tuple[list, np.ndarray]:
+    """Best sentence of each table's bag over every order of the chunks of
+    each of its chunkings (``plans[t]``, lists of id tuples).
+
+    Held-Karp over states (chunking, used-chunk mask, last ``order - 1``
+    ids), one layer per chunk used, for all chunkings at once.  Each row
+    is one prefix kept at its state.  Returns per table the best id tuple
+    (None without a chunking) and the DP's transitions.
+    """
+    owner = np.array([t for t, chunkings in enumerate(plans) for _ in chunkings], dtype=np.int64)
+    flat = [chunks for chunkings in plans for chunks in chunkings]
+    transitions = np.zeros(len(tables), dtype=np.int64)
+    if not flat:
+        return [None] * len(tables), transitions
+    k = np.array([len(chunks) for chunks in flat])
+    most = int(k.max())
+    sizes = np.zeros((len(flat), most), dtype=np.int64)
+    words = np.zeros((len(flat), most, 3), dtype=np.int64)
+    for g, chunks in enumerate(flat):
+        for j, chunk in enumerate(chunks):
+            sizes[g, j] = len(chunk)
+            words[g, j, : len(chunk)] = chunk
+    full = (1 << k) - 1
+    marker = np.array([t.marker for t in tables])
+    id_type = np.min_scalar_type(-int(marker.max()) - 1)  # word ids and -1, no word
+    span = tables[0].span
+    conds = _Conds(tables)
+    columns = np.arange(most)
+
+    # layer 0: the empty prefix of every chunking, after <s>
+    g = np.arange(len(flat))
+    mask = np.zeros(len(flat), dtype=np.int64)
+    score = np.array([tables[t].start for t in owner])
+    history = np.full((len(flat), span), -1, dtype=id_type)
+    if span:
+        history[:, -1] = marker[owner]
+    prefix = np.zeros((len(flat), int(sizes.sum(axis=1).max())), dtype=id_type)
+    length = np.zeros(len(flat), dtype=np.int64)
+    ends = []  # per layer: (table, sentence score, prefix) of the complete arrangements
+    while len(g):
+        r, j = np.nonzero((columns < k[g, None]) & (mask[:, None] >> columns & 1 == 0))
+        transitions += np.bincount(owner[g[r]], minlength=len(tables))
+        g, mask, score, history, prefix, length = (a[r] for a in (g, mask, score, history, prefix, length))
+        mask |= 1 << j
+        for p in range(3):  # the chunk's words, each after the history so far
+            on = np.flatnonzero(sizes[g, j] > p)
+            w = words[g[on], j[on], p]
+            score[on] += conds(owner[g[on]], history[on], w)
+            if span:
+                history[on, :-1] = history[on, 1:]
+                history[on, -1] = w
+            prefix[on, length[on]] = w
+            length[on] += 1
+
+        # per state: one prefix per score, the smallest; then the tie band
+        key = _state_keys(
+            [(g, len(flat)), (mask, 1 << most)]
+            + [(history[:, i].astype(np.int64) + 1, int(marker.max()) + 2) for i in range(span)]
+        )
+        rows, best = _ranked(key, score, prefix)
+        top = score[rows[best]][np.cumsum(best) - 1]
+        done = mask[rows] == full[g[rows]]
+        fin = rows[done]
+        t = owner[g[fin]]
+        transitions += np.bincount(t, minlength=len(tables))
+        ends.append((t, score[fin] + conds(t, history[fin], marker[t]), prefix[fin]))
+        keep = rows[~done & (score[rows] >= top - _TIE_BAND)]
+        g, mask, score, history, prefix, length = (a[keep] for a in (g, mask, score, history, prefix, length))
+
+    owners, totals, prefixes = (np.concatenate(parts) for parts in zip(*ends))
+    rows, best = _ranked(owners, totals, prefixes)
+    found: list = [None] * len(tables)
+    for row in rows[best].tolist():
+        t = int(owners[row])
+        found[t] = tuple(prefixes[row, : tables[t].length].tolist())
+    return found, transitions
+
+
+def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
+    """``_order`` of one batch: one score-table fill, one arrangement pass
+    and one final-score call."""
+    tables = ScoreTable.many(bags, model)
+    found, plans = [], []
+    for table, method in zip(tables, methods):
+        plan = []
+        if method is OrderMethod.EXHAUSTIVE:
+            found.append(_exhaustive(table))
+        elif method is OrderMethod.METHOD1:
+            found.append(_method1(table))
+        else:
+            plan, evaluated, diagnostics = _chunkings(table, cap)
+            fields = {"method": method, "candidates_evaluated": evaluated, "diagnostics": diagnostics}
+            found.append((None, fields))
+        plans.append(plan)
+    arranged, transitions = _arrange(tables, plans)
+    results: list = []
+    for table, (ids, fields), arrangement, more in zip(tables, found, arranged, transitions.tolist()):
+        if fields["method"] is OrderMethod.METHOD2:
+            ids = arrangement
+            fields["candidates_evaluated"] += more
+        if ids is None:
+            results.append(ValueError("every chunk scheme was skipped by the arrangement cap"))
+        else:
+            results.append(OrderingResult(sequence=table.decode(ids), lm_score=None, **fields))
+    done = [r for r in results if isinstance(r, OrderingResult)]
+    for result, lm_score in zip(done, score_many(model, [[BOS_WORD, *r.sequence, EOS_WORD] for r in done])):
+        result.lm_score = lm_score
+    return results
+
+
+def _order(bags, model: NGramModel, methods, cap: int = _ARRANGEMENT_CAP) -> list:
+    """An ``OrderingResult`` per bag searched with its method, or the
+    exception that stopped it.
+
+    Consecutive bags are searched together while their score tables take
+    at most ``ORDER_CHUNK`` queries.  An unexpected failure fails only its
+    batch, and a bag over the budget is a batch of its own.
+    """
+    dense = min(model.order - 1, _DENSE_HISTORY)
+    results: list = []
+    start = 0
+    while start < len(bags):
+        stop, rows, width = start, 0, 0
+        while stop < len(bags):
+            m = len(set(bags[stop].words))
+            more = len(_dense_histories(m, dense)[0])
+            if stop > start and (rows + more) * max(width, m + 2) > ORDER_CHUNK:
+                break
+            rows, width, stop = rows + more, max(width, m + 2), stop + 1
+        try:
+            results += _order_batch(bags[start:stop], model, methods[start:stop], cap)
+        except Exception as exc:  # one batch's failure leaves the others
+            results += [exc] * (stop - start)
+        start = stop
+    return results
+
+
+def _one(results: list):
+    """The one result of a one-item call, raising it if it is an exception."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def exhaustive(bag: WordBag, model: NGramModel) -> OrderingResult:
+    """Argmax over every distinct permutation, scored as a full sentence."""
+    n = len(bag)
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"bag of {n} words exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; use method1 or method2"
+        )
+    return _one(_order([bag], model, [OrderMethod.EXHAUSTIVE]))
+
+
+def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
+    """Best 4-word sentence-initial seed, then greedy one-word extensions.
+
+    The seed stage scores every ordered 4-tuple of distinct bag positions
+    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix, with the full
+    ``order - 1`` word history at every LM order, one first word at a
+    time; the remaining words then join one at a time, each time
+    appending the word whose addition scores highest (the smallest word
+    on a tie).
+    """
+    if len(bag) < 5:
+        raise ValueError("method1 requires at least 5 words")
+    return _one(_order([bag], model, [OrderMethod.METHOD1]))
 
 
 def method2(
     bag: WordBag,
     model: NGramModel,
     limit: int = 23,
-    arrangement_cap: int = 362880,
+    arrangement_cap: int = _ARRANGEMENT_CAP,
 ) -> OrderingResult:
     """Chunk-partition search: greedy chunk filling, exact arrangement.
 
@@ -409,57 +668,55 @@ def method2(
     n = len(bag)
     if not 1 <= n <= limit:
         raise ValueError(f"method2 handles 1..{limit} words, got {n}")
-    table = ScoreTable(bag, model)
-    grids = {size: table.grid(size) for size in (1, 2, 3)}
-    fragments = {size: table.extend(0.0, (), grid) for size, grid in grids.items()}
-    diagnostics: list[str] = []
-    best_seq: tuple[int, ...] | None = None
-    best = -math.inf
-    evaluated = 0
+    return _one(_order([bag], model, [OrderMethod.METHOD2], arrangement_cap))
 
-    for scheme in chunk_schemes(n):
-        k = len(scheme.sizes)
-        if math.factorial(k) > arrangement_cap:
-            diagnostics.append(
-                f"scheme {scheme.sizes}: {k}! arrangements exceed cap {arrangement_cap}, skipped"
-            )
-            continue
-        remaining = table.counts.copy()
-        unused = n
-        chunks: list[tuple[int, ...]] = []
-        for size in scheme.sizes:
-            _, chunk = _argmax(fragments[size], _fits(remaining, grids[size]))
-            evaluated += math.perm(unused, size)
-            unused -= size
-            chunks.append(chunk)
-            for w in chunk:
-                remaining[w] -= 1
-        s, seq, transitions = _arrange(table, chunks)
-        evaluated += transitions
-        if s > best or (s == best and seq < best_seq):
-            best, best_seq = s, seq
-    if best_seq is None:
-        raise ValueError("every chunk scheme was skipped by the arrangement cap")
-    sequence = table.decode(best_seq)
-    return OrderingResult(
-        sequence=sequence,
-        lm_score=_final_score(model, sequence),
-        method=OrderMethod.METHOD2,
-        candidates_evaluated=evaluated,
-        diagnostics=diagnostics,
-    )
+
+def _method(n: int, cfg: OrderConfig) -> OrderMethod:
+    """Exhaustive up to EXHAUSTIVE_LIMIT words, method2 up to the threshold, then method1."""
+    if n <= EXHAUSTIVE_LIMIT:
+        return OrderMethod.EXHAUSTIVE
+    return OrderMethod.METHOD2 if n <= cfg.threshold else OrderMethod.METHOD1
 
 
 def order_words(bag: WordBag, model: NGramModel, cfg: OrderConfig | None = None) -> OrderingResult:
     """Dispatch on bag size: exhaustive, then method2 up to the threshold, then method1."""
     cfg = cfg or OrderConfig()
     cfg.validate()
-    n = len(bag)
-    if n <= EXHAUSTIVE_LIMIT:
-        return exhaustive(bag, model)
-    if n <= cfg.threshold:
-        return method2(bag, model, limit=cfg.threshold)
-    return method1(bag, model)
+    return _one(_order([bag], model, [_method(len(bag), cfg)]))
+
+
+def realize_orders(
+    token_lists, model: NGramModel, cfg: OrderConfig | None = None
+) -> list[tuple[str, OrderingResult] | Exception]:
+    """Order each token list into a sentence string, with casing and final stop.
+
+    Returns per token list the text together with the search result it
+    was built from, or the exception that stopped it (``EmptyBagError``
+    when preprocessing leaves no word).
+    """
+    cfg = cfg or OrderConfig()
+    cfg.validate()
+    bags: list = []
+    for tokens in token_lists:
+        try:
+            bags.append(preprocess(tokens))
+        except EmptyBagError as exc:
+            bags.append(exc)
+    valid = [bag for bag in bags if isinstance(bag, WordBag)]
+    ordered = iter(_order(valid, model, [_method(len(bag), cfg) for bag in valid]))
+    out: list = []
+    for bag in bags:
+        result = bag if isinstance(bag, Exception) else next(ordered)
+        if isinstance(result, Exception):
+            out.append(result)
+            continue
+        text = " ".join(result.sequence)
+        if cfg.capitalize and text:
+            text = text[0].upper() + text[1:]
+        if cfg.append_full_stop:
+            text += " ."
+        out.append((text, result))
+    return out
 
 
 def realize_order(
@@ -469,11 +726,4 @@ def realize_order(
 
     Returns the text together with the search result it was built from.
     """
-    cfg = cfg or OrderConfig()
-    result = order_words(preprocess(tokens), model, cfg)
-    text = " ".join(result.sequence)
-    if cfg.capitalize and text:
-        text = text[0].upper() + text[1:]
-    if cfg.append_full_stop:
-        text += " ."
-    return text, result
+    return _one(realize_orders([tokens], model, cfg))

@@ -350,6 +350,30 @@ def test_unreadable_input_is_data_error(workspace, tmp_path, capfd, which):
     assert f"error: {folder}: Is a directory" in capfd.readouterr().err.splitlines()
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [("realize", "--out"), ("reorder", "--out"), ("reinflect", "--out"), ("train-lm", "--lm-out"),
+     ("train-lm", "--vocab-out"), ("train-reinflector", "--model-out")],
+)
+def test_unwritable_output_is_data_error(workspace, tmp_path, capfd, command, option):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    w = {name: str(path) for name, path in workspace.items()}
+    out, other = str(tmp_path / "out"), str(tmp_path / "other")
+    argv = {
+        "realize": ["realize", w["treebank"], "--lm", w["arpa"], "--reinflector", w["checkpoint"], "--out", out],
+        "reorder": ["reorder", w["treebank"], "--lm", w["arpa"], "--out", out],
+        "reinflect": ["reinflect", w["treebank"], "--model", w["checkpoint"], "--out", out],
+        "train-lm": ["train-lm", w["corpus"], "--lm-out", out, "--vocab-out", other],
+        "train-reinflector": [
+            "train-reinflector", w["tsv"], "--model-out", out, "--hidden-size", "4", "--epochs", "1",
+        ],
+    }[command]
+    argv[argv.index(option) + 1] = str(folder)
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"error: {folder}: Is a directory" in capfd.readouterr().err.splitlines()
+
+
 def test_reorder_no_full_stop_flag(workspace, tmp_path):
     out = tmp_path / "pred.txt"
     assert cli.main(

@@ -286,6 +286,21 @@ def test_score_adds_conditionals_left_to_right(toy_lm):
         assert score(toy_lm, words).total == total
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_score_many_matches_the_oracle_per_sequence(order):
+    # one call over sequences of different lengths, empty and OOV ones among them
+    model = train_lm(toy_corpus_sentences(), order=order)
+    oracle = DictLM(model)
+    rng = np.random.default_rng(23 + order)
+    sequences = [["<s>", *random_bag(rng, int(rng.integers(0, 12))), "</s>"] for _ in range(20)]
+    sequences += [[], ["zebrawood"], ["The", "<unk>", "quix", "dog"], ["dog"] * 3]
+    for words, got in zip(sequences, lm.score_many(model, sequences)):
+        total, used = _score_oracle(oracle, [w.lower() for w in words])
+        assert _same_floats(got.total, total) and got.ngrams_used == used, words
+        assert got.oov_count == sum(w.lower() not in model.vocab for w in words)
+        assert got == score(model, words)
+
+
 # ---------------------------------------------------------------------- ARPA
 
 def test_arpa_round_trip_scores_exactly(toy_lm):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrealize import lm
+from udrealize import lm, order
 from udrealize.order import (
     EXHAUSTIVE_LIMIT,
     ChunkScheme,
@@ -23,6 +23,7 @@ from udrealize.order import (
     order_words,
     preprocess,
     realize_order,
+    realize_orders,
 )
 
 from conftest import TOY_VOCAB, random_bag
@@ -425,6 +426,19 @@ def test_method2_arrangement_cap_skips_schemes(toy_lm):
         method2(bag, toy_lm, arrangement_cap=1)
 
 
+@pytest.mark.parametrize(
+    "words, evaluated",
+    [
+        (["the", "boy", "reads", "a", "book", "tonight"], 345),
+        (["the", "old", "dog", "ran", "in", "the", "park", "quix"], 1488),
+        (["a", "a", "the", "the", "dog", "cat", "ran", "sat", "home", "old", "quix", "blorft"], 6227),
+    ],
+)
+def test_method2_candidate_counts(toy_lm, words, evaluated):
+    # chunk fragments plus DP transitions, as the per-state loop counted them
+    assert method2(preprocess(words), toy_lm).candidates_evaluated == evaluated
+
+
 def test_method2_limit(toy_lm):
     with pytest.raises(ValueError):
         method2(WordBag(tuple("abcdef")), toy_lm, limit=5)
@@ -484,6 +498,65 @@ def test_realize_order_flags(toy_lm):
 def test_realize_order_propagates_empty_bag(toy_lm):
     with pytest.raises(EmptyBagError):
         realize_order([",", "!"], toy_lm)
+
+
+def _outcome(result):
+    """Everything a realization reports, or the text of the exception that stopped it."""
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    text, r = result
+    s = r.lm_score
+    return (text, r.sequence, s.total.hex(), s.oov_count, s.ngrams_used, r.method,
+            r.candidates_evaluated, r.seed_candidates, r.lrw_iterations, r.diagnostics)
+
+
+def _realize_alone(tokens, model, cfg):
+    try:
+        return realize_order(tokens, model, cfg)
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_realize_orders_matches_one_at_a_time(lm_order, monkeypatch):
+    from conftest import toy_corpus_sentences
+
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    rng = np.random.default_rng(71 + lm_order)
+    token_lists = [list(bag.words) for bag in _oracle_bags(73 + lm_order, 14, 1, 14)]
+    token_lists += [
+        [",", "!"],  # empty after punctuation
+        ["qa", "qb", "qc", "qd", "qe", "qf", "qg"],  # every word out of vocabulary: all orders tie
+        ["The", "the", "dog", "DOG", ",", "the"],
+        random_bag(rng, 24),
+        random_bag(rng, 30),  # at threshold 30, method2 skips every scheme of it
+    ]
+    batches = []
+    real = order._order_batch
+    monkeypatch.setattr(order, "_order_batch", lambda bags, *rest: batches.append(len(bags)) or real(bags, *rest))
+    for threshold in (4, 9, 23, 30):
+        cfg = OrderConfig(threshold=threshold)
+        expected = [_outcome(_realize_alone(tokens, model, cfg)) for tokens in token_lists]
+        sizes = []
+        for chunk in (order.ORDER_CHUNK, 400):  # the default; then many batches, some of a single bag
+            batches.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(order, "ORDER_CHUNK", chunk)
+                assert [_outcome(r) for r in realize_orders(token_lists, model, cfg)] == expected
+            sizes.append(list(batches))
+        assert max(sizes[0]) > 1 and min(sizes[1]) == 1 and len(sizes[1]) > len(sizes[0])
+    assert any(e.startswith("EmptyBagError") for e in expected if isinstance(e, str))
+    assert "ValueError: every chunk scheme was skipped by the arrangement cap" in expected
+
+
+def test_state_keys_equal_exactly_where_the_columns_are():
+    # bases whose product overflows int64 force a dense renumbering on the way
+    rng = np.random.default_rng(83)
+    columns = [(rng.integers(0, 3, 60), 1 << 40) for _ in range(3)]
+    key = order._state_keys(columns)
+    rows = list(zip(*(values.tolist() for values, _ in columns)))
+    for a, b in itertools.combinations(range(60), 2):
+        assert (key[a] == key[b]) == (rows[a] == rows[b])
 
 
 def test_order_config_validation():

@@ -34,7 +34,9 @@ trusts the image only when both digests match, so the model it returns
 equals ``parse_arpa`` of the text bit for bit; an ARPA file without an
 image, edited after training, or beside a damaged image is parsed as
 text.  Reading an image takes milliseconds where parsing the text takes
-a large share of a whole ``reorder`` command.
+a large share of a whole ``reorder`` command.  ``load_arpa`` reads the
+image into a buffer at the shift that starts its arrays 8-byte aligned:
+numpy copies a whole unaligned array on every search in it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import bisect
 import hashlib
 import json
 import math
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -55,6 +58,8 @@ EOS_WORD = "</s>"
 UNK_WORD = "<unk>"
 RESERVED_WORDS = (BOS_WORD, EOS_WORD, UNK_WORD)
 _TABLES_MAGIC = b"udrealize-ngram-tables-v1\n"
+# Longest header line a tables image may have; tables_image writes about 250 bytes.
+_HEADER_LIMIT = 1 << 16
 
 
 class EmptyCorpusError(ValueError):
@@ -601,22 +606,32 @@ _TABLES_HEADER = {
 }
 
 
-def read_tables(image: bytes, arpa: bytes) -> NGramModel:
-    """The model of a ``tables_image`` written beside the ARPA bytes ``arpa``.
-
-    Raises TablesError on a wrong magic line, a header without exactly
-    the fields ``tables_image`` writes, an ARPA digest that is not that
-    of ``arpa``, a payload of another length than the header implies,
-    or a payload digest mismatch.  The arrays are read-only views of
-    ``image``.
-    """
-    if not image.startswith(_TABLES_MAGIC):
+def _image_header(image) -> tuple[object, int]:
+    """The parsed header line of a tables image (None where it is not
+    JSON) and the offset of its payload; ``image`` may be only the
+    image's start.  Raises TablesError on a wrong magic line."""
+    if bytes(image[: len(_TABLES_MAGIC)]) != _TABLES_MAGIC:
         raise TablesError("not an n-gram tables image")
-    end = image.find(b"\n", len(_TABLES_MAGIC))
+    line = bytes(image[len(_TABLES_MAGIC) : len(_TABLES_MAGIC) + _HEADER_LIMIT])
+    end = line.find(b"\n")
     try:
-        header = json.loads(image[len(_TABLES_MAGIC) : end]) if end >= 0 else None
+        header = json.loads(line[:end]) if end >= 0 else None
     except ValueError:  # also a header that is not UTF-8
         header = None
+    return header, len(_TABLES_MAGIC) + end + 1
+
+
+def read_tables(image, arpa: bytes) -> NGramModel:
+    """The model of a ``tables_image`` written beside the ARPA bytes ``arpa``.
+
+    Raises TablesError on a wrong magic line, a header line without
+    exactly the fields ``tables_image`` writes (or longer than
+    ``_HEADER_LIMIT``), an ARPA digest that is not that of ``arpa``, a
+    payload of another length than the header implies, or a payload
+    digest mismatch.  The arrays are read-only views of ``image``, any
+    bytes-like object.
+    """
+    header, at = _image_header(image)
     if (
         type(header) is not dict
         or sorted(header) != sorted(_TABLES_HEADER)
@@ -626,8 +641,8 @@ def read_tables(image: bytes, arpa: bytes) -> NGramModel:
         raise TablesError("header does not hold the fields train-lm writes")
     if header["arpa_sha256"] != hashlib.sha256(arpa).hexdigest():
         raise TablesError("written for other ARPA bytes (the ARPA file changed after train-lm)")
+    payload = memoryview(image).toreadonly()[at:]
     order, counts, at = header["order"], header["counts"], header["vocab_bytes"]
-    payload = memoryview(image)[end + 1 :]
     size = at + sum(8 * c * (3 if n < order else 2) for n, c in enumerate(counts, start=1))
     if len(payload) != size:
         raise TablesError(f"payload has {len(payload)} bytes, the header implies {size}")
@@ -652,6 +667,21 @@ def read_tables(image: bytes, arpa: bytes) -> NGramModel:
     return NGramModel(order, vocab, tables)
 
 
+def _read_image(path) -> memoryview:
+    """The bytes of the tables image at ``path``, read once into a buffer
+    at the shift that starts the image's arrays 8-byte aligned."""
+    with open(path, "rb") as f:
+        header, at = _image_header(f.read(len(_TABLES_MAGIC) + _HEADER_LIMIT))
+        if type(header) is dict and type(header.get("vocab_bytes")) is int:
+            at += header["vocab_bytes"]  # the arrays follow the vocabulary
+        size = os.fstat(f.fileno()).st_size
+        buffer = np.empty(size + 7, dtype=np.uint8)
+        shift = -(buffer.ctypes.data + at) % 8
+        f.seek(0)
+        size = f.readinto(memoryview(buffer)[shift : shift + size])
+    return memoryview(buffer)[shift : shift + size]
+
+
 def load_arpa(path, warn) -> NGramModel:
     """The model of the ARPA file at ``path``.
 
@@ -665,7 +695,7 @@ def load_arpa(path, warn) -> NGramModel:
     arpa = Path(path).read_bytes()
     image = tables_path(path)
     try:
-        return read_tables(image.read_bytes(), arpa)
+        return read_tables(_read_image(image), arpa)
     except FileNotFoundError:
         pass
     except OSError as exc:

@@ -53,8 +53,16 @@ strings: it preprocesses, dispatches, and applies casing and the final
 stop.  The bags go through in batches of at most ``ORDER_CHUNK``
 score-table queries, each with one LM call to fill the batch's tables,
 one arrangement pass and one ``lm.score_many`` call for the final
-scores.  ``realize_order``, ``order_words`` and the three searches are
-one-item calls of the same path.
+scores.  The exhaustive search and ``method2``'s greedy chunk fills are
+array passes over the batch too (``_grid_best``): the exhaustive bags
+of each length make one grid of full sentences, and the chunk fills go
+depth by depth, one grid of bare fragments per chunk size holding the
+next chunk of every distinct (bag, chunk-size prefix) at that depth.
+Each grid has a row per bag, its ids padded to the widest bag of the
+pass, and passes hold at most ``ORDER_CHUNK`` entries.  Only
+``method1`` still searches bag by bag.  ``realize_order``,
+``order_words`` and the three searches are one-item calls of the same
+path.
 """
 
 from __future__ import annotations
@@ -156,10 +164,12 @@ def preprocess(tokens) -> WordBag:
     return WordBag(words)
 
 
-def _codes(histories: np.ndarray, base) -> np.ndarray:
-    """Each history of ids (-1 for no word) as one integer: its digits are ``id + 1`` in ``base``."""
-    code = np.zeros(histories.shape[:-1], dtype=np.int64)
-    for column in np.moveaxis(histories, -1, 0):
+def _codes(columns, base):
+    """Each history of ids, given column by column, oldest first (-1 for
+    no word), as one integer: its digits are ``id + 1`` in ``base``.
+    Leading -1 digits add nothing, so a short history may leave them out."""
+    code = 0
+    for column in columns:
         code = code * base + column + 1
     return code
 
@@ -177,8 +187,9 @@ def _dense_histories(m: int, dense: int):
     padded = np.full((ends[-1], dense), -1, dtype=np.int64)
     for shape, size, end in zip(shapes, sizes, ends):
         padded[end - size : end, dense - len(shape) :] = np.indices(shape).reshape(len(shape), size).T
-    rows = np.zeros((m + 2) ** dense, dtype=np.int64)
-    rows[_codes(padded, m + 2)] = np.arange(len(padded))
+    rows = np.zeros((m + 2) ** dense, dtype=np.int64)  # without history ids, the one row is row 0
+    if dense:
+        rows[_codes(padded.T, m + 2)] = np.arange(len(padded))
     for array in (padded, ends, rows):
         array.flags.writeable = False
     return padded, shapes, ends, rows
@@ -285,49 +296,53 @@ class ScoreTable:
             history.append(w)
         return total
 
-    def sentence(self, ids):
-        """Score of ``ids`` wrapped in <s>...</s>."""
-        total = self.extend(self.start, [self.marker], ids)
-        return total + self.cond([self.marker, *ids], self.marker)
-
     def decode(self, ids) -> list[str]:
         return [self.words[i] for i in ids]
 
 
+def _stack(parts):
+    """The arrays ``parts`` end to end, and the index where each starts."""
+    return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts[:-1]])
+
+
 class _Conds:
-    """log10 p(word | history) for rows of (table, history, word) over
-    tables filled together; histories are ``span`` ids, -1 for no word.
-    Read from the dense tables when ``span <= _DENSE_HISTORY``, else from
-    the LM: the two give the same floats."""
+    """log10 p(word | history) for (table, history, word) over tables
+    filled together, elementwise over broadcastable id arrays.  A history
+    is a list of at most ``span`` id columns, oldest first, -1 for no
+    word.  Read from the dense tables for histories of up to
+    ``_DENSE_HISTORY`` columns, else from the LM: the two give the same
+    floats."""
 
     def __init__(self, tables: list[ScoreTable]):
-        self.model, self.block = tables[0].model, tables[0].block
-        self.dense = tables[0].span <= _DENSE_HISTORY
-        self.base = np.array([t.marker + 2 for t in tables])
-        # per table: the block row of each history code, or the vocabulary id of each history id
-        parts = [t.first + t.history_rows for t in tables] if self.dense else [t.heads for t in tables]
-        self.offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
-        self.lookup = np.concatenate(parts)
-        self.predicted = np.concatenate([t.predicted for t in tables])
-        self.predicted_offsets = np.cumsum([0] + [len(t.predicted) for t in tables[:-1]])
+        self.model, self.block, self.span = tables[0].model, tables[0].block, tables[0].span
+        self.marker = np.array([t.marker for t in tables])
+        self.start = np.array([t.start for t in tables])
+        # per table: the block row of each history code, and the vocabulary
+        # ids of the history words (the last one -1, no word) and of the predicted words
+        self.rows, self.row_offsets = _stack([t.first + t.history_rows for t in tables])
+        self.heads, self.head_offsets = _stack([t.heads for t in tables])
+        self.predicted, self.predicted_offsets = _stack([t.predicted for t in tables])
 
-    def __call__(self, table: np.ndarray, history: np.ndarray, word: np.ndarray) -> np.ndarray:
-        if self.dense:
-            return self.block[self.lookup[self.offsets[table] + _codes(history, self.base[table])], word]
-        base = self.base[table, None]  # the id base - 1 is the padding -1 in heads
-        heads = self.lookup[self.offsets[table, None] + np.where(history < 0, base - 1, history)]
-        logp, _ = self.model.logprob_ids(heads, self.predicted[self.predicted_offsets[table] + word])
+    def __call__(self, table: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
+        if len(history) <= _DENSE_HISTORY:
+            return self.block[self.rows[self.row_offsets[table] + _codes(history, self.marker[table] + 2)], word]
+        offsets = self.head_offsets[table]
+        heads = [self.heads[offsets + np.where(h < 0, self.marker[table] + 1, h)] for h in history]
+        logp, _ = self.model.logprob_ids(
+            np.stack(np.broadcast_arrays(*heads), axis=-1), self.predicted[self.predicted_offsets[table] + word]
+        )
         return logp
 
 
 def _fits(counts, ids):
-    """True where the id tuple uses no word more often than ``counts`` allows."""
+    """True where the id tuple uses no word more often than ``counts``
+    allows; ``counts`` may have leading axes, one count row per grid."""
     ok = True
     for i, w in enumerate(ids):
         uses = 1
         for prev in ids[:i]:
             uses = uses + (prev == w)
-        ok = ok & (counts[w] >= uses)
+        ok = ok & (counts[..., w] >= uses)
     return ok
 
 
@@ -339,12 +354,63 @@ def _argmax(scores, ok) -> tuple[float, tuple[int, ...]]:
     return float(masked[ids]), tuple(int(i) for i in ids)
 
 
-def _exhaustive(table: ScoreTable) -> tuple[tuple[int, ...], dict]:
-    """Argmax over every distinct permutation, scored as a full sentence."""
-    grid = table.grid(table.length)
-    ok = _fits(table.counts, grid)  # exactly the distinct permutations
-    _, best = _argmax(table.sentence(grid), ok)
-    return best, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": int(np.count_nonzero(ok))}
+def _counts(tables: list[ScoreTable], which: list[int]) -> np.ndarray:
+    """The word counts of the bags of ``tables[t]`` for t in ``which``,
+    one row each, padded with zeros to the most words any of them has."""
+    counts = np.zeros((len(which), max((tables[t].marker for t in which), default=0)), dtype=np.int64)
+    for row, t in zip(counts, which):
+        row[: tables[t].marker] = tables[t].counts
+    return counts
+
+
+def _grid_best(conds: _Conds, table: np.ndarray, counts: np.ndarray, size: int, sentence: bool) -> np.ndarray:
+    """Per row r: the best ``size``-tuple of the word ids of ``table[r]``
+    that uses no word more often than ``counts[r]`` allows, as a row of
+    an (R, size) array.
+
+    A tuple is scored as a bare fragment from 0.0, or with ``sentence``
+    as a full sentence from log p(<s>), its conditionals added left to
+    right; a tie goes to the smallest tuple, the first maximum of the
+    row's grid in C order.  The rows go through in passes of at most
+    ``ORDER_CHUNK`` grid entries (at least one row), with similar word
+    counts together: a pass pads its rows' ids to the most words any of
+    them has, and no count allows a padded id.
+    """
+    best = np.zeros((len(table), size), dtype=np.int64)
+    waiting = np.argsort(conds.marker[table], kind="stable")
+    while len(waiting):
+        cost = np.arange(1, len(waiting) + 1) * conds.marker[table[waiting]] ** size
+        rows = max(1, int(np.searchsorted(cost, ORDER_CHUNK, side="right")))
+        part, waiting = waiting[:rows], waiting[rows:]
+        width = int(conds.marker[table[part[-1]]])
+        axes = [np.arange(width).reshape([width if a == p else 1 for a in range(size)]) for p in range(size)]
+        ok = _fits(counts[part, :width], axes)
+        t = table[part].reshape(-1, *[1] * size)
+        marker = conds.marker[t]
+        ids = [np.minimum(axis, marker - 1) for axis in axes]  # a padded id reads the last word's scores
+        context, score = ([marker], conds.start[t]) if sentence else ([], 0.0)
+        words = context + ids
+        for p, w in enumerate(ids + context):  # a sentence ends with </s>, the marker
+            history = words[: len(context) + p]
+            score = score + conds(t, history[max(0, len(history) - conds.span) :], w)
+        masked = np.where(ok, score, -np.inf).reshape(len(part), -1)
+        best[part] = np.stack(np.unravel_index(masked.argmax(axis=1), (width,) * size), axis=1)
+    return best
+
+
+def _exhaustive_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Per table in ``which``: the best distinct permutation of its bag,
+    scored as a full sentence, and the number of distinct permutations;
+    one ``_grid_best`` call per bag length."""
+    found: dict = {}
+    for length in sorted({tables[t].length for t in which}):
+        group = [t for t in which if tables[t].length == length]
+        best = _grid_best(conds, np.array(group), _counts(tables, group), length, True)
+        found.update(zip(group, map(tuple, best.tolist())))
+    return [
+        (found[t], math.factorial(tables[t].length) // math.prod(map(math.factorial, tables[t].counts.tolist())))
+        for t in which
+    ]
 
 
 def _method1(table: ScoreTable) -> tuple[tuple[int, ...], dict]:
@@ -410,40 +476,61 @@ def _chunk_schemes(n: int) -> tuple[ChunkScheme, ...]:
     return tuple(out)
 
 
-def _chunkings(table: ScoreTable, cap: int) -> tuple[list[tuple[tuple[int, ...], ...]], int, list[str]]:
-    """The greedy chunks of every chunk scheme with at most ``cap``
-    arrangements, the chunk fragments scored, and a diagnostic per skipped
-    scheme.
+def _chunkings_many(
+    tables: list[ScoreTable], conds: _Conds, which: list[int], cap: int
+) -> list[tuple[list[tuple[tuple[int, ...], ...]], int, list[str]]]:
+    """Per table in ``which``: the greedy chunks of every chunk scheme
+    with at most ``cap`` arrangements, the chunk fragments scored, and a
+    diagnostic per skipped scheme.
 
     Chunks are filled in scheme order with the highest-scoring ordered
-    tuple of still-unused words, scored as a bare fragment.  Schemes come
-    in depth-first order, so neighbours share their first chunk sizes; the
-    fill of each such prefix of sizes is made once.
+    tuple of still-unused words, scored as a bare fragment.  Schemes
+    sharing their first chunk sizes share those fills, so each distinct
+    (table, sizes prefix) is filled once.  The fills go depth by depth,
+    since a prefix's fill needs its parent's remaining words: depth d
+    fills the d-th chunk of every prefix of d sizes, with one
+    ``_grid_best`` call per chunk size.
     """
-    n = table.length
-    grids = {size: table.grid(size) for size in (1, 2, 3)}
-    fragments = {size: table.extend(0.0, (), grid) for size, grid in grids.items()}
-    fills = {(): ((), table.counts)}  # sizes prefix -> (chunks, remaining word counts)
-    chunkings, diagnostics, evaluated = [], [], 0
+    plans = [_scheme_plan(tables[t].length, cap) for t in which]
+    levels: dict = {}  # (depth, chunk size) -> the (table, sizes prefix) pairs ending there
+    for t, (_, _, _, prefixes) in zip(which, plans):
+        for sizes in prefixes:
+            levels.setdefault((len(sizes), sizes[-1]), []).append((t, sizes))
+    # (table, sizes prefix) -> (the chunks filled, the word counts they leave)
+    fills = {(t, ()): ((), counts) for t, counts in zip(which, _counts(tables, which))}
+    for (_, size), keys in sorted(levels.items()):
+        parents = [fills[t, sizes[:-1]] for t, sizes in keys]
+        remaining = np.stack([counts for _, counts in parents])
+        best = _grid_best(conds, np.array([t for t, _ in keys]), remaining, size, False)
+        for column in best.T:
+            remaining[np.arange(len(keys)), column] -= 1
+        for key, (chunks, _), chunk, counts in zip(keys, parents, best.tolist(), remaining):
+            fills[key] = (chunks + (tuple(chunk),), counts)
+    return [
+        ([fills[t, sizes][0] for sizes in kept], evaluated, list(diagnostics))
+        for t, (kept, evaluated, diagnostics, _) in zip(which, plans)
+    ]
+
+
+@functools.lru_cache(maxsize=256)
+def _scheme_plan(n: int, cap: int):
+    """The sizes of each chunk scheme of n words with at most ``cap``
+    arrangements, the chunk fragments their greedy fills score, a
+    diagnostic per skipped scheme, and the distinct prefixes of the kept
+    sizes."""
+    kept, diagnostics, evaluated, prefixes = [], [], 0, {}
     for scheme in _chunk_schemes(n):
         k = len(scheme.sizes)
         if math.factorial(k) > cap:
             diagnostics.append(f"scheme {scheme.sizes}: {k}! arrangements exceed cap {cap}, skipped")
             continue
+        kept.append(scheme.sizes)
         unused = n
         for i, size in enumerate(scheme.sizes):
             evaluated += math.perm(unused, size)
             unused -= size
-            sizes = scheme.sizes[: i + 1]
-            if sizes not in fills:
-                chunks, remaining = fills[sizes[:-1]]
-                _, chunk = _argmax(fragments[size], _fits(remaining, grids[size]))
-                remaining = remaining.copy()
-                for w in chunk:
-                    remaining[w] -= 1
-                fills[sizes] = (chunks + (chunk,), remaining)
-        chunkings.append(fills[scheme.sizes][0])
-    return chunkings, evaluated, diagnostics
+            prefixes[scheme.sizes[: i + 1]] = None
+    return tuple(kept), evaluated, tuple(diagnostics), tuple(prefixes)
 
 
 def _state_keys(columns) -> np.ndarray:
@@ -478,7 +565,7 @@ def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.
     return rows, head[first]
 
 
-def _arrange(tables: list[ScoreTable], plans) -> tuple[list, np.ndarray]:
+def _arrange(tables: list[ScoreTable], conds: _Conds, plans) -> tuple[list, np.ndarray]:
     """Best sentence of each table's bag over every order of the chunks of
     each of its chunkings (``plans[t]``, lists of id tuples).
 
@@ -501,16 +588,15 @@ def _arrange(tables: list[ScoreTable], plans) -> tuple[list, np.ndarray]:
             sizes[g, j] = len(chunk)
             words[g, j, : len(chunk)] = chunk
     full = (1 << k) - 1
-    marker = np.array([t.marker for t in tables])
+    marker = conds.marker
     id_type = np.min_scalar_type(-int(marker.max()) - 1)  # word ids and -1, no word
-    span = tables[0].span
-    conds = _Conds(tables)
+    span = conds.span
     columns = np.arange(most)
 
     # layer 0: the empty prefix of every chunking, after <s>
     g = np.arange(len(flat))
     mask = np.zeros(len(flat), dtype=np.int64)
-    score = np.array([tables[t].start for t in owner])
+    score = conds.start[owner]
     history = np.full((len(flat), span), -1, dtype=id_type)
     if span:
         history[:, -1] = marker[owner]
@@ -525,7 +611,7 @@ def _arrange(tables: list[ScoreTable], plans) -> tuple[list, np.ndarray]:
         for p in range(3):  # the chunk's words, each after the history so far
             on = np.flatnonzero(sizes[g, j] > p)
             w = words[g[on], j[on], p]
-            score[on] += conds(owner[g[on]], history[on], w)
+            score[on] += conds(owner[g[on]], list(history[on].T), w)
             if span:
                 history[on, :-1] = history[on, 1:]
                 history[on, -1] = w
@@ -543,7 +629,7 @@ def _arrange(tables: list[ScoreTable], plans) -> tuple[list, np.ndarray]:
         fin = rows[done]
         t = owner[g[fin]]
         transitions += np.bincount(t, minlength=len(tables))
-        ends.append((t, score[fin] + conds(t, history[fin], marker[t]), prefix[fin]))
+        ends.append((t, score[fin] + conds(t, list(history[fin].T), marker[t]), prefix[fin]))
         keep = rows[~done & (score[rows] >= top - _TIE_BAND)]
         g, mask, score, history, prefix, length = (a[keep] for a in (g, mask, score, history, prefix, length))
 
@@ -557,22 +643,26 @@ def _arrange(tables: list[ScoreTable], plans) -> tuple[list, np.ndarray]:
 
 
 def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
-    """``_order`` of one batch: one score-table fill, one arrangement pass
-    and one final-score call."""
+    """``_order`` of one batch: one score-table fill, one exhaustive pass
+    per bag length, one greedy chunk-fill pass per chunk-size prefix
+    depth and chunk size, one arrangement pass and one final-score call;
+    ``method1`` goes bag by bag."""
     tables = ScoreTable.many(bags, model)
-    found, plans = [], []
-    for table, method in zip(tables, methods):
-        plan = []
-        if method is OrderMethod.EXHAUSTIVE:
-            found.append(_exhaustive(table))
-        elif method is OrderMethod.METHOD1:
-            found.append(_method1(table))
-        else:
-            plan, evaluated, diagnostics = _chunkings(table, cap)
-            fields = {"method": method, "candidates_evaluated": evaluated, "diagnostics": diagnostics}
-            found.append((None, fields))
-        plans.append(plan)
-    arranged, transitions = _arrange(tables, plans)
+    conds = _Conds(tables)
+    which = {method: [t for t, m in enumerate(methods) if m is method] for method in OrderMethod}
+    found: list = [None] * len(tables)
+    plans: list = [[] for _ in tables]
+    small = which[OrderMethod.EXHAUSTIVE]
+    for t, (ids, evaluated) in zip(small, _exhaustive_many(tables, conds, small)):
+        found[t] = (ids, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
+    for t in which[OrderMethod.METHOD1]:
+        found[t] = _method1(tables[t])
+    chunked = which[OrderMethod.METHOD2]
+    for t, (plan, evaluated, diagnostics) in zip(chunked, _chunkings_many(tables, conds, chunked, cap)):
+        plans[t] = plan
+        fields = {"method": OrderMethod.METHOD2, "candidates_evaluated": evaluated, "diagnostics": diagnostics}
+        found[t] = (None, fields)
+    arranged, transitions = _arrange(tables, conds, plans)
     results: list = []
     for table, (ids, fields), arrangement, more in zip(tables, found, arranged, transitions.tolist()):
         if fields["method"] is OrderMethod.METHOD2:

@@ -160,24 +160,32 @@ def _encode_rows(
 ) -> np.ndarray:
     """The (B, 2H) encoder summary of padded index rows.
 
-    With a ``tape``, each step appends what ``_backward`` reads:
-    (prefix, index column, x, h, c, gates, mask).
+    With a ``tape``, each step steps every row and appends what
+    ``_backward`` reads: (prefix, index column, x, h, c, gates, mask).
+    Without one, each step steps only the rows whose input reaches it,
+    and the summary is the taped one bit for bit.
     """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
     b, max_t = idx.shape
     emb = model.params["emb"]
-    zero = np.zeros((b, model.hidden_size))
     finals = []
     for prefix, steps in (("enc_f", range(max_t)), ("enc_b", range(max_t - 1, -1, -1))):
-        h, c = zero, zero
+        h, c = np.zeros((b, model.hidden_size)), np.zeros((b, model.hidden_size))
         for t in steps:
+            if tape is None:
+                live = np.flatnonzero(t < lengths)
+                # never one row of several: numpy multiplies a one-row matrix
+                # with BLAS's matrix-vector routine, which adds in another order
+                rows = live if len(live) > 1 or b == 1 else np.append(live, (live[0] + 1) % b)
+                # the gates are dropped at once: held through the next step they raise peak memory
+                hn, cn = _lstm_cell(model, prefix, emb[idx[rows, t]], h[rows], c[rows])[:2]
+                h[live], c[live] = hn[: len(live)], cn[: len(live)]
+                continue
             x = emb[idx[:, t]]
             hn, cn, gates = _lstm_cell(model, prefix, x, h, c)
             m = (t < lengths)[:, None]  # rows past their end keep the old state
-            if tape is not None:
-                tape.append((prefix, idx[:, t], x, h, c, gates, m))
-            del x, gates  # without a tape, held through the next step they raise peak memory
+            tape.append((prefix, idx[:, t], x, h, c, gates, m))
             h, c = np.where(m, hn, h), np.where(m, cn, c)
         finals.append(h)
     return np.concatenate(finals, axis=1)

@@ -495,6 +495,18 @@ def test_load_arpa_through_the_tables_equals_parse_arpa(tmp_path, monkeypatch, l
     assert parsed == [] and notes == []
 
 
+@pytest.mark.parametrize("vocab_words", [0, 1, 3, 7])
+def test_tables_image_arrays_are_aligned_views_of_one_read(tmp_path, vocab_words):
+    # words of other lengths move the arrays to every offset mod 8 in the file
+    sentences = toy_corpus_sentences()[:60] + ["x" * (n + 2) for n in range(vocab_words)]
+    path = _write_lm(tmp_path, train_lm(sentences, order=3))
+    model = lm.load_arpa(path, pytest.fail)
+    arrays = [a for table in model.tables for a in (table.key, table.logp, table.bow) if a is not None]
+    assert all(a.flags.aligned and not a.flags.writeable for a in arrays)
+    assert len({id(a.base.obj) for a in arrays}) == 1  # the image is held once
+    _assert_same_model(model, parse_arpa(path.read_text(encoding="utf-8")))
+
+
 def _edit_header(edit):
     def apply(image):
         magic, header, payload = image.split(b"\n", 2)

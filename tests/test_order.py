@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udrealize import lm, order
+from udrealize import cli, conllu, lm, order
 from udrealize.order import (
     EXHAUSTIVE_LIMIT,
     ChunkScheme,
@@ -26,7 +26,7 @@ from udrealize.order import (
     realize_orders,
 )
 
-from conftest import TOY_VOCAB, random_bag
+from conftest import DATA_DIR, TOY_VOCAB, random_bag, toy_corpus_sentences
 from _lm_oracle import DictLM
 
 
@@ -439,6 +439,70 @@ def test_method2_candidate_counts(toy_lm, words, evaluated):
     assert method2(preprocess(words), toy_lm).candidates_evaluated == evaluated
 
 
+def _exhaustive_oracle(table):
+    """The per-bag exhaustive search that ``order._exhaustive_many``
+    batches: the best distinct permutation scored as a full sentence, and
+    the number of distinct permutations."""
+    grid = table.grid(table.length)
+    ok = order._fits(table.counts, grid)  # exactly the distinct permutations
+    total = table.extend(table.start, [table.marker], grid) + table.cond([table.marker, *grid], table.marker)
+    return order._argmax(total, ok)[1], int(np.count_nonzero(ok))
+
+
+def _chunkings_oracle(table, cap):
+    """The per-bag greedy chunk fills that ``order._chunkings_many``
+    batches, with the fill of each prefix of chunk sizes made once."""
+    n = table.length
+    grids = {size: table.grid(size) for size in (1, 2, 3)}
+    fragments = {size: table.extend(0.0, (), grid) for size, grid in grids.items()}
+    fills = {(): ((), table.counts)}  # sizes prefix -> (chunks, remaining word counts)
+    chunkings, diagnostics, evaluated = [], [], 0
+    for scheme in chunk_schemes(n):
+        k = len(scheme.sizes)
+        if math.factorial(k) > cap:
+            diagnostics.append(f"scheme {scheme.sizes}: {k}! arrangements exceed cap {cap}, skipped")
+            continue
+        unused = n
+        for i, size in enumerate(scheme.sizes):
+            evaluated += math.perm(unused, size)
+            unused -= size
+            sizes = scheme.sizes[: i + 1]
+            if sizes not in fills:
+                chunks, remaining = fills[sizes[:-1]]
+                _, chunk = order._argmax(fragments[size], order._fits(remaining, grids[size]))
+                remaining = remaining.copy()
+                for w in chunk:
+                    remaining[w] -= 1
+                fills[sizes] = (chunks + (chunk,), remaining)
+        chunkings.append(fills[scheme.sizes][0])
+    return chunkings, evaluated, diagnostics
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    bags = _oracle_bags(89 + lm_order, 24, 1, 16) + [
+        WordBag(("qa", "qb", "qc", "qd", "qe", "qf", "qg")),  # every word out of vocabulary: all fills tie
+        WordBag(("old",) * 6),
+        WordBag(tuple(sorted(["a", "a", "the", "the", "dog", "ran", "quix", "blorft", "blorft"]))),
+        WordBag(("dog", "dog", "dog", "dog")),
+        WordBag(("a", "a", "dog", "the")),
+        WordBag(("dog", "ran", "the", "zandor")),
+        WordBag(("quix", "the", "the")),
+    ]
+    assert len({len(set(bag.words)) for bag in bags}) >= 10  # rows of a pass are padded
+    small = [t for t, bag in enumerate(bags) if len(bag) <= EXHAUSTIVE_LIMIT]
+    assert {len(set(bags[t].words)) for t in small if len(bags[t]) == 4} >= {1, 3, 4}
+    for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per fill of 8 or more words
+        monkeypatch.setattr(order, "ORDER_CHUNK", chunk)
+        tables = ScoreTable.many(bags, model)
+        conds = order._Conds(tables)
+        for cap in (2, 24, 720):
+            expected = [_chunkings_oracle(table, cap) for table in tables]
+            assert order._chunkings_many(tables, conds, list(range(len(bags))), cap) == expected
+        assert order._exhaustive_many(tables, conds, small) == [_exhaustive_oracle(tables[t]) for t in small]
+
+
 def test_method2_limit(toy_lm):
     with pytest.raises(ValueError):
         method2(WordBag(tuple("abcdef")), toy_lm, limit=5)
@@ -547,6 +611,29 @@ def test_realize_orders_matches_one_at_a_time(lm_order, monkeypatch):
         assert max(sizes[0]) > 1 and min(sizes[1]) == 1 and len(sizes[1]) > len(sizes[0])
     assert any(e.startswith("EmptyBagError") for e in expected if isinstance(e, str))
     assert "ValueError: every chunk scheme was skipped by the arrangement cap" in expected
+
+
+@pytest.mark.parametrize("lm_order", [3, 4])
+def test_reorder_output_matches_the_golden_file(tmp_path, lm_order):
+    # golden.conllu holds bags of 1-26 words (every method, duplicates, OOV
+    # words, an all-OOV tie); the expected output, method, candidate count
+    # and score bits were made by `reorder` and `realize_orders` before the
+    # batched fills and exhaustive search.  Ordering uses no BLAS and the LM
+    # is parsed from committed ARPA text, so the bytes hold on any machine.
+    arpa = DATA_DIR / f"golden-o{lm_order}.arpa"
+    lines = (DATA_DIR / f"golden-o{lm_order}.expected").read_text("utf-8").splitlines()
+    expected = [line.split("\t") for line in lines]
+    pred = tmp_path / "pred.txt"
+    assert cli.main(["reorder", str(DATA_DIR / "golden.conllu"), "--lm", str(arpa), "--out", str(pred)]) == 0
+    assert pred.read_bytes() == "".join(f"{sid}\t{text}\n" for sid, text, *_ in expected).encode("utf-8")
+    corpus = conllu.parse_conllu((DATA_DIR / "golden.conllu").read_text("utf-8"))
+    token_lists = [[t.form or t.lemma for t in sorted(s.tokens, key=lambda t: t.id)] for s in corpus.sentences]
+    results = realize_orders(token_lists, lm.parse_arpa(arpa.read_text("utf-8")))
+    assert [
+        [s.sent_id, text, r.method.value, str(r.candidates_evaluated), r.lm_score.total.hex()]
+        for s, (text, r) in zip(corpus.sentences, results)
+    ] == expected
+    assert {row[2] for row in expected} == {"exhaustive", "method1", "method2"}
 
 
 def test_state_keys_equal_exactly_where_the_columns_are():

@@ -114,6 +114,20 @@ def test_encode_empty_errors():
         encode(model, [])
 
 
+def test_untaped_encoder_summary_equals_the_taped_one():
+    # without a tape each step steps only the rows whose input reaches it;
+    # the summary must be the all-rows one bit for bit
+    model, _ = tiny_model(hidden=16, seed=7)
+    rows = [model.vocab.encode(w) for w in ["a", "abcde", "cd", "ebadcbae", "b", "dcd", "bcdeab"]]
+    lengths = np.array([len(row) for row in rows])
+    idx = np.full((len(rows), lengths.max()), PAD, dtype=np.intp)
+    for r, row in enumerate(rows):
+        idx[r, : len(row)] = row
+    untaped = rf._encode_rows(model, idx, lengths)
+    taped = rf._encode_rows(model, idx, lengths, [])
+    assert np.array_equal(untaped.view(np.int64), taped.view(np.int64))
+
+
 def test_encode_mirrored_weights_reverse_input():
     # swapping the direction parameters and reversing the input must give the
     # channel-swapped summary

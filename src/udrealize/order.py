@@ -16,13 +16,11 @@ Every search reads one per-bag ``ScoreTable``.  The bag's distinct words
 get integer ids in sorted order, so comparing id tuples compares word
 tuples.  The table holds the exact ``model.logprob`` value of every
 predicted bag word or ``</s>`` after every history of up to
-``order - 1`` bag words, or ``<s>`` followed by bag words, filled by
-``NGramModel.logprob_ids``.  Histories of up to two words are dense
-arrays (at order 3: a 1-D, a 2-D and a 3-D array); ``ScoreTable.many``
-fills those of many bags with one LM call.  Longer ones, at LM order 4
-and up, get a row each on first use, one LM call per row, or one LM
-call for a whole grid of them.  The searches score whole grids of id
-tuples at once by numpy broadcasting.
+``min(order - 1, 2)`` bag words, or ``<s>`` followed by bag words, filled by
+``NGramModel.logprob_ids``; ``ScoreTable.many`` fills those of many bags
+with one LM call.  The searches read them, and longer histories (LM
+order 4 and up) from the LM, through one reader, ``_Conds``, and score
+whole grids of id tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -53,16 +51,18 @@ strings: it preprocesses, dispatches, and applies casing and the final
 stop.  The bags go through in batches of at most ``ORDER_CHUNK``
 score-table queries, each with one LM call to fill the batch's tables,
 one arrangement pass and one ``lm.score_many`` call for the final
-scores.  The exhaustive search and ``method2``'s greedy chunk fills are
-array passes over the batch too (``_grid_best``): the exhaustive bags
-of each length make one grid of full sentences, and the chunk fills go
-depth by depth, one grid of bare fragments per chunk size holding the
-next chunk of every distinct (bag, chunk-size prefix) at that depth.
-Each grid has a row per bag, its ids padded to the widest bag of the
-pass, and passes hold at most ``ORDER_CHUNK`` entries.  Only
-``method1`` still searches bag by bag.  ``realize_order``,
-``order_words`` and the three searches are one-item calls of the same
-path.
+scores.  All three searches are array passes over the batch.  One grid
+search, ``_grid_best``, finds each row's best tuple of still-unused ids
+after a given history: the exhaustive bags of each length make one grid
+of full sentences; ``method2``'s chunk fills go depth by depth, one grid
+of bare fragments per chunk size holding the next chunk of every
+distinct (bag, chunk-size prefix) at that depth; and ``method1``'s seeds
+are one grid of the best three words after <s> and each first word of
+every ``method1`` bag.  Each grid row's ids are padded to the widest
+bag of the pass, and passes hold at most ``ORDER_CHUNK``
+entries.  ``method1``'s growth then steps all its bags together, one
+word per step.  ``realize_order``, ``order_words`` and the three
+searches are one-item calls of the same path.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ _ARRANGEMENT_CAP = 362880
 # Prefixes scoring within this distance of the best at a DP state are kept.
 _TIE_BAND = 1e-9
 
-# The score table is dense for histories of up to this many words: the
-# seed and chunk searches read every such entry.  Longer histories are
-# read only along search paths, so their rows are filled on first use.
+# The score table holds every history of up to this many words, which the
+# grid searches read over and over.  Longer histories (LM order 4 and up)
+# are looked up in the LM by each grid or growth step that reads them.
 _DENSE_HISTORY = 2
 
 
@@ -179,8 +179,8 @@ def _dense_histories(m: int, dense: int):
     """Every history of up to ``dense`` ids among ``m`` words, the first of
     which may be the marker, section by section (the empty history, then
     one id, then two, ...), padded on the left with -1 to ``dense`` ids.
-    Returns the histories, the section shapes and ends, and the row of
-    each history by its ``_codes`` in base ``m + 2``."""
+    Returns the histories and the row of each history by its ``_codes``
+    in base ``m + 2``."""
     shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
     sizes = [math.prod(shape) for shape in shapes]
     ends = np.cumsum(sizes)
@@ -190,9 +190,9 @@ def _dense_histories(m: int, dense: int):
     rows = np.zeros((m + 2) ** dense, dtype=np.int64)  # without history ids, the one row is row 0
     if dense:
         rows[_codes(padded.T, m + 2)] = np.arange(len(padded))
-    for array in (padded, ends, rows):
+    for array in (padded, rows):
         array.flags.writeable = False
-    return padded, shapes, ends, rows
+    return padded, rows
 
 
 class ScoreTable:
@@ -200,25 +200,31 @@ class ScoreTable:
 
     Word ids follow sorted word order.  The id ``marker`` (the number of
     distinct words) stands for ``<s>`` as the first word of a history and
-    for ``</s>`` as the predicted word.  ``tables[L]`` holds
-    log10 p(word | history of L ids), indexed ``[*history, word]``, for
-    histories of up to ``_DENSE_HISTORY`` words; longer histories (LM
-    order 4 and up) get one row each, filled on first use.  The dense
-    tables are views of rows ``first`` onwards of ``block``, which
-    ``many`` shares among the tables it fills together.
+    for ``</s>`` as the predicted word.  Row ``first + history_rows[code]``
+    of ``block`` holds log10 p(word | history), indexed by predicted id,
+    for each history of up to ``_DENSE_HISTORY`` ids with ``_codes``
+    ``code`` in base ``marker + 2``.  ``many`` fills the tables of a batch
+    into one shared ``block``, and ``_Conds`` reads them.
     """
-
-    def __init__(self, bag: WordBag, model: NGramModel):
-        self._prepare(bag, model)
-        ScoreTable._fill([self])
 
     @classmethod
     def many(cls, bags, model: NGramModel) -> list[ScoreTable]:
-        """The tables of ``bags``, filled by one LM call."""
+        """The tables of ``bags``, filled by one LM call: each table's
+        histories, stacked table after table, before each of its predicted
+        ids and then ``<s>``, whose log p after the empty history (row 0)
+        starts every sentence.  Rows of narrower tables repeat ``<s>``."""
         tables = [cls.__new__(cls) for _ in bags]
         for table, bag in zip(tables, bags):
             table._prepare(bag, model)
-        cls._fill(tables)
+        bos = model.vocab.index(BOS_WORD)
+        firsts = np.cumsum([0] + [len(t.histories) for t in tables])
+        words = np.full((firsts[-1], max(t.marker for t in tables) + 2), bos, dtype=np.int64)
+        for t, first, end in zip(tables, firsts, firsts[1:]):
+            words[first:end, : t.marker + 1] = t.predicted
+        histories = np.concatenate([t.heads[t.histories] for t in tables])
+        block, _ = model.logprob_ids(histories[:, None, :], words)
+        for t, first in zip(tables, firsts.tolist()):
+            t.block, t.first, t.start = block, first, float(block[first, t.marker + 1])
         return tables
 
     def _prepare(self, bag: WordBag, model: NGramModel) -> None:
@@ -234,67 +240,7 @@ class ScoreTable:
         # short history) and of the predicted words
         self.heads = np.array([*ids, model.vocab.index(BOS_WORD), -1], dtype=np.int64)
         self.predicted = np.array([*ids, model.vocab.index(EOS_WORD)], dtype=np.int64)
-        dense = min(self.span, _DENSE_HISTORY)
-        self.histories, self.shapes, self.ends, self.history_rows = _dense_histories(m, dense)
-        self.rows: dict[tuple[int, ...], np.ndarray] = {}
-
-    @staticmethod
-    def _fill(tables: list[ScoreTable]) -> None:
-        """One LM call fills every dense table of ``tables``: each table's
-        histories, stacked table after table, before each of its predicted
-        ids and then ``<s>``, whose log p after the empty history (row 0)
-        starts every sentence.  Rows of narrower tables repeat ``<s>``."""
-        model = tables[0].model
-        bos = model.vocab.index(BOS_WORD)
-        firsts = np.cumsum([0] + [len(t.histories) for t in tables])
-        words = np.full((firsts[-1], max(t.marker for t in tables) + 2), bos, dtype=np.int64)
-        for t, first, end in zip(tables, firsts, firsts[1:]):
-            words[first:end, : t.marker + 1] = t.predicted
-        histories = np.concatenate([t.heads[t.histories] for t in tables])
-        block, _ = model.logprob_ids(histories[:, None, :], words)
-        for t, first in zip(tables, firsts.tolist()):
-            m = t.marker
-            rows = block[first : first + len(t.histories)]
-            t.start = float(rows[0, m + 1])
-            parts = np.split(rows[:, : m + 1], t.ends[:-1])
-            t.tables = [part.reshape(*shape, m + 1) for part, shape in zip(parts, t.shapes)]
-            t.block, t.first = block, first
-
-    def lookup(self, histories: np.ndarray) -> np.ndarray:
-        """log10 p(w | h) for every predicted id w after each history of ids
-        ``histories`` (shape ``S + (L,)``), in one LM call; shape ``S + (m + 1,)``."""
-        logp, _ = self.model.logprob_ids(self.heads[histories][..., None, :], self.predicted)
-        return logp.reshape(*histories.shape[:-1], self.marker + 1)
-
-    def grid(self, size: int) -> tuple:
-        """Open mesh of every ordered ``size``-tuple of word ids."""
-        return np.ix_(*[np.arange(self.marker)] * size)
-
-    def row(self, history: tuple[int, ...]) -> np.ndarray:
-        """log10 p(w | history) for every predicted id w, for a long history."""
-        if history not in self.rows:
-            self.rows[history] = self.lookup(np.array(history, dtype=np.int64))
-        return self.rows[history]
-
-    def cond(self, history, word):
-        """log10 p(word | history); ids may be broadcastable arrays."""
-        h = tuple(history[max(0, len(history) - self.span) :])
-        if len(h) <= _DENSE_HISTORY:
-            return self.tables[len(h)][(*h, word)]
-        if all(np.ndim(i) == 0 for i in h):
-            return self.row(tuple(int(i) for i in h))[word]
-        # a grid of long histories: one LM call for the whole grid
-        histories = np.stack(np.broadcast_arrays(*h), axis=-1)
-        logp, _ = self.model.logprob_ids(self.heads[histories], self.predicted[word])
-        return logp
-
-    def extend(self, total, history, ids):
-        """``total`` plus the conditionals of ``ids`` after ``history``, added left to right."""
-        history = list(history)
-        for w in ids:
-            total = total + self.cond(history, w)
-            history.append(w)
-        return total
+        self.histories, self.history_rows = _dense_histories(m, min(self.span, _DENSE_HISTORY))
 
     def decode(self, ids) -> list[str]:
         return [self.words[i] for i in ids]
@@ -308,10 +254,10 @@ def _stack(parts):
 class _Conds:
     """log10 p(word | history) for (table, history, word) over tables
     filled together, elementwise over broadcastable id arrays.  A history
-    is a list of at most ``span`` id columns, oldest first, -1 for no
-    word.  Read from the dense tables for histories of up to
-    ``_DENSE_HISTORY`` columns, else from the LM: the two give the same
-    floats."""
+    is a list of id columns, oldest first, -1 for no word, of which only
+    the last ``span`` count.  Read from the score block for histories of
+    up to ``_DENSE_HISTORY`` columns, else from the LM: the two give the
+    same floats."""
 
     def __init__(self, tables: list[ScoreTable]):
         self.model, self.block, self.span = tables[0].model, tables[0].block, tables[0].span
@@ -324,6 +270,7 @@ class _Conds:
         self.predicted, self.predicted_offsets = _stack([t.predicted for t in tables])
 
     def __call__(self, table: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
+        history = history[max(0, len(history) - self.span) :]
         if len(history) <= _DENSE_HISTORY:
             return self.block[self.rows[self.row_offsets[table] + _codes(history, self.marker[table] + 2)], word]
         offsets = self.head_offsets[table]
@@ -346,14 +293,6 @@ def _fits(counts, ids):
     return ok
 
 
-def _argmax(scores, ok) -> tuple[float, tuple[int, ...]]:
-    """Best allowed grid entry as (score, id tuple); a tie goes to the
-    first entry in C order, which is the smallest tuple."""
-    masked = np.where(ok, scores, -np.inf)
-    ids = np.unravel_index(int(np.argmax(masked)), masked.shape)
-    return float(masked[ids]), tuple(int(i) for i in ids)
-
-
 def _counts(tables: list[ScoreTable], which: list[int]) -> np.ndarray:
     """The word counts of the bags of ``tables[t]`` for t in ``which``,
     one row each, padded with zeros to the most words any of them has."""
@@ -363,20 +302,24 @@ def _counts(tables: list[ScoreTable], which: list[int]) -> np.ndarray:
     return counts
 
 
-def _grid_best(conds: _Conds, table: np.ndarray, counts: np.ndarray, size: int, sentence: bool) -> np.ndarray:
+def _grid_best(
+    conds: _Conds, table: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray, end=False
+) -> tuple[np.ndarray, np.ndarray]:
     """Per row r: the best ``size``-tuple of the word ids of ``table[r]``
     that uses no word more often than ``counts[r]`` allows, as a row of
-    an (R, size) array.
+    an (R, size) array, and its score.
 
-    A tuple is scored as a bare fragment from 0.0, or with ``sentence``
-    as a full sentence from log p(<s>), its conditionals added left to
-    right; a tie goes to the smallest tuple, the first maximum of the
-    row's grid in C order.  The rows go through in passes of at most
-    ``ORDER_CHUNK`` grid entries (at least one row), with similar word
-    counts together: a pass pads its rows' ids to the most words any of
-    them has, and no count allows a padded id.
+    A tuple is scored from ``start[r]``, adding left to right the
+    conditional of each of its ids after the history so far, which opens
+    with the id columns ``history`` (an entry per row), and with ``end``
+    that of ``</s>`` after it; a tie goes to the smallest tuple, the
+    first maximum of the row's grid in C order.  The rows go through in
+    passes of at most ``ORDER_CHUNK`` grid entries (at least one row),
+    with similar word counts together: a pass pads its rows' ids to the
+    most words any of them has, and no count allows a padded id.
     """
     best = np.zeros((len(table), size), dtype=np.int64)
+    scores = np.zeros(len(table))
     waiting = np.argsort(conds.marker[table], kind="stable")
     while len(waiting):
         cost = np.arange(1, len(waiting) + 1) * conds.marker[table[waiting]] ** size
@@ -385,17 +328,19 @@ def _grid_best(conds: _Conds, table: np.ndarray, counts: np.ndarray, size: int, 
         width = int(conds.marker[table[part[-1]]])
         axes = [np.arange(width).reshape([width if a == p else 1 for a in range(size)]) for p in range(size)]
         ok = _fits(counts[part, :width], axes)
-        t = table[part].reshape(-1, *[1] * size)
+        column = (len(part),) + (1,) * size  # a value per row, against the row's grid
+        t = table[part].reshape(column)
         marker = conds.marker[t]
         ids = [np.minimum(axis, marker - 1) for axis in axes]  # a padded id reads the last word's scores
-        context, score = ([marker], conds.start[t]) if sentence else ([], 0.0)
-        words = context + ids
-        for p, w in enumerate(ids + context):  # a sentence ends with </s>, the marker
-            history = words[: len(context) + p]
-            score = score + conds(t, history[max(0, len(history) - conds.span) :], w)
+        words = [h[part].reshape(column) for h in history] + ids
+        score = start[part].reshape(column)
+        for p, w in enumerate(ids + ([marker] if end else [])):  # </s> is the marker
+            score = score + conds(t, words[: len(history) + p], w)
         masked = np.where(ok, score, -np.inf).reshape(len(part), -1)
-        best[part] = np.stack(np.unravel_index(masked.argmax(axis=1), (width,) * size), axis=1)
-    return best
+        first = masked.argmax(axis=1)
+        best[part] = np.stack(np.unravel_index(first, (width,) * size), axis=1)
+        scores[part] = masked[np.arange(len(part)), first]
+    return best, scores
 
 
 def _exhaustive_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -404,48 +349,73 @@ def _exhaustive_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) 
     one ``_grid_best`` call per bag length."""
     found: dict = {}
     for length in sorted({tables[t].length for t in which}):
-        group = [t for t in which if tables[t].length == length]
-        best = _grid_best(conds, np.array(group), _counts(tables, group), length, True)
-        found.update(zip(group, map(tuple, best.tolist())))
+        group = np.array([t for t in which if tables[t].length == length])
+        marker, start = conds.marker[group], conds.start[group]
+        best, _ = _grid_best(conds, group, _counts(tables, group), length, [marker], start, end=True)
+        found.update(zip(group.tolist(), map(tuple, best.tolist())))
     return [
         (found[t], math.factorial(tables[t].length) // math.prod(map(math.factorial, tables[t].counts.tolist())))
         for t in which
     ]
 
 
-def _method1(table: ScoreTable) -> tuple[tuple[int, ...], dict]:
-    """Best 4-word sentence-initial seed, then greedy one-word extensions."""
-    n = table.length
-    bos = table.marker
-    rest = table.grid(3)
-    best, best_seed = -math.inf, None
-    for first in range(table.marker):  # ascending, so a tie keeps the smaller seed
-        seed = (first, *rest)
-        s, tail = _argmax(table.extend(table.start, [bos], seed), _fits(table.counts, seed))
-        if s > best:
-            best, best_seed = s, (first, *tail)
+def _method1_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> list[tuple[tuple[int, ...], dict]]:
+    """Per table in ``which``: the best 4-word sentence-initial seed of its
+    bag, grown by greedy one-word extensions, and the search's counts.
 
-    sequence = list(best_seed)
-    remaining = table.counts.copy()
-    for w in best_seed:
-        remaining[w] -= 1
-    seed_count = n * (n - 1) * (n - 2) * (n - 3)
-    evaluated = seed_count
-    iterations = 0
-    while len(sequence) < n:
-        iterations += 1
-        candidates = np.flatnonzero(remaining)  # sorted(set(remaining)) as ids
-        gains = table.cond([bos, *sequence], candidates)
-        w = int(candidates[np.argmax(gains)])  # first maximum: the smallest word
-        evaluated += len(candidates)
-        sequence.append(w)
-        remaining[w] -= 1
-    return tuple(sequence), {
-        "method": OrderMethod.METHOD1,
-        "candidates_evaluated": evaluated,
-        "seed_candidates": seed_count,
-        "lrw_iterations": iterations,
-    }
+    The seeds are one ``_grid_best`` call with a row per (bag, first
+    word): the best three further words after <s> and the first word;
+    per bag, the first maximum over its first words in ascending order
+    is the smallest seed.  Growth then steps every bag at once: each
+    step appends to each unfinished bag the remaining word that scores
+    highest after the sequence so far (the smallest on a tie).
+    """
+    if not which:
+        return []
+    owner = np.array(which)
+    remaining = _counts(tables, which)
+    bags, width = remaining.shape
+    row, first = np.nonzero(remaining)  # every (bag, first word), first words ascending
+    t = owner[row]
+    rest = remaining[row]
+    rest[np.arange(len(row)), first] -= 1
+    marker = conds.marker[t]
+    tails, scores = _grid_best(conds, t, rest, 3, [marker, first], conds.start[t] + conds(t, [marker], first))
+    by_first = np.full((bags, width), -np.inf)
+    by_first[row, first] = scores
+    pick = by_first.argmax(axis=1)
+
+    n = np.array([tables[t].length for t in which])
+    sequence = np.zeros((bags, int(n.max())), dtype=np.int64)
+    sequence[:, 0] = pick
+    sequence[:, 1:4] = tails[np.searchsorted(row, np.arange(bags)) + pick]  # a bag's rows are consecutive
+    for column in sequence[:, :4].T:
+        remaining[np.arange(bags), column] -= 1
+    seeds = n * (n - 1) * (n - 2) * (n - 3)
+    evaluated = seeds.copy()
+    for length in range(4, int(n.max())):
+        live = np.flatnonzero(n > length)
+        t = owner[live, None]
+        marker = conds.marker[t]
+        history = [marker, *sequence[live, :length, None].transpose(1, 0, 2)]
+        gains = conds(t, history, np.minimum(np.arange(width), marker - 1))  # a padded id reads the last word
+        allowed = remaining[live] > 0
+        w = np.where(allowed, gains, -np.inf).argmax(axis=1)  # first maximum: the smallest word
+        evaluated[live] += allowed.sum(axis=1)
+        sequence[live, length] = w
+        remaining[live, w] -= 1
+    return [
+        (
+            tuple(sequence[b, :length].tolist()),
+            {
+                "method": OrderMethod.METHOD1,
+                "candidates_evaluated": int(evaluated[b]),
+                "seed_candidates": int(seeds[b]),
+                "lrw_iterations": int(length) - 4,
+            },
+        )
+        for b, length in enumerate(n.tolist())
+    ]
 
 
 def chunk_schemes(n: int) -> list[ChunkScheme]:
@@ -501,7 +471,7 @@ def _chunkings_many(
     for (_, size), keys in sorted(levels.items()):
         parents = [fills[t, sizes[:-1]] for t, sizes in keys]
         remaining = np.stack([counts for _, counts in parents])
-        best = _grid_best(conds, np.array([t for t, _ in keys]), remaining, size, False)
+        best, _ = _grid_best(conds, np.array([t for t, _ in keys]), remaining, size, [], np.zeros(len(keys)))
         for column in best.T:
             remaining[np.arange(len(keys)), column] -= 1
         for key, (chunks, _), chunk, counts in zip(keys, parents, best.tolist(), remaining):
@@ -644,9 +614,9 @@ def _arrange(tables: list[ScoreTable], conds: _Conds, plans) -> tuple[list, np.n
 
 def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
     """``_order`` of one batch: one score-table fill, one exhaustive pass
-    per bag length, one greedy chunk-fill pass per chunk-size prefix
-    depth and chunk size, one arrangement pass and one final-score call;
-    ``method1`` goes bag by bag."""
+    per bag length, one ``method1`` seed pass and growth, one greedy
+    chunk-fill pass per chunk-size prefix depth and chunk size, one
+    arrangement pass and one final-score call."""
     tables = ScoreTable.many(bags, model)
     conds = _Conds(tables)
     which = {method: [t for t, m in enumerate(methods) if m is method] for method in OrderMethod}
@@ -655,8 +625,9 @@ def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
     small = which[OrderMethod.EXHAUSTIVE]
     for t, (ids, evaluated) in zip(small, _exhaustive_many(tables, conds, small)):
         found[t] = (ids, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
-    for t in which[OrderMethod.METHOD1]:
-        found[t] = _method1(tables[t])
+    grown = which[OrderMethod.METHOD1]
+    for t, result in zip(grown, _method1_many(tables, conds, grown)):
+        found[t] = result
     chunked = which[OrderMethod.METHOD2]
     for t, (plan, evaluated, diagnostics) in zip(chunked, _chunkings_many(tables, conds, chunked, cap)):
         plans[t] = plan
@@ -728,8 +699,8 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
 
     The seed stage scores every ordered 4-tuple of distinct bag positions
     (n(n-1)(n-2)(n-3) candidates) as a sentence prefix, with the full
-    ``order - 1`` word history at every LM order, one first word at a
-    time; the remaining words then join one at a time, each time
+    ``order - 1`` word history at every LM order, in one grid per first
+    word; the remaining words then join one at a time, each time
     appending the word whose addition scores highest (the smallest word
     on a tie).
     """

@@ -163,7 +163,9 @@ def _encode_rows(
     With a ``tape``, each step steps every row and appends what
     ``_backward`` reads: (prefix, index column, x, h, c, gates, mask).
     Without one, each step steps only the rows whose input reaches it,
-    and the summary is the taped one bit for bit.
+    a lone row beside a copy of itself, so a row's summary does not
+    depend on the rows batched with it; for two or more rows it is the
+    taped one bit for bit.
     """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
@@ -175,9 +177,9 @@ def _encode_rows(
         for t in steps:
             if tape is None:
                 live = np.flatnonzero(t < lengths)
-                # never one row of several: numpy multiplies a one-row matrix
-                # with BLAS's matrix-vector routine, which adds in another order
-                rows = live if len(live) > 1 or b == 1 else np.append(live, (live[0] + 1) % b)
+                # never one row alone: numpy multiplies a one-row matrix with
+                # BLAS's matrix-vector routine, which adds in another order
+                rows = live if len(live) > 1 else np.repeat(live, 2)
                 # the gates are dropped at once: held through the next step they raise peak memory
                 hn, cn = _lstm_cell(model, prefix, emb[idx[rows, t]], h[rows], c[rows])[:2]
                 h[live], c[live] = hn[: len(live)], cn[: len(live)]
@@ -461,18 +463,21 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
 
     out: list[list[str]] = [[] for _ in pairs]
     live = np.arange(len(pairs))  # rows that have not emitted EOS yet
-    state = None
+    h = c = np.zeros((len(pairs), model.hidden_size))  # their decoder state
     for t in range(model.max_len):
-        logits, state = decode_step(model, emb[idx[live, t]], summary[live], morph[live], state)
+        # a lone row steps beside a copy of itself, as in _encode_rows
+        pick = slice(None) if len(live) > 1 else [0, 0]
+        rows = live[pick]
+        logits, (h, c) = decode_step(model, emb[idx[rows, t]], summary[rows], morph[rows], (h[pick], c[pick]))
         logits[:, [PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
-        best = np.argmax(logits, axis=1)
+        best = np.argmax(logits[: len(live)], axis=1)
         going = best != EOS
         live, best = live[going], best[going]
         for r, ix in zip(live.tolist(), best.tolist()):
             out[r].append(model.vocab.chars[ix])
         if not live.size:
             break
-        state = (state[0][going], state[1][going])
+        h, c = h[: len(going)][going], c[: len(going)][going]
     return ["".join(chars) for chars in out]
 
 

@@ -184,13 +184,16 @@ def _method1_oracle(model, words):
     everything before it (cut to order - 1 words), added left to right.
     Calling ``lm.score`` itself for each of the hundreds of thousands of
     tuples the random-bag test visits would take minutes; the winner's
-    score is checked against it.
+    score is checked against it.  Returns the sequence, and the
+    candidates, seeds and growth steps the loop visited.
     """
     cond = _memo_logprob(model)
     words = sorted(words)
     best, best_seed = -math.inf, None
     c0 = cond("<s>", ())
+    seeds = iterations = 0
     for quad in itertools.permutations(range(len(words)), 4):
+        seeds += 1
         w = tuple(words[i] for i in quad)
         s = (
             c0
@@ -206,21 +209,24 @@ def _method1_oracle(model, words):
     remaining = words.copy()
     for w in best_seed:
         remaining.remove(w)
+    evaluated = seeds
     while remaining:
+        iterations += 1
         prefix = ("<s>", *sequence)
         best_word, best_gain = None, -math.inf
         for w in sorted(set(remaining)):
+            evaluated += 1
             gain = cond(w, prefix)
             if gain > best_gain:
                 best_gain, best_word = gain, w
         sequence.append(best_word)
         remaining.remove(best_word)
-    return sequence
+    return sequence, {"candidates_evaluated": evaluated, "seed_candidates": seeds, "lrw_iterations": iterations}
 
 
 def test_method1_oracle_agreement_random_bags(toy_lm):
     for bag in _oracle_bags(29, 20, 5, 26):
-        _assert_matches_oracle(method1(bag, toy_lm), toy_lm, _method1_oracle(toy_lm, bag.words))
+        _assert_matches_oracle(method1(bag, toy_lm), toy_lm, _method1_oracle(toy_lm, bag.words)[0])
 
 
 def test_method1_final_score_is_full_sentence_score(toy_lm):
@@ -339,7 +345,7 @@ def test_unknown_words_tie_break_to_smallest_sequence(toy_lm):
     bag = WordBag(("qa", "qb", "qc", "qd", "qe", "qf", "qg"))
     assert not set(bag.words) & set(toy_lm.vocab)
     _assert_matches_oracle(method2(bag, toy_lm), toy_lm, _method2_oracle(toy_lm, bag.words))
-    _assert_matches_oracle(method1(bag, toy_lm), toy_lm, _method1_oracle(toy_lm, bag.words))
+    _assert_matches_oracle(method1(bag, toy_lm), toy_lm, _method1_oracle(toy_lm, bag.words)[0])
     assert method2(bag, toy_lm).sequence == list(bag.words)
 
 
@@ -364,7 +370,7 @@ def test_method1_seed_sums_round_like_the_oracle():
     model = _unigram_model({"<s>": -0.7, "</s>": -1.1, "<unk>": -0.7, "w0": -0.3,
                             "w1": -1.3, "w2": -0.2, "w3": -0.3, "w4": -0.3, "w5": -1.3})
     bag = WordBag(("w0", "w1", "w2", "w3", "w4", "w5"))
-    _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words))
+    _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
@@ -372,16 +378,19 @@ def test_score_table_holds_exact_logprobs(lm_order):
     from conftest import toy_corpus_sentences
 
     model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
-    table = ScoreTable(preprocess(["the", "dog", "the", "quix"]), model)
+    (table,) = tables = ScoreTable.many([preprocess(["the", "dog", "the", "quix"])], model)
+    conds = order._Conds(tables)
     m = table.marker
     heads, predicted = [*table.words, "<s>"], [*table.words, "</s>"]
     assert table.start == model.logprob("<s>", ())
-    for length in range(lm_order):
+    # histories of up to order - 1 words, read from the score block and
+    # then from the LM, and one word longer, which both cut
+    for length in range(lm_order + 1):
         axes = [range(m + 1)] + [range(m)] * (length - 1) if length else []
         for history in itertools.product(*axes):
+            got = conds(np.array(0), [np.array(i) for i in history], np.arange(m + 1))
             for w in range(m + 1):
-                expected = model.logprob(predicted[w], [heads[i] for i in history])
-                assert table.cond(history, w) == expected
+                assert got[w] == model.logprob(predicted[w], [heads[i] for i in history])
 
 
 @pytest.mark.parametrize("lm_order", [4, 5])
@@ -392,7 +401,7 @@ def test_method1_seeds_see_the_full_history(lm_order):
 
     model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
     for bag in _oracle_bags(61, 12, 5, 12):
-        _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words))
+        _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 4, 5])
@@ -404,7 +413,7 @@ def test_searches_match_oracles_at_other_lm_orders(lm_order):
     large = preprocess(["the", "old", "dog", "ran", "in", "the", "park", "quix"])
     _assert_matches_oracle(exhaustive(small, model), model, brute_force_best(model, small.words)[0])
     _assert_matches_oracle(method2(large, model), model, _method2_oracle(model, large.words))
-    _assert_matches_oracle(method1(large, model), model, _method1_oracle(model, large.words))
+    _assert_matches_oracle(method1(large, model), model, _method1_oracle(model, large.words)[0])
 
 
 def test_method2_never_beats_full_enumeration(toy_lm):
@@ -439,43 +448,70 @@ def test_method2_candidate_counts(toy_lm, words, evaluated):
     assert method2(preprocess(words), toy_lm).candidates_evaluated == evaluated
 
 
-def _exhaustive_oracle(table):
-    """The per-bag exhaustive search that ``order._exhaustive_many``
-    batches: the best distinct permutation scored as a full sentence, and
-    the number of distinct permutations."""
-    grid = table.grid(table.length)
-    ok = order._fits(table.counts, grid)  # exactly the distinct permutations
-    total = table.extend(table.start, [table.marker], grid) + table.cond([table.marker, *grid], table.marker)
-    return order._argmax(total, ok)[1], int(np.count_nonzero(ok))
+def _fragment_logprob(cond, span, words):
+    """The conditionals of ``words``, each after the words before it (cut
+    to ``span``), added left to right from 0.0."""
+    total = 0.0
+    for j, w in enumerate(words):
+        total += cond(w, words[max(0, j - span) : j])
+    return total
 
 
-def _chunkings_oracle(table, cap):
-    """The per-bag greedy chunk fills that ``order._chunkings_many``
-    batches, with the fill of each prefix of chunk sizes made once."""
-    n = table.length
-    grids = {size: table.grid(size) for size in (1, 2, 3)}
-    fragments = {size: table.extend(0.0, (), grid) for size, grid in grids.items()}
-    fills = {(): ((), table.counts)}  # sizes prefix -> (chunks, remaining word counts)
-    chunkings, diagnostics, evaluated = [], [], 0
-    for scheme in chunk_schemes(n):
-        k = len(scheme.sizes)
-        if math.factorial(k) > cap:
-            diagnostics.append(f"scheme {scheme.sizes}: {k}! arrangements exceed cap {cap}, skipped")
-            continue
-        unused = n
-        for i, size in enumerate(scheme.sizes):
-            evaluated += math.perm(unused, size)
-            unused -= size
-            sizes = scheme.sizes[: i + 1]
-            if sizes not in fills:
-                chunks, remaining = fills[sizes[:-1]]
-                _, chunk = order._argmax(fragments[size], order._fits(remaining, grids[size]))
-                remaining = remaining.copy()
-                for w in chunk:
-                    remaining[w] -= 1
-                fills[sizes] = (chunks + (chunk,), remaining)
-        chunkings.append(fills[scheme.sizes][0])
-    return chunkings, evaluated, diagnostics
+def _exhaustive_oracle(model, words):
+    """The per-bag exhaustive search: the best distinct permutation of the
+    bag scored as a full sentence, as ids among its sorted distinct words,
+    and the number of distinct permutations."""
+    cond = _memo_logprob(model)
+    ids = sorted(set(words))
+    best, best_perm = -math.inf, None
+    perms = sorted(set(itertools.permutations(words)))
+    for perm in perms:  # ascending, so a tie keeps the smaller permutation
+        total = _fragment_logprob(cond, model.order - 1, ("<s>", *perm, "</s>"))
+        if total > best:
+            best, best_perm = total, perm
+    return tuple(ids.index(w) for w in best_perm), len(perms)
+
+
+def _chunkings_oracle(model, words, caps):
+    """The per-bag greedy chunk fills, per cap in ``caps``: the chunks of
+    every kept scheme as ids among the bag's sorted distinct words, the
+    chunk fragments scored and the skip diagnostics.  The fill of each
+    prefix of chunk sizes is made once."""
+    cond = _memo_logprob(model)
+    ids = sorted(set(words))
+    n = len(words)
+    fills = {(): ((), sorted(words))}  # sizes prefix -> (chunks, remaining words, sorted)
+
+    def fill(sizes):
+        if sizes not in fills:
+            chunks, remaining = fill(sizes[:-1])
+            best, chunk = -math.inf, None
+            # permutations of a sorted list come in ascending order, so a tie keeps the smaller tuple
+            for tup in itertools.permutations(remaining, sizes[-1]):
+                total = _fragment_logprob(cond, model.order - 1, tup)
+                if total > best:
+                    best, chunk = total, tup
+            rest = list(remaining)
+            for w in chunk:
+                rest.remove(w)
+            fills[sizes] = (chunks + (tuple(ids.index(w) for w in chunk),), rest)
+        return fills[sizes]
+
+    out = []
+    for cap in caps:
+        chunkings, diagnostics, evaluated = [], [], 0
+        for scheme in chunk_schemes(n):
+            k = len(scheme.sizes)
+            if math.factorial(k) > cap:
+                diagnostics.append(f"scheme {scheme.sizes}: {k}! arrangements exceed cap {cap}, skipped")
+                continue
+            unused = n
+            for size in scheme.sizes:
+                evaluated += math.perm(unused, size)
+                unused -= size
+            chunkings.append(fill(scheme.sizes)[0])
+        out.append((chunkings, evaluated, diagnostics))
+    return out
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
@@ -493,14 +529,37 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
     assert len({len(set(bag.words)) for bag in bags}) >= 10  # rows of a pass are padded
     small = [t for t, bag in enumerate(bags) if len(bag) <= EXHAUSTIVE_LIMIT]
     assert {len(set(bags[t].words)) for t in small if len(bags[t]) == 4} >= {1, 3, 4}
-    for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per fill of 8 or more words
+    large = [t for t, bag in enumerate(bags) if len(bag) >= 5]
+    assert max(len(set(bags[t].words)) for t in large) >= 8  # a seed row of 512 grid entries
+    caps = (2, 24, 720)
+    chunkings = list(zip(*[_chunkings_oracle(model, bag.words, caps) for bag in bags]))
+    exhaustive = [_exhaustive_oracle(model, bags[t].words) for t in small]
+    grown = []
+    for t in large:
+        sequence, counts = _method1_oracle(model, bags[t].words)
+        ids = sorted(set(bags[t].words))
+        grown.append((tuple(ids.index(w) for w in sequence), {"method": OrderMethod.METHOD1, **counts}))
+
+    passes = []  # (grid entries, rows) of each _grid_best pass
+    fits = order._fits
+
+    def spy(counts, ids):  # a pass's count rows, cut to its width
+        passes.append((len(counts) * counts.shape[1] ** len(ids), len(counts)))
+        return fits(counts, ids)
+
+    monkeypatch.setattr(order, "_fits", spy)
+    for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per grid of 8 or more words
         monkeypatch.setattr(order, "ORDER_CHUNK", chunk)
+        passes.clear()
         tables = ScoreTable.many(bags, model)
         conds = order._Conds(tables)
-        for cap in (2, 24, 720):
-            expected = [_chunkings_oracle(table, cap) for table in tables]
-            assert order._chunkings_many(tables, conds, list(range(len(bags))), cap) == expected
-        assert order._exhaustive_many(tables, conds, small) == [_exhaustive_oracle(tables[t]) for t in small]
+        for cap, expected in zip(caps, chunkings):
+            assert order._chunkings_many(tables, conds, list(range(len(bags))), cap) == list(expected)
+        assert order._exhaustive_many(tables, conds, small) == exhaustive
+        assert order._method1_many(tables, conds, large) == grown
+        assert all(entries <= chunk or rows == 1 for entries, rows in passes)
+        assert any(rows > 1 for _, rows in passes)
+    assert any(entries > 400 for entries, _ in passes)
 
 
 def test_method2_limit(toy_lm):
@@ -613,7 +672,7 @@ def test_realize_orders_matches_one_at_a_time(lm_order, monkeypatch):
     assert "ValueError: every chunk scheme was skipped by the arrangement cap" in expected
 
 
-@pytest.mark.parametrize("lm_order", [3, 4])
+@pytest.mark.parametrize("lm_order", [3, 4, 5])
 def test_reorder_output_matches_the_golden_file(tmp_path, lm_order):
     # golden.conllu holds bags of 1-26 words (every method, duplicates, OOV
     # words, an all-OOV tie); the expected output, method, candidate count

@@ -512,6 +512,62 @@ def test_predict_many_matches_oracle(oracle_case):
     assert predict(model, *items[0]) == expected[items[0]]
 
 
+def _decode_trace(model, pairs, monkeypatch):
+    """Per pair of one ``_decode_chunk`` call: its encoder summary and its
+    logits at each decoder step, found by its (summary, tag) input row."""
+    summaries, steps = [], []
+    encode_rows, step = rf._encode_rows, rf.decode_step
+
+    def encode_spy(*args):
+        summaries.append(encode_rows(*args))
+        return summaries[-1]
+
+    def step_spy(model, char_vec, summary, morph_vec, state):
+        logits, state = step(model, char_vec, summary, morph_vec, state)
+        steps.append((np.concatenate([summary, morph_vec], axis=1), logits.copy()))
+        return logits, state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rf, "_encode_rows", encode_spy)
+        patch.setattr(rf, "decode_step", step_spy)
+        rf._decode_chunk(model, pairs)
+    (summary,) = summaries
+    morph = np.stack([feature_vector(tag, model.inventory) for _, tag in pairs])
+    trace = []
+    for row, key in zip(summary, np.concatenate([summary, morph], axis=1)):
+        found = [(inputs == key).all(axis=1) for inputs, _ in steps]
+        trace.append((row, [logits[np.flatnonzero(at)[0]] for at, (_, logits) in zip(found, steps) if at.any()]))
+    return trace
+
+
+def test_a_pair_decodes_bit_identically_alone_and_in_any_chunk(oracle_case, monkeypatch):
+    # numpy multiplies a one-row matrix with BLAS's matrix-vector routine,
+    # which adds in another order than its matrix routine, so no encoder or
+    # decoder step may step a row alone: not a one-pair chunk, and not the
+    # last live row of a chunk
+    model, items = oracle_case
+    chunk = list(dict.fromkeys(items))[: rf.PREDICT_CHUNK]
+    full = _decode_trace(model, chunk, monkeypatch)
+    size = [(len(logits), len(lemma)) for (_, logits), (lemma, _) in zip(full, chunk)]
+    checked = 0
+    for p in sorted(range(len(chunk)), key=lambda p: size[p], reverse=True):
+        # a partner with a shorter lemma that stops decoding first leaves p alone in both stages
+        q = next((q for q in range(len(chunk)) if size[q][0] < size[p][0] and size[q][1] < size[p][1]), None)
+        if q is None:
+            continue
+        alone = _decode_trace(model, [chunk[p]], monkeypatch)[0]
+        beside = _decode_trace(model, [chunk[q], chunk[p]], monkeypatch)[1]
+        for summary, logits in (alone, beside):
+            assert np.array_equal(summary.view(np.int64), full[p][0].view(np.int64))
+            assert len(logits) == len(full[p][1])
+            for got, expected in zip(logits, full[p][1]):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        checked += 1
+        if checked == 12:
+            break
+    assert checked == 12
+
+
 # ------------------------------------------------------------ serialization
 
 def test_checkpoint_round_trip(tmp_path):

@@ -61,10 +61,10 @@ class PipelineConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        numeric = ("lm_order", "threshold", "hidden_size", "epochs", "batch_size", "max_len", "jobs")
-        for name in numeric:
-            if getattr(self, name) < 1:
-                raise UsageError(f"config field {name} must be positive")
+        least = dict.fromkeys(("lm_order", "threshold", "hidden_size", "epochs", "batch_size", "max_len", "jobs"), 1)
+        for name, low in {**least, "seed": 0}.items():  # numpy's generators take no negative seed
+            if getattr(self, name) < low:
+                raise UsageError(f"config field {name} must be at least {low}, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise UsageError(f"config field lr must be a finite positive number, got {self.lr}")
         try:

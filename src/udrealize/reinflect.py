@@ -8,17 +8,20 @@ feature vector, then a softmax layer predicts the output character.
 
 Everything is float64 numpy; no ML framework is involved.  One LSTM
 step, ``_lstm_cell``, serves training and inference.  Training runs
-``_forward`` (the teacher-forced loss, keeping each step's inputs and
-gates on a tape) and ``_backward``, the LSTM's closed-form gradient
-(Graves 2012, ch. 4) summed in a fixed order, so gradient checks stay
-exact and checkpoints bit-reproducible.  ``predict_many`` keeps no tape:
-it decodes each distinct (lemma, tag) pair once, many pairs at a time,
-and ``predict`` is its one-pair case.
+``_forward``, the teacher-forced loss: it knows every step's input up
+front, projects all of them with one product per LSTM and keeps states
+and gates on a tape.  ``_backward``, the LSTM's closed-form gradient
+(Graves 2012, ch. 4), steps back through the recurrence only; each
+weight block's gradient is then one product over all steps, so
+checkpoints are reproducible from run to run.  ``predict_many`` keeps
+no tape: it decodes each distinct (lemma, tag) pair once, many pairs at
+a time, and ``predict`` is its one-pair case.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,17 +138,22 @@ def logistic(x: np.ndarray) -> np.ndarray:
 
     ``e = exp(-|x|)`` is exp(-x) where x >= 0 and exp(x) elsewhere, so
     this is 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for
-    x < 0.
+    x < 0: one denominator, and a numerator of 1 where x >= 0.
     """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    np.copyto(e, 1.0, where=x >= 0)
+    e /= d
+    return e
 
 
-def _lstm_cell(model: Seq2SeqModel, prefix: str, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM step of B rows: the new (h, c) and the gates (i, f, g, o, tanh(c))."""
+def _lstm_cell(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One LSTM step of B rows from ``zx = x @ wx`` (overwritten): new (h, c) and gates (i, f, g, o, tanh c)."""
     params = model.params
     hid = h.shape[1]
-    z = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
+    z = zx  # in place: the caller's zx would otherwise stay alive beside z
+    z += h @ params[f"{prefix}.wh"]
+    z += params[f"{prefix}.b"]
     i = logistic(z[:, 0:hid])
     f = logistic(z[:, hid : 2 * hid])
     g = np.tanh(z[:, 2 * hid : 3 * hid])
@@ -155,40 +163,60 @@ def _lstm_cell(model: Seq2SeqModel, prefix: str, x: np.ndarray, h: np.ndarray, c
     return o * tanh_c, c_new, (i, f, g, o, tanh_c)
 
 
+_Run = namedtuple("_Run", "prefix idx x hs cs gates live")
+
+
+def _run_taped(model: Seq2SeqModel, prefix: str, idx, x, live) -> _Run:
+    """Step one LSTM over the (T, B, width) inputs ``x``, projecting all of them with one product.
+
+    Returns the run for ``_backward``: step t reads state t of the T + 1
+    in ``hs`` and ``cs`` and writes state t + 1, a copy of state t where
+    ``live[t]`` is False; ``idx`` indexes the embeddings in ``x``.
+    """
+    steps, b, width = x.shape
+    hid = model.hidden_size
+    zx = (x.reshape(steps * b, width) @ model.params[f"{prefix}.wx"]).reshape(steps, b, 4 * hid)
+    hs, cs = np.zeros((2, steps + 1, b, hid))
+    gates = []
+    for t in range(steps):
+        h, c, step_gates = _lstm_cell(model, prefix, zx[t], hs[t], cs[t])
+        hs[t + 1], cs[t + 1] = np.where(live[t], h, hs[t]), np.where(live[t], c, cs[t])
+        gates.append(step_gates)
+    return _Run(prefix, idx, x, hs, cs, gates, live)
+
+
 def _encode_rows(
     model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray, tape: list | None = None
 ) -> np.ndarray:
     """The (B, 2H) encoder summary of padded index rows.
 
-    With a ``tape``, each step steps every row and appends what
-    ``_backward`` reads: (prefix, index column, x, h, c, gates, mask).
-    Without one, each step steps only the rows whose input reaches it,
-    a lone row beside a copy of itself, so a row's summary does not
-    depend on the rows batched with it; for two or more rows it is the
-    taped one bit for bit.
+    With a ``tape``, every step steps every row, and the tape gets one
+    ``_run_taped`` run per direction, both on one input array.  Without
+    one, each step steps only the rows whose input reaches it, a lone
+    row beside a copy of itself, so a row's summary does not depend on
+    the rows batched with it; for two or more rows it is the taped one
+    bit for bit.
     """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
     b, max_t = idx.shape
     emb = model.params["emb"]
+    if tape is not None:  # the backward direction runs over the time-reversed views
+        x, live = emb[idx.T], (np.arange(max_t)[:, None] < lengths)[:, :, None]
+        tape += [_run_taped(model, p, idx.T[::d], x[::d], live[::d]) for p, d in (("enc_f", 1), ("enc_b", -1))]
+        return np.concatenate([tape[-2].hs[-1], tape[-1].hs[-1]], axis=1)
     finals = []
     for prefix, steps in (("enc_f", range(max_t)), ("enc_b", range(max_t - 1, -1, -1))):
+        wx = model.params[f"{prefix}.wx"]
         h, c = np.zeros((b, model.hidden_size)), np.zeros((b, model.hidden_size))
         for t in steps:
-            if tape is None:
-                live = np.flatnonzero(t < lengths)
-                # never one row alone: numpy multiplies a one-row matrix with
-                # BLAS's matrix-vector routine, which adds in another order
-                rows = live if len(live) > 1 else np.repeat(live, 2)
-                # the gates are dropped at once: held through the next step they raise peak memory
-                hn, cn = _lstm_cell(model, prefix, emb[idx[rows, t]], h[rows], c[rows])[:2]
-                h[live], c[live] = hn[: len(live)], cn[: len(live)]
-                continue
-            x = emb[idx[:, t]]
-            hn, cn, gates = _lstm_cell(model, prefix, x, h, c)
-            m = (t < lengths)[:, None]  # rows past their end keep the old state
-            tape.append((prefix, idx[:, t], x, h, c, gates, m))
-            h, c = np.where(m, hn, h), np.where(m, cn, c)
+            live = np.flatnonzero(t < lengths)
+            # never one row alone: numpy multiplies a one-row matrix with
+            # BLAS's matrix-vector routine, which adds in another order
+            rows = live if len(live) > 1 else np.repeat(live, 2)
+            # the gates are dropped at once: held through the next step they raise peak memory
+            hn, cn = _lstm_cell(model, prefix, emb[idx[rows, t]] @ wx, h[rows], c[rows])[:2]
+            h[live], c[live] = hn[: len(live)], cn[: len(live)]
         finals.append(h)
     return np.concatenate(finals, axis=1)
 
@@ -224,144 +252,130 @@ def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
     x = np.concatenate([np.atleast_2d(char_vec), np.atleast_2d(summary), np.atleast_2d(morph_vec)], axis=1)
     if state is None:
         state = (np.zeros((x.shape[0], h)), np.zeros((x.shape[0], h)))
-    h_t, c_t = _lstm_cell(model, "dec", x, np.atleast_2d(state[0]), np.atleast_2d(state[1]))[:2]
+    h_t, c_t = _lstm_cell(model, "dec", x @ model.params["dec.wx"], *map(np.atleast_2d, state))[:2]
     logits = h_t @ model.params["out.w"] + model.params["out.b"]
     if single:
         return logits[0], (h_t[0], c_t[0])
     return logits, (h_t, c_t)
 
 
-def _make_batch(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
-    """Pad a list of examples into index matrices for the batched loss."""
-    b = len(examples)
-    enc_len = np.asarray([len(ex.lemma) for ex in examples])
-    dec_len = np.asarray([len(ex.target) + 1 for ex in examples])  # +1 for EOS
-    max_enc = int(enc_len.max())
-    max_dec = int(dec_len.max())
+def _index_rows(rows, width: int) -> np.ndarray:
+    """Lists of indices as the rows of a (len(rows), width) matrix, padded with PAD."""
+    idx = np.full((len(rows), width), PAD, dtype=np.intp)
+    for r, row in enumerate(rows):
+        idx[r, : len(row)] = row
+    return idx
 
-    enc_idx = np.zeros((b, max_enc), dtype=np.intp)
-    dec_idx = np.zeros((b, max_dec), dtype=np.intp)
-    targets = np.zeros((b, max_dec), dtype=np.intp)
-    mask = np.zeros((b, max_dec))
-    morph = np.zeros((b, model.feature_size))
+
+def _make_batch(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
+    """Pad a list of examples into index matrices for the batched loss.
+
+    One index row per example serves both stages, as in ``_decode_chunk``.
+    """
+    lemmas, golds, morph = [], [], np.zeros((len(examples), model.feature_size))
     for r, ex in enumerate(examples):
-        lemma_ix = model.vocab.encode(ex.lemma, diagnostics)
-        target_ix = model.vocab.encode(ex.target, diagnostics) + [EOS]
-        enc_idx[r, : len(lemma_ix)] = lemma_ix
-        # decoder input stream: lemma character at step t, PAD afterwards
-        take = min(len(lemma_ix), max_dec)
-        dec_idx[r, :take] = lemma_ix[:take]
-        targets[r, : len(target_ix)] = target_ix
-        mask[r, : len(target_ix)] = 1.0
+        lemmas.append(model.vocab.encode(ex.lemma, diagnostics))
+        golds.append(model.vocab.encode(ex.target, diagnostics) + [EOS])
         morph[r] = feature_vector(ex.tag, model.inventory, diagnostics)
-    return enc_idx, enc_len, dec_idx, targets, mask, morph
+    enc_len, dec_len = np.asarray([len(row) for row in lemmas]), np.asarray([len(row) for row in golds])
+    max_enc, max_dec = int(enc_len.max()), int(dec_len.max())
+    idx = _index_rows(lemmas, max(max_enc, max_dec))
+    mask = (np.arange(max_dec) < dec_len[:, None]).astype(np.float64)
+    return idx[:, :max_enc], enc_len, idx[:, :max_dec], _index_rows(golds, max_dec), mask, morph
 
 
 def _forward(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
     """Teacher-forced batch loss and the tape that ``_backward`` reads.
 
     The loss is the mean over examples of each example's mean
-    cross-entropy over its target characters and EOS.
+    cross-entropy over its target characters and EOS.  The tape holds
+    the runs of both encoder directions and the decoder, and the
+    (T, B, V) gradient of the loss with respect to the logits.
     """
     enc_idx, enc_len, dec_idx, targets, mask, morph = _make_batch(model, examples, diagnostics)
     b, max_dec = targets.shape
     params = model.params
-    enc_tape: list = []
-    summary = _encode_rows(model, enc_idx, enc_len, enc_tape)
+    hid = model.hidden_size
+    runs: list = []
+    summary = _encode_rows(model, enc_idx, enc_len, runs)
+    # teacher forcing knows every decoder input before the first step; a row
+    # past its EOS keeps its state, as its steps there weigh nothing in the loss
+    x = np.empty((max_dec, b, EMB_DIM + 2 * hid + model.feature_size))
+    x[:, :, :EMB_DIM] = params["emb"][dec_idx.T]
+    x[:, :, EMB_DIM : EMB_DIM + 2 * hid] = summary
+    x[:, :, EMB_DIM + 2 * hid :] = morph
+    runs.append(_run_taped(model, "dec", dec_idx.T, x, mask.T[:, :, None] > 0))
+    logits = (runs[-1].hs[1:].reshape(max_dec * b, hid) @ params["out.w"] + params["out.b"]).reshape(max_dec, b, -1)
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    exp = np.exp(shifted)
+    z = exp.sum(axis=2, keepdims=True)
+    steps, rows, targets = np.arange(max_dec)[:, None], np.arange(b), targets.T
+    ce = -(shifted[steps, rows, targets] - np.log(z[:, :, 0])) * mask.T
     inv_len = 1.0 / mask.sum(axis=1)
     d_ce = np.full(b, 1.0 / b) * inv_len  # d loss / d cross-entropy of each row
-    rows = np.arange(b)
-    h = c = np.zeros((b, model.hidden_size))
-    dec_tape = []
-    for t in range(max_dec):
-        x = np.concatenate([params["emb"][dec_idx[:, t]], summary, morph], axis=1)
-        h_new, c_new, gates = _lstm_cell(model, "dec", x, h, c)
-        logits = h_new @ params["out.w"] + params["out.b"]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        z = exp.sum(axis=1, keepdims=True)
-        step = -(shifted[rows, targets[:, t]] - np.log(z[:, 0])) * mask[:, t]
-        per_example = step if t == 0 else per_example + step
-        dec_tape.append((dec_idx[:, t], x, h, c, gates, h_new, exp / z, targets[:, t], d_ce * mask[:, t]))
-        h, c = h_new, c_new
-    return float((per_example * inv_len).sum() * (1.0 / b)), (enc_tape, dec_tape)
+    d_logits = np.divide(exp, z, out=exp)  # softmax cross-entropy
+    d_logits[steps, rows, targets] -= 1.0
+    d_logits *= (d_ce * mask.T)[:, :, None]
+    return float((ce.sum(axis=0) * inv_len).sum() * (1.0 / b)), (runs, d_logits)
 
 
-def _cell_backward(model: Seq2SeqModel, prefix: str, grads: dict, x, h, c, gates, dh, dc):
-    """Backward pass of one ``_lstm_cell`` call, given the gradients of its new (h, c).
+def _run_backward(model: Seq2SeqModel, run: _Run, grads: dict, d_out) -> np.ndarray:
+    """Backward pass of one ``_run_taped`` run, given ``d_out[t]``, the gradient of step t's h.
 
-    Adds the call's terms to the ``prefix`` blocks of ``grads`` and
-    returns the gradients of x, h and c.
+    The step loop runs only the recurrence; one product over all steps
+    then sets each of the run's blocks in ``grads``.  Returns the
+    (T * B, width) gradient of the run's inputs.
     """
-    i, f, g, o, tanh_c = gates
-    dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    dz = np.concatenate(
-        [
-            dc * g * i * (1.0 - i),  # input gate
-            dc * c * f * (1.0 - f),  # forget gate
-            dc * i * (1.0 - g * g),  # cell candidate
-            dh * tanh_c * o * (1.0 - o),  # output gate
-        ],
-        axis=1,
-    )
-    grads[f"{prefix}.wx"] += x.T @ dz
-    grads[f"{prefix}.wh"] += h.T @ dz
-    grads[f"{prefix}.b"] += dz.sum(axis=0)
-    return dz @ model.params[f"{prefix}.wx"].T, dz @ model.params[f"{prefix}.wh"].T, dc * f
+    prefix, _, x, hs, cs, gates, live = run
+    steps, b, width = x.shape
+    hid = model.hidden_size
+    wh = model.params[f"{prefix}.wh"]
+    dz = np.empty((steps, b, 4 * hid))
+    dh = dc = 0.0
+    for t in reversed(range(steps)):
+        dh = d_out[t] + dh  # a row past its end carried its state through this step unchanged
+        dh, keep_h = np.where(live[t], dh, 0.0), np.where(live[t], 0.0, dh)
+        dc, keep_c = np.where(live[t], dc, 0.0), np.where(live[t], 0.0, dc)
+        i, f, g, o, tanh_c = gates[t]
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz[t, :, 0:hid] = dc * g * i * (1.0 - i)  # input gate
+        dz[t, :, hid : 2 * hid] = dc * cs[t] * f * (1.0 - f)  # forget gate
+        dz[t, :, 2 * hid : 3 * hid] = dc * i * (1.0 - g * g)  # cell candidate
+        dz[t, :, 3 * hid :] = dh * tanh_c * o * (1.0 - o)  # output gate
+        dh, dc = dz[t] @ wh.T + keep_h, dc * f + keep_c
+    dz = dz.reshape(steps * b, 4 * hid)
+    grads[f"{prefix}.wx"] = x.reshape(steps * b, width).T @ dz
+    grads[f"{prefix}.wh"] = hs[:-1].reshape(steps * b, hid).T @ dz
+    grads[f"{prefix}.b"] = dz.sum(axis=0)
+    return dz @ model.params[f"{prefix}.wx"].T
 
 
 def _backward(model: Seq2SeqModel, tape) -> dict[str, np.ndarray]:
     """Gradients of the ``_forward`` loss for every parameter block.
 
-    Each block adds its per-step terms in one fixed order, since another
-    order changes the last bits of trained checkpoints: ``out.*`` in time
-    order; the LSTM blocks and the encoder summary last step first;
-    ``emb`` the decoder's steps last to first, then the forward
-    encoder's, then the backward encoder's, each in reverse of the order
-    it ran them.
+    Each block is one product or sum over all steps of the batch, and
+    ``emb`` one scatter-add over the steps of all three runs.  Sums run
+    in an order set by the batch alone, so checkpoints are reproducible
+    from run to run.
     """
-    enc_tape, dec_tape = tape
-    params = model.params
-    grads = {name: np.zeros_like(params[name]) for name in model.PARAM_NAMES}
+    (enc_f, enc_b, dec), d_logits = tape
+    steps, b, v = d_logits.shape
     hid = model.hidden_size
-
-    def scatter(idx, d_x):
-        full = np.zeros_like(params["emb"])
-        np.add.at(full, idx, d_x)  # repeated characters of a step add up in row order
-        grads["emb"] += full
-
-    d_logits = []
-    for *_, h, probs, target, d_ce in dec_tape:
-        d = probs.copy()  # softmax cross-entropy
-        d[np.arange(len(target)), target] -= 1.0
-        d = d * d_ce[:, None]
-        grads["out.w"] += h.T @ d
-        grads["out.b"] += d.sum(axis=0)
-        d_logits.append(d)
-
-    dh = dc = np.zeros((len(d_logits[0]), hid))
-    d_summary = 0.0
-    for (idx, x, h, c, gates, *_), d in zip(reversed(dec_tape), reversed(d_logits)):
-        dx, dh, dc = _cell_backward(model, "dec", grads, x, h, c, gates, d @ params["out.w"].T + dh, dc)
-        scatter(idx, dx[:, :EMB_DIM])
-        d_summary = d_summary + dx[:, EMB_DIM : EMB_DIM + 2 * hid]
-
-    for prefix, dh in (("enc_f", d_summary[:, :hid]), ("enc_b", d_summary[:, hid:])):
-        dc = np.zeros_like(dh)
-        for _, idx, x, h, c, gates, m in reversed([s for s in enc_tape if s[0] == prefix]):
-            # a row past its end carried its state through this step unchanged
-            dx, dh_prev, dc_prev = _cell_backward(
-                model, prefix, grads, x, h, c, gates, np.where(m, dh, 0.0), np.where(m, dc, 0.0)
-            )
-            dh, dc = dh_prev + np.where(m, 0.0, dh), dc_prev + np.where(m, 0.0, dc)
-            scatter(idx, dx)
-    return grads
+    d = d_logits.reshape(steps * b, v)
+    grads = {"out.w": dec.hs[1:].reshape(steps * b, hid).T @ d, "out.b": d.sum(axis=0)}
+    d_x = [_run_backward(model, dec, grads, (d @ model.params["out.w"].T).reshape(steps, b, hid))]
+    d_summary = d_x[0][:, EMB_DIM : EMB_DIM + 2 * hid].reshape(steps, b, 2 * hid).sum(axis=0)
+    d_enc = np.zeros((2, len(enc_f.gates), b, hid))  # each encoder direction's last state is half the summary
+    d_enc[:, -1] = d_summary.reshape(b, 2, hid).swapaxes(0, 1)
+    d_x += [_run_backward(model, run, grads, d_out) for run, d_out in zip((enc_f, enc_b), d_enc)]
+    grads["emb"] = np.zeros_like(model.params["emb"])
+    idx = np.concatenate([run.idx.ravel() for run in (dec, enc_f, enc_b)])
+    np.add.at(grads["emb"], idx, np.concatenate([dx[:, :EMB_DIM] for dx in d_x]))
+    return {name: grads[name] for name in model.PARAM_NAMES}
 
 
 def loss(model: Seq2SeqModel, example: TrainExample, diagnostics: list[str] | None = None) -> float:
     """Mean per-position cross-entropy of the gold target (with EOS) for one example."""
-    if not example.lemma:
-        raise ValueError("empty input")
     return _forward(model, [example], diagnostics)[0]
 
 
@@ -427,10 +441,19 @@ def train(
             bias1 = 1.0 - beta1**step
             bias2 = 1.0 - beta2**step
             for name, p in params.items():
-                g = grads[name]
-                m_state[name] = beta1 * m_state[name] + (1.0 - beta1) * g
-                v_state[name] = beta2 * v_state[name] + (1.0 - beta2) * g * g
-                p -= lr * (m_state[name] / bias1) / (np.sqrt(v_state[name] / bias2) + eps)
+                # in place, in the order of m = beta1 * m + (1 - beta1) * g, v = beta2 * v
+                # + (1 - beta2) * g * g and p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+                g, m, v = grads[name], m_state[name], v_state[name]
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * g * g
+                update = np.divide(m, bias1)
+                update *= lr
+                np.sqrt(np.divide(v, bias2, out=g), out=g)
+                g += eps
+                update /= g
+                p -= update
             epoch_losses.append(batch_loss)
         if diverged:
             params.update(snapshot)
@@ -454,9 +477,7 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
     # first len(lemma) entries, the decoder reads entry t at step t (PAD
     # past the lemma's end)
     longest = int(lengths.max())
-    idx = np.full((len(rows), max(longest, model.max_len)), PAD, dtype=np.intp)
-    for r, row in enumerate(rows):
-        idx[r, : len(row)] = row
+    idx = _index_rows(rows, max(longest, model.max_len))
     summary = _encode_rows(model, idx[:, :longest], lengths)
     morph = np.stack([feature_vector(tag, model.inventory) for _, tag in pairs])
     emb = model.params["emb"]

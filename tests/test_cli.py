@@ -610,6 +610,20 @@ def test_config_nan_lr_is_usage_error(workspace, tmp_path, capfd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(workspace, tmp_path, capfd, source):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "m.bin"
+    code = cli.main(
+        ["train-reinflector", str(workspace["tsv"]), "--model-out", str(out), "--hidden-size", "4", "--epochs", "1"]
+        + (["--seed", "-1"] if source == "flag" else ["--config", str(config)])
+    )
+    assert code == cli.EXIT_USAGE
+    assert "config field seed must be at least 0, got -1" in capfd.readouterr().err
+    assert not out.exists()
+
+
 def test_config_accepts_integer_lr(workspace, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"lr": 1, "capitalize": False}))

@@ -7,6 +7,7 @@ from udrealize import reinflect as rf
 from udrealize.morphmap import MorphTag, feature_vector
 from udrealize.reinflect import (
     BOS,
+    EMB_DIM,
     EOS,
     PAD,
     UNK,
@@ -97,6 +98,14 @@ def test_logistic_matches_split_formula_bitwise():
     ex = np.exp(x[~pos])
     expected[~pos] = ex / (1.0 + ex)
     got = rf.logistic(x)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # a column slice of a 2-D block, as _lstm_cell passes its gate pre-activations
+    z = rng.standard_normal((217, 4 * 128)) * 8.0
+    gate = z[:, 128:256]
+    got = rf.logistic(gate)
+    expected = np.where(gate >= 0, 1.0 / (1.0 + np.exp(-np.abs(gate))), 0.0)
+    neg = gate < 0
+    expected[neg] = np.exp(gate[neg]) / (1.0 + np.exp(gate[neg]))
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -314,17 +323,16 @@ def relative_grad_error(model, examples, analytic, name, index, eps=1e-5):
     return abs(fd - an) / max(abs(fd), abs(an), 1e-6)
 
 
-@pytest.mark.parametrize(
-    "examples",
-    [
-        [TrainExample("ab", PL_TAG, "abs"), TrainExample("ba", N_TAG, "ba")],
-        # lemma and target lengths both differ: the encoder carries the short
-        # row's state through masked steps, and the decoder mask drops its
-        # steps past EOS
-        [TrainExample("abc", PL_TAG, "abcs"), TrainExample("b", N_TAG, "b")],
-    ],
-    ids=["equal-lengths", "masked-lengths"],
-)
+FD_BATCHES = [
+    [TrainExample("ab", PL_TAG, "abs"), TrainExample("ba", N_TAG, "ba")],
+    # lemma and target lengths both differ: the encoder carries the short
+    # row's state through masked steps, and the decoder mask drops its
+    # steps past EOS
+    [TrainExample("abc", PL_TAG, "abcs"), TrainExample("b", N_TAG, "b")],
+]
+
+
+@pytest.mark.parametrize("examples", FD_BATCHES, ids=["equal-lengths", "masked-lengths"])
 def test_grad_finite_difference_all_parameters(examples):
     # small-model exhaustive check: every scalar parameter against central
     # differences
@@ -335,6 +343,102 @@ def test_grad_finite_difference_all_parameters(examples):
         for i in range(block.size):
             worst = max(worst, relative_grad_error(model, examples, analytic, name, i))
     assert worst < 1e-4, f"worst relative error {worst}"
+
+
+def _oracle_backward(model, tape):
+    """The gradient of ``rf._forward``'s loss, step by step, from its tape.
+
+    Each step's terms are added to every block one step at a time:
+    ``out.*`` in time order, then the decoder and both encoder directions
+    last step first, each step's embedding gradient scattered on its own.
+    """
+    runs, d_logits = tape
+    p = model.params
+    hid = model.hidden_size
+    grads = {name: np.zeros_like(p[name]) for name in model.PARAM_NAMES}
+
+    def cell_backward(prefix, x, h, c, gates, dh, dc):
+        i, f, g, o, tanh_c = gates
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c * f * (1.0 - f), dc * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)],
+            axis=1,
+        )
+        grads[f"{prefix}.wx"] += x.T @ dz
+        grads[f"{prefix}.wh"] += h.T @ dz
+        grads[f"{prefix}.b"] += dz.sum(axis=0)
+        return dz @ p[f"{prefix}.wx"].T, dz @ p[f"{prefix}.wh"].T, dc * f
+
+    def scatter(idx, d_x):
+        full = np.zeros_like(p["emb"])
+        np.add.at(full, idx, d_x)
+        grads["emb"] += full
+
+    encoder, (_, dec_idx, dec_x, dec_hs, dec_cs, dec_gates, _) = runs[:2], runs[2]
+    steps, b, _ = d_logits.shape
+    for t in range(steps):
+        grads["out.w"] += dec_hs[t + 1].T @ d_logits[t]
+        grads["out.b"] += d_logits[t].sum(axis=0)
+    dh = dc = np.zeros((b, hid))
+    d_summary = 0.0
+    for t in reversed(range(steps)):
+        dx, dh, dc = cell_backward(
+            "dec", dec_x[t], dec_hs[t], dec_cs[t], dec_gates[t], d_logits[t] @ p["out.w"].T + dh, dc
+        )
+        scatter(dec_idx[t], dx[:, :EMB_DIM])
+        d_summary = d_summary + dx[:, EMB_DIM : EMB_DIM + 2 * hid]
+    for (prefix, idx, x, hs, cs, gates, live), dh in zip(encoder, (d_summary[:, :hid], d_summary[:, hid:])):
+        dc = np.zeros_like(dh)
+        for t in reversed(range(len(gates))):
+            m = live[t]  # a row past its end carried its state through this step unchanged
+            dx, dh_prev, dc_prev = cell_backward(
+                prefix, x[t], hs[t], cs[t], gates[t], np.where(m, dh, 0.0), np.where(m, dc, 0.0)
+            )
+            dh, dc = dh_prev + np.where(m, 0.0, dh), dc_prev + np.where(m, 0.0, dc)
+            scatter(idx[t], dx)
+    return grads
+
+
+def _synth_batch():
+    from _synth import make_dataset
+
+    train_set, _ = make_dataset(seed=8, per_class=20)
+    return build_model(train_set, hidden_size=16, max_len=12, seed=8), train_set[:32]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (build_model(FD_BATCHES[0], hidden_size=2, max_len=8, seed=3), FD_BATCHES[0]),
+        lambda: (build_model(FD_BATCHES[1], hidden_size=2, max_len=8, seed=3), FD_BATCHES[1]),
+        _synth_batch,
+    ],
+    ids=["equal-lengths", "masked-lengths", "synth-32"],
+)
+def test_stacked_gradient_matches_per_step_oracle(case):
+    # the two differ only in the order of their float sums; an entry that
+    # cancels to near zero is held to 1e-12 of its block's largest entry
+    model, examples = case()
+    tape = rf._forward(model, examples)[1]
+    stacked, oracle = rf._backward(model, tape), _oracle_backward(model, tape)
+    assert list(stacked) == list(model.PARAM_NAMES)
+    for name in model.PARAM_NAMES:
+        scale = np.abs(oracle[name]).max()
+        np.testing.assert_allclose(stacked[name], oracle[name], rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+def test_training_on_the_per_step_oracle_stays_with_the_stacked_run(monkeypatch):
+    from _synth import make_dataset
+
+    train_set, _ = make_dataset(seed=9, per_class=30)
+    stacked = build_model(train_set, hidden_size=16, max_len=12, seed=9)
+    stacked, stacked_trace = train(stacked, train_set, epochs=2, lr=5e-3, seed=9, batch_size=32)
+    monkeypatch.setattr(rf, "_backward", _oracle_backward)
+    per_step = build_model(train_set, hidden_size=16, max_len=12, seed=9)
+    per_step, per_step_trace = train(per_step, train_set, epochs=2, lr=5e-3, seed=9, batch_size=32)
+    assert np.allclose(stacked_trace, per_step_trace, rtol=0, atol=1e-10)
+    for name in stacked.PARAM_NAMES:
+        assert np.abs(stacked.params[name] - per_step.params[name]).max() < 1e-10, name
 
 
 def test_grad_duplicated_batch_equals_single():

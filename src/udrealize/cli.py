@@ -49,7 +49,7 @@ class PipelineConfig:
     """Tunables shared by the ordering and reinflection stages."""
 
     lm_order: int = 3
-    threshold: int = 23
+    threshold: int = order.DEFAULT_THRESHOLD
     hidden_size: int = 128
     epochs: int = 20
     lr: float = 1e-3
@@ -393,7 +393,9 @@ def build_parser() -> _Parser:
         if name == "realize":
             p.add_argument("--reinflector", help="checkpoint from train-reinflector")
         p.add_argument("--out", required=True)
-        p.add_argument("--threshold", type=int, help="max length handled by method2 (default 23)")
+        p.add_argument(
+            "--threshold", type=int, help=f"max length handled by method2 (default {order.DEFAULT_THRESHOLD})"
+        )
         p.add_argument("--no-full-stop", action="store_true")
         p.add_argument("--no-capitalize", action="store_true")
         p.add_argument(

@@ -99,10 +99,6 @@ class Vocabulary:
             seen.update(sentence.lower().split())
         return cls.from_words(seen)
 
-    @classmethod
-    def from_text(cls, text: str) -> "Vocabulary":
-        return cls.from_words(w for w in text.splitlines() if w.strip())
-
     def to_text(self) -> str:
         """One corpus word per line (reserved markers are implicit)."""
         words = [w for w in self.words if w not in RESERVED_WORDS]

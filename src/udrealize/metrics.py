@@ -136,7 +136,7 @@ class EvalReport:
     bleu: float
     nist: float
     dist: float
-    per_sentence: list[tuple[float, float, float]]
+    dists: list[float]
     sentences: int
     hyp_tokens: int
     ref_tokens: int
@@ -167,26 +167,22 @@ def _tokenize(text: str) -> list[str]:
 
 
 def evaluate_pairs(hypotheses: list[str], references: list[str]) -> EvalReport:
-    """Score aligned sentence strings; corpus metrics plus per-sentence triples.
+    """Score aligned sentence strings: corpus BLEU, NIST and DIST, and
+    each sentence's DIST.
 
     Tokenization is whitespace splitting after lowercasing.  Corpus DIST
-    is the mean of per-sentence DIST values; per-sentence BLEU/NIST treat
-    each pair as its own one-sentence corpus.
+    is the mean of the per-sentence DIST values.
     """
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis and reference lists must have equal length")
     hyp_tokens = [_tokenize(h) for h in hypotheses]
     ref_tokens = [_tokenize(r) for r in references]
-    per_sentence = [
-        (bleu([h], [r]), nist([h], [r]), dist(hs, rs))
-        for h, r, hs, rs in zip(hyp_tokens, ref_tokens, hypotheses, references)
-    ]
-    dists = [row[2] for row in per_sentence]
+    dists = [dist(h, r) for h, r in zip(hypotheses, references)]
     return EvalReport(
         bleu=bleu(hyp_tokens, ref_tokens),
         nist=nist(hyp_tokens, ref_tokens),
         dist=sum(dists) / len(dists) if dists else 100.0,
-        per_sentence=per_sentence,
+        dists=dists,
         sentences=len(hypotheses),
         hyp_tokens=sum(len(t) for t in hyp_tokens),
         ref_tokens=sum(len(t) for t in ref_tokens),

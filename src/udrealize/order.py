@@ -12,15 +12,16 @@ Three search strategies, dispatched on bag size:
                     the sequence greedily from the remaining words;
                     beyond the threshold.
 
-Every search reads one per-bag ``ScoreTable``.  The bag's distinct words
-get integer ids in sorted order, so comparing id tuples compares word
-tuples.  The table holds the exact ``model.logprob`` value of every
-predicted bag word or ``</s>`` after every history of up to
-``min(order - 1, 2)`` bag words, or ``<s>`` followed by bag words, filled by
-``NGramModel.logprob_ids``; ``ScoreTable.many`` fills those of many bags
-with one LM call.  The searches read them, and longer histories (LM
-order 4 and up) from the LM, through one reader, ``_Conds``, and score
-whole grids of id tuples at once by numpy broadcasting.
+Every search reads one ``ScoreTable`` per batch of bags.  Each bag's
+distinct words get integer ids in sorted order, so comparing id tuples
+compares word tuples.  For every bag, the table holds the exact
+``model.logprob`` value of every predicted bag word or ``</s>`` after
+every history of up to ``min(order - 1, 2)`` of the bag's words, or
+``<s>`` followed by them, filled for the whole batch by one
+``NGramModel.logprob_ids`` call.  Calling the table reads those values,
+and longer histories (LM order 4 and up) from the LM, for arrays of
+(bag, history, word) ids, so the searches score whole grids of id
+tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -49,7 +50,7 @@ by sorting the rows.
 ``realize_orders`` takes a whole command's token lists to sentence
 strings: it preprocesses, dispatches, and applies casing and the final
 stop.  The bags go through in batches of at most ``ORDER_CHUNK``
-score-table queries, each with one LM call to fill the batch's tables,
+score-table queries, each with one LM call to fill the batch's table,
 one arrangement pass and one ``lm.score_many`` call for the final
 scores.  All three searches are array passes over the batch.  One grid
 search, ``_grid_best``, finds each row's best tuple of still-unused ids
@@ -81,6 +82,9 @@ from .lm import BOS_WORD, EOS_WORD, LmScore, NGramModel, score_many
 # below it, so every bag past the threshold has the 5 words method1 needs.
 EXHAUSTIVE_LIMIT = 4
 
+# Longest bag method2 handles by default; longer bags go to method1.
+DEFAULT_THRESHOLD = 23
+
 # Score-table queries (history rows times predicted words) that one batch
 # of bags fills with one LM call; bounds the memory of a batch.  A bag
 # larger than this is a batch of its own.
@@ -92,9 +96,10 @@ _ARRANGEMENT_CAP = 362880
 # Prefixes scoring within this distance of the best at a DP state are kept.
 _TIE_BAND = 1e-9
 
-# The score table holds every history of up to this many words, which the
-# grid searches read over and over.  Longer histories (LM order 4 and up)
-# are looked up in the LM by each grid or growth step that reads them.
+# A batch's score table holds, for each bag, every history of up to this
+# many of its words, which the grid searches read over and over.  Longer
+# histories (LM order 4 and up) are looked up in the LM by each grid or
+# growth step that reads them.
 _DENSE_HISTORY = 2
 
 
@@ -142,7 +147,7 @@ class OrderingResult:
 
 @dataclass
 class OrderConfig:
-    threshold: int = 23
+    threshold: int = DEFAULT_THRESHOLD
     capitalize: bool = True
     append_full_stop: bool = True
 
@@ -196,89 +201,67 @@ def _dense_histories(m: int, dense: int):
 
 
 class ScoreTable:
-    """Exact conditional log10 probabilities among one bag's words.
+    """Exact conditional log10 probabilities among each bag's words, for a
+    batch of bags filled by one LM call.
 
-    Word ids follow sorted word order.  The id ``marker`` (the number of
-    distinct words) stands for ``<s>`` as the first word of a history and
-    for ``</s>`` as the predicted word.  Row ``first + history_rows[code]``
-    of ``block`` holds log10 p(word | history), indexed by predicted id,
-    for each history of up to ``_DENSE_HISTORY`` ids with ``_codes``
-    ``code`` in base ``marker + 2``.  ``many`` fills the tables of a batch
-    into one shared ``block``, and ``_Conds`` reads them.
+    A bag's word ids follow its sorted word order; ``marker[b]`` (the
+    number of distinct words of bag b) stands for ``<s>`` as the first
+    word of a history and for ``</s>`` as the predicted word.  Row
+    ``rows[b, code]`` of ``block`` holds log10 p(word | history), indexed
+    by predicted id, for each history of up to ``_DENSE_HISTORY`` ids of
+    bag b with ``_codes`` ``code`` in base ``marker[b] + 2``.  The per-bag
+    arrays ``counts``, ``heads`` and ``predicted`` are padded to the
+    widest bag and indexed ``[bag, id]``: ``heads`` and ``predicted`` hold
+    the vocabulary ids of the history and predicted words, ``heads`` with
+    ``<s>`` at the marker and -1 (no word) after it, ``predicted`` with
+    ``</s>`` at the marker and ``<s>`` after it.
     """
 
-    @classmethod
-    def many(cls, bags, model: NGramModel) -> list[ScoreTable]:
-        """The tables of ``bags``, filled by one LM call: each table's
-        histories, stacked table after table, before each of its predicted
-        ids and then ``<s>``, whose log p after the empty history (row 0)
-        starts every sentence.  Rows of narrower tables repeat ``<s>``."""
-        tables = [cls.__new__(cls) for _ in bags]
-        for table, bag in zip(tables, bags):
-            table._prepare(bag, model)
+    def __init__(self, bags, model: NGramModel):
+        self.model, self.span = model, model.order - 1
+        self.words = [sorted(set(bag.words)) for bag in bags]
+        self.length = np.array([len(bag) for bag in bags])
+        self.marker = np.array([len(words) for words in self.words])
+        dense = min(self.span, _DENSE_HISTORY)
+        width = int(self.marker.max()) + 2
         bos = model.vocab.index(BOS_WORD)
-        firsts = np.cumsum([0] + [len(t.histories) for t in tables])
-        words = np.full((firsts[-1], max(t.marker for t in tables) + 2), bos, dtype=np.int64)
-        for t, first, end in zip(tables, firsts, firsts[1:]):
-            words[first:end, : t.marker + 1] = t.predicted
-        histories = np.concatenate([t.heads[t.histories] for t in tables])
-        block, _ = model.logprob_ids(histories[:, None, :], words)
-        for t, first in zip(tables, firsts.tolist()):
-            t.block, t.first, t.start = block, first, float(block[first, t.marker + 1])
-        return tables
+        self.counts = np.zeros((len(bags), width - 2), dtype=np.int64)
+        self.heads = np.full((len(bags), width), -1, dtype=np.int64)
+        self.predicted = np.full((len(bags), width), bos, dtype=np.int64)
+        self.rows = np.zeros((len(bags), width**dense), dtype=np.int64)
+        histories, first = [], 0
+        for b, (bag, words) in enumerate(zip(bags, self.words)):
+            m = len(words)
+            index = {w: i for i, w in enumerate(words)}
+            self.counts[b, :m] = np.bincount([index[w] for w in bag.words], minlength=m)
+            ids = [model.vocab.index(w) for w in words]
+            self.heads[b, : m + 1] = [*ids, bos]
+            self.predicted[b, : m + 1] = [*ids, model.vocab.index(EOS_WORD)]
+            padded, rows = _dense_histories(m, dense)
+            self.rows[b, : len(rows)] = first + rows
+            histories.append(self.heads[b, padded])  # the id -1 reads the last column, -1
+            first += len(padded)
+        # each history before every predicted id of its bag, then <s>, whose
+        # log p after the empty history (a bag's first row) starts every sentence
+        owner = np.repeat(np.arange(len(bags)), [len(h) for h in histories])
+        self.block, _ = model.logprob_ids(np.concatenate(histories)[:, None, :], self.predicted[owner])
+        self.start = self.block[self.rows[:, 0], self.marker + 1]
 
-    def _prepare(self, bag: WordBag, model: NGramModel) -> None:
-        self.model = model
-        self.length = len(bag)
-        self.words = sorted(set(bag.words))
-        self.marker = m = len(self.words)
-        index = {w: i for i, w in enumerate(self.words)}
-        self.counts = np.bincount([index[w] for w in bag.words], minlength=m)
-        self.span = model.order - 1
-        ids = [model.vocab.index(w) for w in self.words]
-        # vocabulary ids of the history words (the id -1, no word, pads a
-        # short history) and of the predicted words
-        self.heads = np.array([*ids, model.vocab.index(BOS_WORD), -1], dtype=np.int64)
-        self.predicted = np.array([*ids, model.vocab.index(EOS_WORD)], dtype=np.int64)
-        self.histories, self.history_rows = _dense_histories(m, min(self.span, _DENSE_HISTORY))
-
-    def decode(self, ids) -> list[str]:
-        return [self.words[i] for i in ids]
-
-
-def _stack(parts):
-    """The arrays ``parts`` end to end, and the index where each starts."""
-    return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts[:-1]])
-
-
-class _Conds:
-    """log10 p(word | history) for (table, history, word) over tables
-    filled together, elementwise over broadcastable id arrays.  A history
-    is a list of id columns, oldest first, -1 for no word, of which only
-    the last ``span`` count.  Read from the score block for histories of
-    up to ``_DENSE_HISTORY`` columns, else from the LM: the two give the
-    same floats."""
-
-    def __init__(self, tables: list[ScoreTable]):
-        self.model, self.block, self.span = tables[0].model, tables[0].block, tables[0].span
-        self.marker = np.array([t.marker for t in tables])
-        self.start = np.array([t.start for t in tables])
-        # per table: the block row of each history code, and the vocabulary
-        # ids of the history words (the last one -1, no word) and of the predicted words
-        self.rows, self.row_offsets = _stack([t.first + t.history_rows for t in tables])
-        self.heads, self.head_offsets = _stack([t.heads for t in tables])
-        self.predicted, self.predicted_offsets = _stack([t.predicted for t in tables])
-
-    def __call__(self, table: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
+    def __call__(self, bag: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
+        """log10 p(word | history) of bag ``bag``, elementwise over
+        broadcastable id arrays.  A history is a list of id columns, oldest
+        first, -1 for no word, of which only the last ``span`` count.  Read
+        from the block for histories of up to ``_DENSE_HISTORY`` columns,
+        else from the LM: the two give the same floats."""
         history = history[max(0, len(history) - self.span) :]
         if len(history) <= _DENSE_HISTORY:
-            return self.block[self.rows[self.row_offsets[table] + _codes(history, self.marker[table] + 2)], word]
-        offsets = self.head_offsets[table]
-        heads = [self.heads[offsets + np.where(h < 0, self.marker[table] + 1, h)] for h in history]
-        logp, _ = self.model.logprob_ids(
-            np.stack(np.broadcast_arrays(*heads), axis=-1), self.predicted[self.predicted_offsets[table] + word]
-        )
+            return self.block[self.rows[bag, _codes(history, self.marker[bag] + 2)], word]
+        heads = [self.heads[bag, h] for h in history]  # the id -1 reads the last column, -1
+        logp, _ = self.model.logprob_ids(np.stack(np.broadcast_arrays(*heads), axis=-1), self.predicted[bag, word])
         return logp
+
+    def decode(self, bag: int, ids) -> list[str]:
+        return [self.words[bag][i] for i in ids]
 
 
 def _fits(counts, ids):
@@ -293,19 +276,10 @@ def _fits(counts, ids):
     return ok
 
 
-def _counts(tables: list[ScoreTable], which: list[int]) -> np.ndarray:
-    """The word counts of the bags of ``tables[t]`` for t in ``which``,
-    one row each, padded with zeros to the most words any of them has."""
-    counts = np.zeros((len(which), max((tables[t].marker for t in which), default=0)), dtype=np.int64)
-    for row, t in zip(counts, which):
-        row[: tables[t].marker] = tables[t].counts
-    return counts
-
-
 def _grid_best(
-    conds: _Conds, table: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray, end=False
+    table: ScoreTable, bag: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray, end=False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row r: the best ``size``-tuple of the word ids of ``table[r]``
+    """Per row r: the best ``size``-tuple of the word ids of bag ``bag[r]``
     that uses no word more often than ``counts[r]`` allows, as a row of
     an (R, size) array, and its score.
 
@@ -318,24 +292,24 @@ def _grid_best(
     with similar word counts together: a pass pads its rows' ids to the
     most words any of them has, and no count allows a padded id.
     """
-    best = np.zeros((len(table), size), dtype=np.int64)
-    scores = np.zeros(len(table))
-    waiting = np.argsort(conds.marker[table], kind="stable")
+    best = np.zeros((len(bag), size), dtype=np.int64)
+    scores = np.zeros(len(bag))
+    waiting = np.argsort(table.marker[bag], kind="stable")
     while len(waiting):
-        cost = np.arange(1, len(waiting) + 1) * conds.marker[table[waiting]] ** size
+        cost = np.arange(1, len(waiting) + 1) * table.marker[bag[waiting]] ** size
         rows = max(1, int(np.searchsorted(cost, ORDER_CHUNK, side="right")))
         part, waiting = waiting[:rows], waiting[rows:]
-        width = int(conds.marker[table[part[-1]]])
+        width = int(table.marker[bag[part[-1]]])
         axes = [np.arange(width).reshape([width if a == p else 1 for a in range(size)]) for p in range(size)]
         ok = _fits(counts[part, :width], axes)
         column = (len(part),) + (1,) * size  # a value per row, against the row's grid
-        t = table[part].reshape(column)
-        marker = conds.marker[t]
+        b = bag[part].reshape(column)
+        marker = table.marker[b]
         ids = [np.minimum(axis, marker - 1) for axis in axes]  # a padded id reads the last word's scores
         words = [h[part].reshape(column) for h in history] + ids
         score = start[part].reshape(column)
         for p, w in enumerate(ids + ([marker] if end else [])):  # </s> is the marker
-            score = score + conds(t, words[: len(history) + p], w)
+            score = score + table(b, words[: len(history) + p], w)
         masked = np.where(ok, score, -np.inf).reshape(len(part), -1)
         first = masked.argmax(axis=1)
         best[part] = np.stack(np.unravel_index(first, (width,) * size), axis=1)
@@ -343,25 +317,25 @@ def _grid_best(
     return best, scores
 
 
-def _exhaustive_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Per table in ``which``: the best distinct permutation of its bag,
-    scored as a full sentence, and the number of distinct permutations;
-    one ``_grid_best`` call per bag length."""
+def _exhaustive_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Per bag in ``which``: its best distinct permutation, scored as a
+    full sentence, and the number of distinct permutations; one
+    ``_grid_best`` call per bag length."""
     found: dict = {}
-    for length in sorted({tables[t].length for t in which}):
-        group = np.array([t for t in which if tables[t].length == length])
-        marker, start = conds.marker[group], conds.start[group]
-        best, _ = _grid_best(conds, group, _counts(tables, group), length, [marker], start, end=True)
+    for length in sorted({int(table.length[b]) for b in which}):
+        group = np.array([b for b in which if table.length[b] == length])
+        start = table.start[group]
+        best, _ = _grid_best(table, group, table.counts[group], length, [table.marker[group]], start, end=True)
         found.update(zip(group.tolist(), map(tuple, best.tolist())))
     return [
-        (found[t], math.factorial(tables[t].length) // math.prod(map(math.factorial, tables[t].counts.tolist())))
-        for t in which
+        (found[b], math.factorial(table.length[b]) // math.prod(map(math.factorial, table.counts[b].tolist())))
+        for b in which
     ]
 
 
-def _method1_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> list[tuple[tuple[int, ...], dict]]:
-    """Per table in ``which``: the best 4-word sentence-initial seed of its
-    bag, grown by greedy one-word extensions, and the search's counts.
+def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, ...], dict]]:
+    """Per bag in ``which``: its best 4-word sentence-initial seed, grown
+    by greedy one-word extensions, and the search's counts.
 
     The seeds are one ``_grid_best`` call with a row per (bag, first
     word): the best three further words after <s> and the first word;
@@ -373,19 +347,19 @@ def _method1_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> 
     if not which:
         return []
     owner = np.array(which)
-    remaining = _counts(tables, which)
+    remaining = table.counts[owner, : int(table.marker[owner].max())]
     bags, width = remaining.shape
     row, first = np.nonzero(remaining)  # every (bag, first word), first words ascending
-    t = owner[row]
+    b = owner[row]
     rest = remaining[row]
     rest[np.arange(len(row)), first] -= 1
-    marker = conds.marker[t]
-    tails, scores = _grid_best(conds, t, rest, 3, [marker, first], conds.start[t] + conds(t, [marker], first))
+    marker = table.marker[b]
+    tails, scores = _grid_best(table, b, rest, 3, [marker, first], table.start[b] + table(b, [marker], first))
     by_first = np.full((bags, width), -np.inf)
     by_first[row, first] = scores
     pick = by_first.argmax(axis=1)
 
-    n = np.array([tables[t].length for t in which])
+    n = table.length[owner]
     sequence = np.zeros((bags, int(n.max())), dtype=np.int64)
     sequence[:, 0] = pick
     sequence[:, 1:4] = tails[np.searchsorted(row, np.arange(bags)) + pick]  # a bag's rows are consecutive
@@ -395,10 +369,10 @@ def _method1_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> 
     evaluated = seeds.copy()
     for length in range(4, int(n.max())):
         live = np.flatnonzero(n > length)
-        t = owner[live, None]
-        marker = conds.marker[t]
+        b = owner[live, None]
+        marker = table.marker[b]
         history = [marker, *sequence[live, :length, None].transpose(1, 0, 2)]
-        gains = conds(t, history, np.minimum(np.arange(width), marker - 1))  # a padded id reads the last word
+        gains = table(b, history, np.minimum(np.arange(width), marker - 1))  # a padded id reads the last word
         allowed = remaining[live] > 0
         w = np.where(allowed, gains, -np.inf).argmax(axis=1)  # first maximum: the smallest word
         evaluated[live] += allowed.sum(axis=1)
@@ -406,15 +380,15 @@ def _method1_many(tables: list[ScoreTable], conds: _Conds, which: list[int]) -> 
         remaining[live, w] -= 1
     return [
         (
-            tuple(sequence[b, :length].tolist()),
+            tuple(sequence[i, :length].tolist()),
             {
                 "method": OrderMethod.METHOD1,
-                "candidates_evaluated": int(evaluated[b]),
-                "seed_candidates": int(seeds[b]),
+                "candidates_evaluated": int(evaluated[i]),
+                "seed_candidates": int(seeds[i]),
                 "lrw_iterations": int(length) - 4,
             },
         )
-        for b, length in enumerate(n.tolist())
+        for i, length in enumerate(n.tolist())
     ]
 
 
@@ -447,38 +421,38 @@ def _chunk_schemes(n: int) -> tuple[ChunkScheme, ...]:
 
 
 def _chunkings_many(
-    tables: list[ScoreTable], conds: _Conds, which: list[int], cap: int
+    table: ScoreTable, which: list[int], cap: int
 ) -> list[tuple[list[tuple[tuple[int, ...], ...]], int, list[str]]]:
-    """Per table in ``which``: the greedy chunks of every chunk scheme
+    """Per bag in ``which``: the greedy chunks of every chunk scheme
     with at most ``cap`` arrangements, the chunk fragments scored, and a
     diagnostic per skipped scheme.
 
     Chunks are filled in scheme order with the highest-scoring ordered
     tuple of still-unused words, scored as a bare fragment.  Schemes
     sharing their first chunk sizes share those fills, so each distinct
-    (table, sizes prefix) is filled once.  The fills go depth by depth,
+    (bag, sizes prefix) is filled once.  The fills go depth by depth,
     since a prefix's fill needs its parent's remaining words: depth d
     fills the d-th chunk of every prefix of d sizes, with one
     ``_grid_best`` call per chunk size.
     """
-    plans = [_scheme_plan(tables[t].length, cap) for t in which]
-    levels: dict = {}  # (depth, chunk size) -> the (table, sizes prefix) pairs ending there
-    for t, (_, _, _, prefixes) in zip(which, plans):
+    plans = [_scheme_plan(int(table.length[b]), cap) for b in which]
+    levels: dict = {}  # (depth, chunk size) -> the (bag, sizes prefix) pairs ending there
+    for b, (_, _, _, prefixes) in zip(which, plans):
         for sizes in prefixes:
-            levels.setdefault((len(sizes), sizes[-1]), []).append((t, sizes))
-    # (table, sizes prefix) -> (the chunks filled, the word counts they leave)
-    fills = {(t, ()): ((), counts) for t, counts in zip(which, _counts(tables, which))}
+            levels.setdefault((len(sizes), sizes[-1]), []).append((b, sizes))
+    # (bag, sizes prefix) -> (the chunks filled, the word counts they leave)
+    fills = {(b, ()): ((), table.counts[b]) for b in which}
     for (_, size), keys in sorted(levels.items()):
-        parents = [fills[t, sizes[:-1]] for t, sizes in keys]
+        parents = [fills[b, sizes[:-1]] for b, sizes in keys]
         remaining = np.stack([counts for _, counts in parents])
-        best, _ = _grid_best(conds, np.array([t for t, _ in keys]), remaining, size, [], np.zeros(len(keys)))
+        best, _ = _grid_best(table, np.array([b for b, _ in keys]), remaining, size, [], np.zeros(len(keys)))
         for column in best.T:
             remaining[np.arange(len(keys)), column] -= 1
         for key, (chunks, _), chunk, counts in zip(keys, parents, best.tolist(), remaining):
             fills[key] = (chunks + (tuple(chunk),), counts)
     return [
-        ([fills[t, sizes][0] for sizes in kept], evaluated, list(diagnostics))
-        for t, (kept, evaluated, diagnostics, _) in zip(which, plans)
+        ([fills[b, sizes][0] for sizes in kept], evaluated, list(diagnostics))
+        for b, (kept, evaluated, diagnostics, _) in zip(which, plans)
     ]
 
 
@@ -535,20 +509,20 @@ def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.
     return rows, head[first]
 
 
-def _arrange(tables: list[ScoreTable], conds: _Conds, plans) -> tuple[list, np.ndarray]:
-    """Best sentence of each table's bag over every order of the chunks of
-    each of its chunkings (``plans[t]``, lists of id tuples).
+def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
+    """Best sentence of each bag over every order of the chunks of each
+    of its chunkings (``plans[b]``, lists of id tuples).
 
     Held-Karp over states (chunking, used-chunk mask, last ``order - 1``
     ids), one layer per chunk used, for all chunkings at once.  Each row
-    is one prefix kept at its state.  Returns per table the best id tuple
+    is one prefix kept at its state.  Returns per bag the best id tuple
     (None without a chunking) and the DP's transitions.
     """
-    owner = np.array([t for t, chunkings in enumerate(plans) for _ in chunkings], dtype=np.int64)
+    owner = np.array([b for b, chunkings in enumerate(plans) for _ in chunkings], dtype=np.int64)
     flat = [chunks for chunkings in plans for chunks in chunkings]
-    transitions = np.zeros(len(tables), dtype=np.int64)
+    transitions = np.zeros(len(plans), dtype=np.int64)
     if not flat:
-        return [None] * len(tables), transitions
+        return [None] * len(plans), transitions
     k = np.array([len(chunks) for chunks in flat])
     most = int(k.max())
     sizes = np.zeros((len(flat), most), dtype=np.int64)
@@ -558,30 +532,30 @@ def _arrange(tables: list[ScoreTable], conds: _Conds, plans) -> tuple[list, np.n
             sizes[g, j] = len(chunk)
             words[g, j, : len(chunk)] = chunk
     full = (1 << k) - 1
-    marker = conds.marker
+    marker = table.marker
     id_type = np.min_scalar_type(-int(marker.max()) - 1)  # word ids and -1, no word
-    span = conds.span
+    span = table.span
     columns = np.arange(most)
 
     # layer 0: the empty prefix of every chunking, after <s>
     g = np.arange(len(flat))
     mask = np.zeros(len(flat), dtype=np.int64)
-    score = conds.start[owner]
+    score = table.start[owner]
     history = np.full((len(flat), span), -1, dtype=id_type)
     if span:
         history[:, -1] = marker[owner]
     prefix = np.zeros((len(flat), int(sizes.sum(axis=1).max())), dtype=id_type)
     length = np.zeros(len(flat), dtype=np.int64)
-    ends = []  # per layer: (table, sentence score, prefix) of the complete arrangements
+    ends = []  # per layer: (bag, sentence score, prefix) of the complete arrangements
     while len(g):
         r, j = np.nonzero((columns < k[g, None]) & (mask[:, None] >> columns & 1 == 0))
-        transitions += np.bincount(owner[g[r]], minlength=len(tables))
+        transitions += np.bincount(owner[g[r]], minlength=len(plans))
         g, mask, score, history, prefix, length = (a[r] for a in (g, mask, score, history, prefix, length))
         mask |= 1 << j
         for p in range(3):  # the chunk's words, each after the history so far
             on = np.flatnonzero(sizes[g, j] > p)
             w = words[g[on], j[on], p]
-            score[on] += conds(owner[g[on]], list(history[on].T), w)
+            score[on] += table(owner[g[on]], list(history[on].T), w)
             if span:
                 history[on, :-1] = history[on, 1:]
                 history[on, -1] = w
@@ -597,18 +571,18 @@ def _arrange(tables: list[ScoreTable], conds: _Conds, plans) -> tuple[list, np.n
         top = score[rows[best]][np.cumsum(best) - 1]
         done = mask[rows] == full[g[rows]]
         fin = rows[done]
-        t = owner[g[fin]]
-        transitions += np.bincount(t, minlength=len(tables))
-        ends.append((t, score[fin] + conds(t, list(history[fin].T), marker[t]), prefix[fin]))
+        b = owner[g[fin]]
+        transitions += np.bincount(b, minlength=len(plans))
+        ends.append((b, score[fin] + table(b, list(history[fin].T), marker[b]), prefix[fin]))
         keep = rows[~done & (score[rows] >= top - _TIE_BAND)]
         g, mask, score, history, prefix, length = (a[keep] for a in (g, mask, score, history, prefix, length))
 
     owners, totals, prefixes = (np.concatenate(parts) for parts in zip(*ends))
     rows, best = _ranked(owners, totals, prefixes)
-    found: list = [None] * len(tables)
+    found: list = [None] * len(plans)
     for row in rows[best].tolist():
-        t = int(owners[row])
-        found[t] = tuple(prefixes[row, : tables[t].length].tolist())
+        b = int(owners[row])
+        found[b] = tuple(prefixes[row, : table.length[b]].tolist())
     return found, transitions
 
 
@@ -617,32 +591,31 @@ def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
     per bag length, one ``method1`` seed pass and growth, one greedy
     chunk-fill pass per chunk-size prefix depth and chunk size, one
     arrangement pass and one final-score call."""
-    tables = ScoreTable.many(bags, model)
-    conds = _Conds(tables)
-    which = {method: [t for t, m in enumerate(methods) if m is method] for method in OrderMethod}
-    found: list = [None] * len(tables)
-    plans: list = [[] for _ in tables]
+    table = ScoreTable(bags, model)
+    which = {method: [b for b, m in enumerate(methods) if m is method] for method in OrderMethod}
+    found: list = [None] * len(bags)
+    plans: list = [[] for _ in bags]
     small = which[OrderMethod.EXHAUSTIVE]
-    for t, (ids, evaluated) in zip(small, _exhaustive_many(tables, conds, small)):
-        found[t] = (ids, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
+    for b, (ids, evaluated) in zip(small, _exhaustive_many(table, small)):
+        found[b] = (ids, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
     grown = which[OrderMethod.METHOD1]
-    for t, result in zip(grown, _method1_many(tables, conds, grown)):
-        found[t] = result
+    for b, result in zip(grown, _method1_many(table, grown)):
+        found[b] = result
     chunked = which[OrderMethod.METHOD2]
-    for t, (plan, evaluated, diagnostics) in zip(chunked, _chunkings_many(tables, conds, chunked, cap)):
-        plans[t] = plan
+    for b, (plan, evaluated, diagnostics) in zip(chunked, _chunkings_many(table, chunked, cap)):
+        plans[b] = plan
         fields = {"method": OrderMethod.METHOD2, "candidates_evaluated": evaluated, "diagnostics": diagnostics}
-        found[t] = (None, fields)
-    arranged, transitions = _arrange(tables, conds, plans)
+        found[b] = (None, fields)
+    arranged, transitions = _arrange(table, plans)
     results: list = []
-    for table, (ids, fields), arrangement, more in zip(tables, found, arranged, transitions.tolist()):
+    for b, ((ids, fields), arrangement, more) in enumerate(zip(found, arranged, transitions.tolist())):
         if fields["method"] is OrderMethod.METHOD2:
             ids = arrangement
             fields["candidates_evaluated"] += more
         if ids is None:
             results.append(ValueError("every chunk scheme was skipped by the arrangement cap"))
         else:
-            results.append(OrderingResult(sequence=table.decode(ids), lm_score=None, **fields))
+            results.append(OrderingResult(sequence=table.decode(b, ids), lm_score=None, **fields))
     done = [r for r in results if isinstance(r, OrderingResult)]
     for result, lm_score in zip(done, score_many(model, [[BOS_WORD, *r.sequence, EOS_WORD] for r in done])):
         result.lm_score = lm_score
@@ -653,7 +626,7 @@ def _order(bags, model: NGramModel, methods, cap: int = _ARRANGEMENT_CAP) -> lis
     """An ``OrderingResult`` per bag searched with its method, or the
     exception that stopped it.
 
-    Consecutive bags are searched together while their score tables take
+    Consecutive bags are searched together while their score table takes
     at most ``ORDER_CHUNK`` queries.  An unexpected failure fails only its
     batch, and a bag over the budget is a batch of its own.
     """
@@ -712,7 +685,7 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
 def method2(
     bag: WordBag,
     model: NGramModel,
-    limit: int = 23,
+    limit: int = DEFAULT_THRESHOLD,
     arrangement_cap: int = _ARRANGEMENT_CAP,
 ) -> OrderingResult:
     """Chunk-partition search: greedy chunk filling, exact arrangement.

@@ -221,12 +221,6 @@ def _encode_rows(
     return np.concatenate(finals, axis=1)
 
 
-def encode(model: Seq2SeqModel, lemma_indices) -> np.ndarray:
-    """Encode one index sequence into the (2H,) encoder summary."""
-    indices = list(lemma_indices)
-    return _encode_rows(model, np.asarray([indices], dtype=np.intp), np.asarray([len(indices)]))[0]
-
-
 def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
     """One decoder LSTM step plus output projection, for one row or a batch of rows.
 
@@ -372,11 +366,6 @@ def _backward(model: Seq2SeqModel, tape) -> dict[str, np.ndarray]:
     idx = np.concatenate([run.idx.ravel() for run in (dec, enc_f, enc_b)])
     np.add.at(grads["emb"], idx, np.concatenate([dx[:, :EMB_DIM] for dx in d_x]))
     return {name: grads[name] for name in model.PARAM_NAMES}
-
-
-def loss(model: Seq2SeqModel, example: TrainExample, diagnostics: list[str] | None = None) -> float:
-    """Mean per-position cross-entropy of the gold target (with EOS) for one example."""
-    return _forward(model, [example], diagnostics)[0]
 
 
 def grad(model: Seq2SeqModel, batch) -> dict[str, np.ndarray]:

@@ -46,7 +46,7 @@ def test_vocab_text_round_trip():
     vocab = Vocabulary.build(["b a c"])
     text = vocab.to_text()
     assert text == "a\nb\nc\n"
-    assert Vocabulary.from_text(text) == vocab
+    assert Vocabulary.from_words(text.split()) == vocab
 
 
 # ------------------------------------------------------------------ training

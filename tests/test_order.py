@@ -373,22 +373,34 @@ def test_method1_seed_sums_round_like_the_oracle():
     _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
 
 
-@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
-def test_score_table_holds_exact_logprobs(lm_order):
+@pytest.mark.parametrize(
+    "lm_order, where",
+    [pytest.param(o, w, id=str(o) if w == "alone" else f"{o}-{w}") for w in ("alone", "middle") for o in range(1, 6)],
+)
+def test_score_table_holds_exact_logprobs(lm_order, where):
     from conftest import toy_corpus_sentences
 
     model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
-    (table,) = tables = ScoreTable.many([preprocess(["the", "dog", "the", "quix"])], model)
-    conds = order._Conds(tables)
-    m = table.marker
-    heads, predicted = [*table.words, "<s>"], [*table.words, "</s>"]
-    assert table.start == model.logprob("<s>", ())
+    bag = preprocess(["the", "dog", "the", "quix"])
+    alone = ScoreTable([bag], model)
+    if where == "alone":
+        table, b = alone, 0
+    else:  # between a one-word bag and one with more distinct words, so its arrays are padded
+        wider = preprocess(["the", "old", "dog", "ran", "in", "park"])
+        table, b = ScoreTable([preprocess(["dog"]), bag, wider], model), 1
+        assert table.counts.shape[1] > alone.counts.shape[1]
+    m = table.marker[b]
+    assert (table.start[b], m, table.length[b]) == (alone.start[0], alone.marker[0], alone.length[0])
+    assert table.counts[b].tolist() == [*alone.counts[0].tolist(), *[0] * (table.counts.shape[1] - m)]
+    words = table.words[b]
+    heads, predicted = [*words, "<s>"], [*words, "</s>"]
+    assert table.start[b] == model.logprob("<s>", ())
     # histories of up to order - 1 words, read from the score block and
     # then from the LM, and one word longer, which both cut
     for length in range(lm_order + 1):
         axes = [range(m + 1)] + [range(m)] * (length - 1) if length else []
         for history in itertools.product(*axes):
-            got = conds(np.array(0), [np.array(i) for i in history], np.arange(m + 1))
+            got = table(np.array(b), [np.array(i) for i in history], np.arange(m + 1))
             for w in range(m + 1):
                 assert got[w] == model.logprob(predicted[w], [heads[i] for i in history])
 
@@ -551,12 +563,11 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
     for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per grid of 8 or more words
         monkeypatch.setattr(order, "ORDER_CHUNK", chunk)
         passes.clear()
-        tables = ScoreTable.many(bags, model)
-        conds = order._Conds(tables)
+        table = ScoreTable(bags, model)
         for cap, expected in zip(caps, chunkings):
-            assert order._chunkings_many(tables, conds, list(range(len(bags))), cap) == list(expected)
-        assert order._exhaustive_many(tables, conds, small) == exhaustive
-        assert order._method1_many(tables, conds, large) == grown
+            assert order._chunkings_many(table, list(range(len(bags))), cap) == list(expected)
+        assert order._exhaustive_many(table, small) == exhaustive
+        assert order._method1_many(table, large) == grown
         assert all(entries <= chunk or rows == 1 for entries, rows in passes)
         assert any(rows > 1 for _, rows in passes)
     assert any(entries > 400 for entries, _ in passes)

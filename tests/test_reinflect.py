@@ -16,11 +16,9 @@ from udrealize.reinflect import (
     TrainExample,
     build_model,
     decode_step,
-    encode,
     grad,
     load_model,
     load_training_file,
-    loss,
     predict,
     predict_many,
     save_model,
@@ -111,16 +109,21 @@ def test_logistic_matches_split_formula_bitwise():
 
 # ------------------------------------------------------------------- encode
 
+def _encode(model, indices):
+    """The (2H,) encoder summary of one index sequence."""
+    return rf._encode_rows(model, np.asarray([indices], dtype=np.intp), np.asarray([len(indices)]))[0]
+
+
 def test_encode_shapes():
     model, _ = tiny_model()
-    assert encode(model, model.vocab.encode("a")).shape == (2 * model.hidden_size,)
-    assert encode(model, model.vocab.encode("abcde")).shape == (2 * model.hidden_size,)
+    assert _encode(model, model.vocab.encode("a")).shape == (2 * model.hidden_size,)
+    assert _encode(model, model.vocab.encode("abcde")).shape == (2 * model.hidden_size,)
 
 
 def test_encode_empty_errors():
     model, _ = tiny_model()
     with pytest.raises(ValueError, match="empty input"):
-        encode(model, [])
+        _encode(model, [])
 
 
 def test_untaped_encoder_summary_equals_the_taped_one():
@@ -147,8 +150,8 @@ def test_encode_mirrored_weights_reverse_input():
             mirrored.params[f"{a}.{part}"] = model.params[f"{b}.{part}"].copy()
 
     seq = model.vocab.encode("abcde")
-    summary = encode(model, seq)
-    rev_summary = encode(mirrored, seq[::-1])
+    summary = _encode(model, seq)
+    rev_summary = _encode(mirrored, seq[::-1])
     h = model.hidden_size
     assert np.allclose(rev_summary, np.concatenate([summary[h:], summary[:h]]), atol=1e-12)
 
@@ -228,11 +231,16 @@ def test_decode_step_width_mismatch_errors():
 
 # --------------------------------------------------------------------- loss
 
+def _loss(model, example, diagnostics=None):
+    """The teacher-forced loss of one example."""
+    return rf._forward(model, [example], diagnostics)[0]
+
+
 def test_loss_uniform_model_is_log_vocab():
     model, examples = tiny_model()
     for p in model.params.values():
         p[:] = 0.0
-    assert loss(model, examples[0]) == pytest.approx(np.log(len(model.vocab)), abs=1e-12)
+    assert _loss(model, examples[0]) == pytest.approx(np.log(len(model.vocab)), abs=1e-12)
 
 
 def test_loss_zero_for_certain_decoder():
@@ -255,7 +263,7 @@ def test_loss_zero_for_certain_decoder():
     model.params["out.w"][0, EOS] = -big
     model.params["out.b"][a_ix] = -0.19 * big
     model.params["out.b"][EOS] = 0.19 * big
-    assert loss(model, example) == 0.0
+    assert _loss(model, example) == 0.0
     assert predict(model, "a", N_TAG) == "a"
 
 
@@ -279,13 +287,13 @@ def test_loss_matches_independent_forward_oracle():
         shifted = logits - logits.max()
         total += -(shifted[gold] - np.log(np.exp(shifted).sum()))
     expected = total / len(target_ix)
-    assert loss(model, example) == pytest.approx(expected, abs=1e-12)
+    assert _loss(model, example) == pytest.approx(expected, abs=1e-12)
 
 
 def test_loss_maps_oov_chars_to_unk():
     model, _ = tiny_model()
     diags = []
-    value = loss(model, TrainExample("aZb", N_TAG, "ab"), diags)
+    value = _loss(model, TrainExample("aZb", N_TAG, "ab"), diags)
     assert np.isfinite(value)
     assert any("UNK" in d for d in diags)
 

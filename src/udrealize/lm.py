@@ -241,6 +241,11 @@ class NGramModel:
         logp[pending] = penalty[pending] - 99.0
         return logp, matched
 
+    def has_ngram(self, ids) -> np.ndarray:
+        """True where the n-gram ``ids[..., :]`` (word ids, oldest first) is in
+        the model; an id of -1 is never found."""
+        return _find_rows(self.tables, np.asarray(ids, dtype=np.int64), len(self.vocab)) >= 0
+
     def ngrams(self) -> list[list[tuple[str, ...]]]:
         """The word tuples of every table, order by order, in row order."""
         words, v = self.vocab.words, len(self.vocab)

@@ -18,10 +18,13 @@ compares word tuples.  For every bag, the table holds the exact
 ``model.logprob`` value of every predicted bag word or ``</s>`` after
 every history of up to ``min(order - 1, 2)`` of the bag's words, or
 ``<s>`` followed by them, filled for the whole batch by one
-``NGramModel.logprob_ids`` call.  Calling the table reads those values,
-and longer histories (LM order 4 and up) from the LM, for arrays of
-(bag, history, word) ids, so the searches score whole grids of id
-tuples at once by numpy broadcasting.
+``NGramModel.logprob_ids`` call.  It fills one row per LM state, the
+part of a history the LM reads (Heafield 2011): a history of two words
+that are no bigram of the LM (about 78% of them on the benchmark's
+inputs) reads the row of its last word.  Calling the table reads those
+values, and longer histories (LM order 4 and up) from the LM, for
+arrays of (bag, history, word) ids, so the searches score whole grids
+of id tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -44,26 +47,30 @@ with the same score at a state it keeps only the smallest, since their
 continuations score the same.  One pass arranges the chunks of every
 scheme of every ``method2`` bag of a batch, layer by layer (layer L holds
 the states with L chunks used): each kept prefix is a numpy row of
-(scheme, mask, history, score, prefix ids), and both rules are applied
-by sorting the rows.
+(scheme, mask, history, score, prefix ids).  The band is applied first,
+after a sort by state alone, and only the rows within it are sorted by
+score and prefix to keep the smallest prefix per score.
 
 ``realize_orders`` takes a whole command's token lists to sentence
 strings: it preprocesses, dispatches, and applies casing and the final
-stop.  The bags go through in batches of at most ``ORDER_CHUNK``
-score-table queries, each with one LM call to fill the batch's table,
-one arrangement pass and one ``lm.score_many`` call for the final
-scores.  All three searches are array passes over the batch.  One grid
-search, ``_grid_best``, finds each row's best tuple of still-unused ids
-after a given history: the exhaustive bags of each length make one grid
-of full sentences; ``method2``'s chunk fills go depth by depth, one grid
-of bare fragments per chunk size holding the next chunk of every
-distinct (bag, chunk-size prefix) at that depth; and ``method1``'s seeds
-are one grid of the best three words after <s> and each first word of
-every ``method1`` bag.  Each grid row's ids are padded to the widest
-bag of the pass, and passes hold at most ``ORDER_CHUNK``
-entries.  ``method1``'s growth then steps all its bags together, one
-word per step.  ``realize_order``, ``order_words`` and the three
-searches are one-item calls of the same path.
+stop.  The bags go through in batches whose score-table block holds at
+most ``ORDER_CHUNK`` entries (LM states times predicted words), each
+with one LM call to fill the batch's table, one arrangement pass and
+one ``lm.score_many`` call for the final scores; a batch that raises is
+rerun bag by bag, so a failure degrades only its own sentence.  All
+three searches are array passes over the batch.  One grid search,
+``_grid_best``, finds each row's best tuple of still-unused ids after a
+given history: the exhaustive bags of each length make one grid of full
+sentences, and ``method1``'s seeds are one grid of the best three words
+after <s> and each first word of every ``method1`` bag.  ``method2``'s
+chunk fills score each (bag, chunk size) grid of bare fragments once,
+then go depth by depth, masking the grid of every distinct (bag,
+chunk-size prefix) at that depth with its words left.  Each grid row's
+ids are padded to the widest bag of the pass, and passes hold at most
+``ORDER_CHUNK`` entries or one row.  ``method1``'s growth then steps
+all its bags together, one word per step.  ``realize_order``,
+``order_words`` and the three searches are one-item calls of the same
+path.
 """
 
 from __future__ import annotations
@@ -85,9 +92,14 @@ EXHAUSTIVE_LIMIT = 4
 # Longest bag method2 handles by default; longer bags go to method1.
 DEFAULT_THRESHOLD = 23
 
-# Score-table queries (history rows times predicted words) that one batch
-# of bags fills with one LM call; bounds the memory of a batch.  A bag
-# larger than this is a batch of its own.
+# Score-table block entries (LM states times predicted words, the widest
+# bag's distinct words plus 2) that one batch of bags fills with one LM
+# call, and grid entries of one search pass; bounds the memory of a
+# batch.  A bag larger than this is a batch of its own.  At LM order 2
+# and up every bag has at least 3 states (the empty history and one id),
+# so a batch of more than one bag has at most ORDER_CHUNK / (3 * width)
+# bags, and its history-sized arrays (``ScoreTable.rows``, up to
+# width ** 2 codes per bag) at most width * ORDER_CHUNK / 3 entries.
 ORDER_CHUNK = 1 << 15
 
 # Chunk schemes with more arrangements than this (9!) are skipped.
@@ -200,6 +212,19 @@ def _dense_histories(m: int, dense: int):
     return padded, rows
 
 
+def _bigrams(model: NGramModel, heads: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Whether each two-word history of each bag is a bigram of the LM, flat,
+    bag by bag, in ``_dense_histories`` order: bag b has ``m[b] + 1``
+    consecutive ``heads`` (the vocabulary ids of its distinct words, then
+    <s>), the first word of a history is any of them and the second any
+    of its words.  One vectorized lookup for all the bags."""
+    runs = np.repeat(m, m + 1)  # each head, once per second word
+    first = np.repeat(np.arange(len(heads)), runs)
+    bag_heads = np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)  # per head: its bag's first head
+    second = np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs - bag_heads, runs)
+    return model.has_ngram(np.stack([heads[first], heads[second]], axis=-1))
+
+
 class ScoreTable:
     """Exact conditional log10 probabilities among each bag's words, for a
     batch of bags filled by one LM call.
@@ -215,6 +240,12 @@ class ScoreTable:
     the vocabulary ids of the history and predicted words, ``heads`` with
     ``<s>`` at the marker and -1 (no word) after it, ``predicted`` with
     ``</s>`` at the marker and ``<s>`` after it.
+
+    ``block`` has one row per LM state, the part of a history the LM
+    reads (Heafield 2011).  The LM's tables are prefix-closed, so a
+    two-word history that is no bigram has no longer n-gram and no
+    backoff weight, and ``logprob_ids`` gives it, bit for bit, what it
+    gives its last word alone: such a history shares that word's row.
     """
 
     def __init__(self, bags, model: NGramModel):
@@ -241,10 +272,18 @@ class ScoreTable:
             self.rows[b, : len(rows)] = first + rows
             histories.append(self.heads[b, padded])  # the id -1 reads the last column, -1
             first += len(padded)
-        # each history before every predicted id of its bag, then <s>, whose
-        # log p after the empty history (a bag's first row) starts every sentence
         owner = np.repeat(np.arange(len(bags)), [len(h) for h in histories])
-        self.block, _ = model.logprob_ids(np.concatenate(histories)[:, None, :], self.predicted[owner])
+        histories = np.concatenate(histories)
+        state = np.ones(len(histories), dtype=bool)  # the histories that fill a row of their own
+        if dense == 2:
+            heads = self.heads[np.arange(width) <= self.marker[:, None]]
+            state[histories[:, 0] >= 0] = _bigrams(model, heads, self.marker)
+        # any other history reads the row of its last id alone, whose code is its own last digit
+        alone = np.take_along_axis(self.rows, np.arange(width**dense) % (self.marker[:, None] + 2), axis=1)
+        self.rows = (np.cumsum(state) - 1)[np.where(state[self.rows], self.rows, alone)]
+        # each state before every predicted id of its bag, then <s>, whose
+        # log p after the empty history (a bag's first row) starts every sentence
+        self.block, _ = model.logprob_ids(histories[state, None, :], self.predicted[owner[state]])
         self.start = self.block[self.rows[:, 0], self.marker + 1]
 
     def __call__(self, bag: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
@@ -276,44 +315,68 @@ def _fits(counts, ids):
     return ok
 
 
+def _passes(width: np.ndarray, size: int):
+    """Row indices in passes of at most ``ORDER_CHUNK`` grid entries (at
+    least one row), narrowest rows first, each with its widest row: a
+    pass pads its rows' ``size``-tuple grids to that width."""
+    waiting = np.argsort(width, kind="stable")
+    while len(waiting):
+        cost = np.arange(1, len(waiting) + 1) * width[waiting] ** size
+        rows = max(1, int(np.searchsorted(cost, ORDER_CHUNK, side="right")))
+        part, waiting = waiting[:rows], waiting[rows:]
+        yield part, int(width[part[-1]])
+
+
+def _axes(size: int, width: int) -> list:
+    """The id of each position of a ``(width,) * size`` grid, broadcastable."""
+    return [np.arange(width).reshape([width if a == p else 1 for a in range(size)]) for p in range(size)]
+
+
+def _grid_scores(
+    table: ScoreTable, bag: np.ndarray, size: int, width: int, history: list, start: np.ndarray, end=False
+) -> np.ndarray:
+    """Per row r: the score of every ``size``-tuple of ids below ``width``,
+    an (R,) + (width,) * size array.  A tuple is scored from ``start[r]``,
+    adding left to right the conditional of each of its ids after the
+    history so far, which opens with the id columns ``history`` (an entry
+    per row), and with ``end`` that of ``</s>`` after it.  An id past
+    bag ``bag[r]``'s words reads its last word's scores."""
+    column = (len(bag),) + (1,) * size  # a value per row, against the row's grid
+    b = bag.reshape(column)
+    marker = table.marker[b]
+    ids = [np.minimum(axis, marker - 1) for axis in _axes(size, width)]
+    words = [h.reshape(column) for h in history] + ids
+    score = start.reshape(column)
+    for p, w in enumerate(ids + ([marker] if end else [])):  # </s> is the marker
+        score = score + table(b, words[: len(history) + p], w)
+    return score
+
+
+def _masked_best(score: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (R,) + (width,) * size grids ``score``: its best tuple
+    that uses no word more often than ``counts[r]`` allows, and its score;
+    a tie goes to the smallest tuple, the first maximum in C order."""
+    rows, size, width = len(score), score.ndim - 1, score.shape[-1]
+    masked = np.where(_fits(counts[:, :width], _axes(size, width)), score, -np.inf).reshape(rows, -1)
+    first = masked.argmax(axis=1)
+    return np.stack(np.unravel_index(first, (width,) * size), axis=1), masked[np.arange(rows), first]
+
+
 def _grid_best(
     table: ScoreTable, bag: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray, end=False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row r: the best ``size``-tuple of the word ids of bag ``bag[r]``
     that uses no word more often than ``counts[r]`` allows, as a row of
-    an (R, size) array, and its score.
+    an (R, size) array, and its score, as ``_grid_scores`` scores it.
 
-    A tuple is scored from ``start[r]``, adding left to right the
-    conditional of each of its ids after the history so far, which opens
-    with the id columns ``history`` (an entry per row), and with ``end``
-    that of ``</s>`` after it; a tie goes to the smallest tuple, the
-    first maximum of the row's grid in C order.  The rows go through in
-    passes of at most ``ORDER_CHUNK`` grid entries (at least one row),
-    with similar word counts together: a pass pads its rows' ids to the
-    most words any of them has, and no count allows a padded id.
+    The rows go through in ``_passes``, with similar word counts
+    together, and no count allows a padded id.
     """
     best = np.zeros((len(bag), size), dtype=np.int64)
     scores = np.zeros(len(bag))
-    waiting = np.argsort(table.marker[bag], kind="stable")
-    while len(waiting):
-        cost = np.arange(1, len(waiting) + 1) * table.marker[bag[waiting]] ** size
-        rows = max(1, int(np.searchsorted(cost, ORDER_CHUNK, side="right")))
-        part, waiting = waiting[:rows], waiting[rows:]
-        width = int(table.marker[bag[part[-1]]])
-        axes = [np.arange(width).reshape([width if a == p else 1 for a in range(size)]) for p in range(size)]
-        ok = _fits(counts[part, :width], axes)
-        column = (len(part),) + (1,) * size  # a value per row, against the row's grid
-        b = bag[part].reshape(column)
-        marker = table.marker[b]
-        ids = [np.minimum(axis, marker - 1) for axis in axes]  # a padded id reads the last word's scores
-        words = [h[part].reshape(column) for h in history] + ids
-        score = start[part].reshape(column)
-        for p, w in enumerate(ids + ([marker] if end else [])):  # </s> is the marker
-            score = score + table(b, words[: len(history) + p], w)
-        masked = np.where(ok, score, -np.inf).reshape(len(part), -1)
-        first = masked.argmax(axis=1)
-        best[part] = np.stack(np.unravel_index(first, (width,) * size), axis=1)
-        scores[part] = masked[np.arange(len(part)), first]
+    for part, width in _passes(table.marker[bag], size):
+        score = _grid_scores(table, bag[part], size, width, [h[part] for h in history], start[part], end)
+        best[part], scores[part] = _masked_best(score, counts[part])
     return best, scores
 
 
@@ -430,22 +493,41 @@ def _chunkings_many(
     Chunks are filled in scheme order with the highest-scoring ordered
     tuple of still-unused words, scored as a bare fragment.  Schemes
     sharing their first chunk sizes share those fills, so each distinct
-    (bag, sizes prefix) is filled once.  The fills go depth by depth,
-    since a prefix's fill needs its parent's remaining words: depth d
-    fills the d-th chunk of every prefix of d sizes, with one
-    ``_grid_best`` call per chunk size.
+    (bag, sizes prefix) is filled once.  Each (bag, chunk size) grid of
+    fragment scores is computed once, in ``_passes``; a fill masks its
+    bag's grid with the words left and takes the first maximum.  The
+    fills go depth by depth, since a prefix's fill needs its parent's
+    remaining words: depth d fills the d-th chunk of every prefix of d
+    sizes, chunk size by chunk size, in passes of at most
+    ``ORDER_CHUNK`` grid entries (at least one row).
     """
     plans = [_scheme_plan(int(table.length[b]), cap) for b in which]
     levels: dict = {}  # (depth, chunk size) -> the (bag, sizes prefix) pairs ending there
     for b, (_, _, _, prefixes) in zip(which, plans):
         for sizes in prefixes:
             levels.setdefault((len(sizes), sizes[-1]), []).append((b, sizes))
+    grids: dict = {}  # chunk size -> (each bag's pass and row in it, each pass's fragment grids)
+    for size in {size for _, size in levels}:
+        bags = np.array(sorted({b for (_, s), keys in levels.items() if s == size for b, _ in keys}))
+        place = np.zeros((len(table.marker), 2), dtype=np.int64)
+        scored = []
+        for part, width in _passes(table.marker[bags], size):
+            place[bags[part]] = np.stack([np.full(len(part), len(scored)), np.arange(len(part))], axis=1)
+            scored.append(_grid_scores(table, bags[part], size, width, [], np.zeros(len(part))))
+        grids[size] = place, scored
     # (bag, sizes prefix) -> (the chunks filled, the word counts they leave)
     fills = {(b, ()): ((), table.counts[b]) for b in which}
     for (_, size), keys in sorted(levels.items()):
         parents = [fills[b, sizes[:-1]] for b, sizes in keys]
         remaining = np.stack([counts for _, counts in parents])
-        best, _ = _grid_best(table, np.array([b for b, _ in keys]), remaining, size, [], np.zeros(len(keys)))
+        place, scored = grids[size]
+        where = place[[b for b, _ in keys]]
+        best = np.zeros((len(keys), size), dtype=np.int64)
+        for p, score in enumerate(scored):
+            rows = np.flatnonzero(where[:, 0] == p)
+            step = max(1, ORDER_CHUNK // score[0].size)
+            for part in (rows[i : i + step] for i in range(0, len(rows), step)):
+                best[part], _ = _masked_best(score[where[part, 1]], remaining[part])
         for column in best.T:
             remaining[np.arange(len(keys)), column] -= 1
         for key, (chunks, _), chunk, counts in zip(keys, parents, best.tolist(), remaining):
@@ -488,14 +570,23 @@ def _state_keys(columns) -> np.ndarray:
     return key
 
 
+def _run_heads(*columns) -> np.ndarray:
+    """A flag on each row that starts a run of rows equal in every column."""
+    head = np.zeros(len(columns[0]), dtype=bool)
+    head[:1] = True
+    for column in columns:
+        head[1:] |= column[1:] != column[:-1]
+    return head
+
+
 def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One row per distinct (key, score), the one with the smallest prefix,
     ordered by key and then by score, highest first; and a flag on the
     first row of each key, the key's best."""
     order = np.lexsort((-score, key))
     key, score = key[order], score[order]
-    head = np.r_[True, key[1:] != key[:-1]]
-    first = np.flatnonzero(head | np.r_[True, score[1:] != score[:-1]])
+    head = _run_heads(key)
+    first = np.flatnonzero(_run_heads(key, score))
     rows = order[first]
     counts = np.diff(np.append(first, len(order)))
     tied = counts > 1
@@ -504,9 +595,22 @@ def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.
         members = np.repeat(tied, counts)
         rows_, run = order[members], run[members]
         ranked = np.lexsort((*prefix[rows_].T[::-1], run))
-        lead = np.r_[True, run[ranked][1:] != run[ranked][:-1]]
-        rows[tied] = rows_[ranked][lead]
+        rows[tied] = rows_[ranked][_run_heads(run[ranked])]
     return rows, head[first]
+
+
+def _banded(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """The rows ``_ranked`` keeps whose score is within ``_TIE_BAND`` of
+    their key's best: the band is applied first, on a sort by key alone,
+    so that only survivors that share their key are ranked."""
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(_run_heads(key[order]))
+    top = np.maximum.reduceat(score[order], first)
+    near = order[score[order] >= np.repeat(top, np.diff(np.append(first, len(order)))) - _TIE_BAND]
+    head = _run_heads(key[near])  # the survivors are still in key order
+    alone = head & np.append(head[1:], True)
+    shared = near[~alone]
+    return np.concatenate([near[alone], shared[_ranked(key[shared], score[shared], prefix[shared])[0]]])
 
 
 def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
@@ -562,19 +666,20 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
             prefix[on, length[on]] = w
             length[on] += 1
 
-        # per state: one prefix per score, the smallest; then the tie band
+        # per state: one prefix per score, the smallest; then the tie band,
+        # except for complete arrangements, which all count as transitions
         key = _state_keys(
             [(g, len(flat)), (mask, 1 << most)]
             + [(history[:, i].astype(np.int64) + 1, int(marker.max()) + 2) for i in range(span)]
         )
-        rows, best = _ranked(key, score, prefix)
-        top = score[rows[best]][np.cumsum(best) - 1]
-        done = mask[rows] == full[g[rows]]
-        fin = rows[done]
+        done = mask == full[g]
+        fin = np.flatnonzero(done)
+        fin = fin[_ranked(key[fin], score[fin], prefix[fin])[0]]
         b = owner[g[fin]]
         transitions += np.bincount(b, minlength=len(plans))
         ends.append((b, score[fin] + table(b, list(history[fin].T), marker[b]), prefix[fin]))
-        keep = rows[~done & (score[rows] >= top - _TIE_BAND)]
+        keep = np.flatnonzero(~done)
+        keep = keep[_banded(key[keep], score[keep], prefix[keep])]
         g, mask, score, history, prefix, length = (a[keep] for a in (g, mask, score, history, prefix, length))
 
     owners, totals, prefixes = (np.concatenate(parts) for parts in zip(*ends))
@@ -626,27 +731,43 @@ def _order(bags, model: NGramModel, methods, cap: int = _ARRANGEMENT_CAP) -> lis
     """An ``OrderingResult`` per bag searched with its method, or the
     exception that stopped it.
 
-    Consecutive bags are searched together while their score table takes
-    at most ``ORDER_CHUNK`` queries.  An unexpected failure fails only its
-    batch, and a bag over the budget is a batch of its own.
+    Consecutive bags are searched together while their score table's
+    block takes at most ``ORDER_CHUNK`` entries: the LM states of their
+    histories, counted for every bag with one lookup, times the widest
+    bag's distinct words plus 2.  A bag over the budget is a batch of
+    its own.
     """
     dense = min(model.order - 1, _DENSE_HISTORY)
+    distinct = [sorted(set(bag.words)) for bag in bags]
+    m = np.array([len(words) for words in distinct], dtype=np.int64)
+    states = 1 + (m + 1) * min(dense, 1)  # the empty history, then one id
+    if dense == 2 and len(bags):  # and the two-id histories that are bigrams
+        heads = np.array([model.vocab.index(w) for words in distinct for w in (*words, BOS_WORD)])
+        owner = np.repeat(np.arange(len(bags)), m * (m + 1))
+        states += np.bincount(owner, weights=_bigrams(model, heads, m), minlength=len(bags)).astype(np.int64)
     results: list = []
     start = 0
     while start < len(bags):
         stop, rows, width = start, 0, 0
         while stop < len(bags):
-            m = len(set(bags[stop].words))
-            more = len(_dense_histories(m, dense)[0])
-            if stop > start and (rows + more) * max(width, m + 2) > ORDER_CHUNK:
+            more, wider = int(states[stop]), max(width, int(m[stop]) + 2)
+            if stop > start and (rows + more) * wider > ORDER_CHUNK:
                 break
-            rows, width, stop = rows + more, max(width, m + 2), stop + 1
-        try:
-            results += _order_batch(bags[start:stop], model, methods[start:stop], cap)
-        except Exception as exc:  # one batch's failure leaves the others
-            results += [exc] * (stop - start)
+            rows, width, stop = rows + more, wider, stop + 1
+        results += _order_safely(bags[start:stop], model, methods[start:stop], cap)
         start = stop
     return results
+
+
+def _order_safely(bags, model: NGramModel, methods, cap: int) -> list:
+    """``_order_batch``; if it raises, its bags one at a time, so that an
+    unexpected failure degrades only the bags that raise it."""
+    try:
+        return _order_batch(bags, model, methods, cap)
+    except Exception as exc:
+        if len(bags) == 1:
+            return [exc]
+        return [r for i in range(len(bags)) for r in _order_safely(bags[i : i + 1], model, methods[i : i + 1], cap)]
 
 
 def _one(results: list):

@@ -373,6 +373,23 @@ def test_method1_seed_sums_round_like_the_oracle():
     _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
 
 
+def _assert_exact_conditionals(table, b, model):
+    """Every conditional of bag ``b`` of the table, after every history of up
+    to ``order`` words, equals ``model.logprob``: histories of up to
+    order - 1 words are read from the score block and then from the LM,
+    and one word longer, which both cut."""
+    m = table.marker[b]
+    words = table.words[b]
+    heads, predicted = [*words, "<s>"], [*words, "</s>"]
+    assert table.start[b] == model.logprob("<s>", ())
+    for length in range(model.order + 1):
+        axes = [range(m + 1)] + [range(m)] * (length - 1) if length else []
+        for history in itertools.product(*axes):
+            got = table(np.array(b), [np.array(i) for i in history], np.arange(m + 1))
+            for w in range(m + 1):
+                assert got[w] == model.logprob(predicted[w], [heads[i] for i in history])
+
+
 @pytest.mark.parametrize(
     "lm_order, where",
     [pytest.param(o, w, id=str(o) if w == "alone" else f"{o}-{w}") for w in ("alone", "middle") for o in range(1, 6)],
@@ -392,17 +409,53 @@ def test_score_table_holds_exact_logprobs(lm_order, where):
     m = table.marker[b]
     assert (table.start[b], m, table.length[b]) == (alone.start[0], alone.marker[0], alone.length[0])
     assert table.counts[b].tolist() == [*alone.counts[0].tolist(), *[0] * (table.counts.shape[1] - m)]
-    words = table.words[b]
-    heads, predicted = [*words, "<s>"], [*words, "</s>"]
-    assert table.start[b] == model.logprob("<s>", ())
-    # histories of up to order - 1 words, read from the score block and
-    # then from the LM, and one word longer, which both cut
-    for length in range(lm_order + 1):
-        axes = [range(m + 1)] + [range(m)] * (length - 1) if length else []
-        for history in itertools.product(*axes):
-            got = table(np.array(b), [np.array(i) for i in history], np.arange(m + 1))
-            for w in range(m + 1):
-                assert got[w] == model.logprob(predicted[w], [heads[i] for i in history])
+    # one block row per LM state: from order 3 on, some two-word histories
+    # are no bigram and share the row of their last word
+    histories = len(order._dense_histories(m, min(lm_order - 1, 2))[0])
+    assert len(alone.block) < histories if lm_order >= 3 else len(alone.block) == histories
+    _assert_exact_conditionals(table, b, model)
+
+
+# A prefix-closed trigram model: "a b" is a bigram with a backoff weight
+# but no trigram continues it with a word of the bag {a, b, c}, and "<s> c"
+# is no bigram.
+_STATES_ARPA = (
+    "\\data\\\n"
+    "ngram 1=6\n"
+    "ngram 2=3\n"
+    "ngram 3=1\n"
+    "\n"
+    "\\1-grams:\n"
+    "-99\t<s>\t-0.25\n"
+    "-1.0\t</s>\n"
+    "-1.5\t<unk>\n"
+    "-0.5\ta\t-0.125\n"
+    "-0.75\tb\t-0.0625\n"
+    "-0.625\tc\n"
+    "\n"
+    "\\2-grams:\n"
+    "-0.25\t<s> a\t-0.5\n"
+    "-0.125\ta b\t-0.375\n"
+    "-0.5\tb c\n"
+    "\n"
+    "\\3-grams:\n"
+    "-0.0625\t<s> a b\n"
+    "\n"
+    "\\end\\\n"
+)
+
+
+def test_score_table_rows_follow_the_lm_states():
+    model = lm.parse_arpa(_STATES_ARPA)
+    table = ScoreTable([preprocess(["c", "b", "a"])], model)
+    a, b, c, bos = range(4)  # sorted word ids, then the marker
+    histories = [(a,), (b,), (c,), (a, b), (bos, a), (bos, c)]
+    row = {history: table.rows[0, order._codes(history, table.marker[0] + 2)] for history in histories}
+    assert row[a, b] != row[b,]  # a bigram with a backoff weight, though no trigram of the bag's words follows it
+    assert row[bos, a] != row[a,]
+    assert row[bos, c] == row[c,]  # no bigram: the LM reads c alone
+    assert model.logprob("a", ["a", "b"]) != model.logprob("a", ["b"])
+    _assert_exact_conditionals(table, 0, model)
 
 
 @pytest.mark.parametrize("lm_order", [4, 5])
@@ -552,20 +605,31 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
         ids = sorted(set(bags[t].words))
         grown.append((tuple(ids.index(w) for w in sequence), {"method": OrderMethod.METHOD1, **counts}))
 
-    passes = []  # (grid entries, rows) of each _grid_best pass
-    fits = order._fits
+    passes = []  # (grid entries, rows) of each masking pass and each scoring pass
+    fits, grid_scores = order._fits, order._grid_scores
+    scoring = []  # rows of each scoring pass
 
     def spy(counts, ids):  # a pass's count rows, cut to its width
         passes.append((len(counts) * counts.shape[1] ** len(ids), len(counts)))
         return fits(counts, ids)
 
+    def scoring_spy(table, bag, size, width, *rest):  # a pass's grids, padded to its width
+        passes.append((len(bag) * width**size, len(bag)))
+        scoring.append(len(bag))
+        return grid_scores(table, bag, size, width, *rest)
+
     monkeypatch.setattr(order, "_fits", spy)
+    monkeypatch.setattr(order, "_grid_scores", scoring_spy)
     for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per grid of 8 or more words
         monkeypatch.setattr(order, "ORDER_CHUNK", chunk)
         passes.clear()
         table = ScoreTable(bags, model)
         for cap, expected in zip(caps, chunkings):
+            scoring.clear()
             assert order._chunkings_many(table, list(range(len(bags))), cap) == list(expected)
+            # one fragment grid per (bag, chunk size), each masked by every fill of that size
+            grids = {(t, len(chunk)) for t, (plan, _, _) in enumerate(expected) for cs in plan for chunk in cs}
+            assert sum(scoring) == len(grids)
         assert order._exhaustive_many(table, small) == exhaustive
         assert order._method1_many(table, large) == grown
         assert all(entries <= chunk or rows == 1 for entries, rows in passes)
@@ -704,6 +768,53 @@ def test_reorder_output_matches_the_golden_file(tmp_path, lm_order):
         for s, (text, r) in zip(corpus.sentences, results)
     ] == expected
     assert {row[2] for row in expected} == {"exhaustive", "method1", "method2"}
+
+
+def test_a_failing_bag_degrades_only_its_own_sentence(toy_lm, monkeypatch):
+    token_lists = [list(bag.words) for bag in _oracle_bags(97, 12, 1, 14)]
+    clean = [_outcome(r) for r in realize_orders(token_lists, toy_lm)]
+    poisoned = preprocess(token_lists[5])
+    assert [preprocess(tokens) for tokens in token_lists].count(poisoned) == 1
+
+    class Failing(ScoreTable):  # an unexpected failure inside any batch that holds the poisoned bag
+        def __init__(self, bags, model):
+            if poisoned in bags:
+                raise RuntimeError("planted failure")
+            super().__init__(bags, model)
+
+    batches = []
+    real = order._order_batch
+    monkeypatch.setattr(order, "_order_batch", lambda bags, *rest: batches.append(len(bags)) or real(bags, *rest))
+    monkeypatch.setattr(order, "ScoreTable", Failing)
+    got = [_outcome(r) for r in realize_orders(token_lists, toy_lm)]
+    assert batches == [len(token_lists)] + [1] * len(token_lists)  # the batch, then bag by bag
+    assert got[5] == "RuntimeError: planted failure"
+    assert got[:5] + got[6:] == clean[:5] + clean[6:]
+
+
+_NEAR = [0.0, 0.0, 2.5e-10, -2.5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_band_first_ranking_keeps_what_ranking_then_banding_keeps(data):
+    # exact ties, near-ties within 1e-9 and rows just outside the band
+    n = data.draw(st.integers(0, 40))
+    key = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.int64)
+    base = data.draw(st.lists(st.sampled_from([-2.0, -7.25, -7.250000000499]), min_size=n, max_size=n))
+    near = data.draw(st.lists(st.sampled_from(_NEAR), min_size=n, max_size=n))
+    score = np.array(base) + np.array(near)
+    prefix = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=n, max_size=n)))
+    prefix = prefix.reshape(n, 3).astype(np.int64)
+    rows, best = order._ranked(key, score, prefix)
+    top = score[rows[best]][np.cumsum(best) - 1]
+    expected = rows[score[rows] >= top - order._TIE_BAND]
+    got = order._banded(key, score, prefix)
+
+    def kept(rows):
+        return sorted((int(key[r]), float(score[r]), tuple(prefix[r].tolist())) for r in rows)
+
+    assert len(got) == len(expected) and kept(got) == kept(expected)
 
 
 def test_state_keys_equal_exactly_where_the_columns_are():

@@ -13,6 +13,7 @@ validated but runs no worker pool.  ``--config`` takes a JSON object of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -353,6 +354,7 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
+@functools.lru_cache(maxsize=1)  # built once per process: parsing leaves the tree unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="udrealize", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -380,7 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("conllu")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_reinflect)
 
     for name, helptext in (
@@ -413,9 +414,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -18,13 +18,15 @@ compares word tuples.  For every bag, the table holds the exact
 ``model.logprob`` value of every predicted bag word or ``</s>`` after
 every history of up to ``min(order - 1, 2)`` of the bag's words, or
 ``<s>`` followed by them, filled for the whole batch by one
-``NGramModel.logprob_ids`` call.  It fills one row per LM state, the
-part of a history the LM reads (Heafield 2011): a history of two words
-that are no bigram of the LM (about 78% of them on the benchmark's
-inputs) reads the row of its last word.  Calling the table reads those
-values, and longer histories (LM order 4 and up) from the LM, for
-arrays of (bag, history, word) ids, so the searches score whole grids
-of id tuples at once by numpy broadcasting.
+``NGramModel.logprob_ids`` call, one row per LM state, the part of a
+history the LM reads (Heafield 2011): a history of two words that are
+no bigram of the LM (about 78% of them on the benchmark's inputs) reads
+the row of its last word.  Each bag's words, vocabulary ids, histories
+and states are found once per command (``_Contexts``, with one
+``NGramModel.has_ngram`` call), and each batch's table takes its slice.
+Calling the table reads those values, and longer histories (LM order 4
+and up) from the LM, for arrays of (bag, history, word) ids, so the
+searches score whole grids of id tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -55,22 +57,17 @@ score and prefix to keep the smallest prefix per score.
 strings: it preprocesses, dispatches, and applies casing and the final
 stop.  The bags go through in batches whose score-table block holds at
 most ``ORDER_CHUNK`` entries (LM states times predicted words), each
-with one LM call to fill the batch's table, one arrangement pass and
-one ``lm.score_many`` call for the final scores; a batch that raises is
-rerun bag by bag, so a failure degrades only its own sentence.  All
-three searches are array passes over the batch.  One grid search,
-``_grid_best``, finds each row's best tuple of still-unused ids after a
-given history: the exhaustive bags of each length make one grid of full
-sentences, and ``method1``'s seeds are one grid of the best three words
-after <s> and each first word of every ``method1`` bag.  ``method2``'s
-chunk fills score each (bag, chunk size) grid of bare fragments once,
-then go depth by depth, masking the grid of every distinct (bag,
-chunk-size prefix) at that depth with its words left.  Each grid row's
-ids are padded to the widest bag of the pass, and passes hold at most
-``ORDER_CHUNK`` entries or one row.  ``method1``'s growth then steps
-all its bags together, one word per step.  ``realize_order``,
-``order_words`` and the three searches are one-item calls of the same
-path.
+with one LM call to fill its table, one arrangement pass and one
+``lm.score_many`` call for the final scores; a batch that raises is
+rerun bag by bag, so a failure degrades only its own sentence.  The
+searches are array passes over the batch: ``_grid_best`` finds each
+row's best tuple of still-unused ids after a given history, for the
+exhaustive bags of each length and for ``method1``'s seeds, and
+``method2``'s chunk fills mask each (bag, chunk size) grid of fragment
+scores with the words left.  Grid rows are padded to the widest bag of
+their pass, in passes of at most ``ORDER_CHUNK`` entries or one row.
+``realize_order``, ``order_words`` and the three searches are one-item
+calls of the same path.
 """
 
 from __future__ import annotations
@@ -212,17 +209,43 @@ def _dense_histories(m: int, dense: int):
     return padded, rows
 
 
-def _bigrams(model: NGramModel, heads: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Whether each two-word history of each bag is a bigram of the LM, flat,
-    bag by bag, in ``_dense_histories`` order: bag b has ``m[b] + 1``
-    consecutive ``heads`` (the vocabulary ids of its distinct words, then
-    <s>), the first word of a history is any of them and the second any
-    of its words.  One vectorized lookup for all the bags."""
-    runs = np.repeat(m, m + 1)  # each head, once per second word
-    first = np.repeat(np.arange(len(heads)), runs)
-    bag_heads = np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)  # per head: its bag's first head
-    second = np.arange(len(first)) - np.repeat(np.cumsum(runs) - runs - bag_heads, runs)
-    return model.has_ngram(np.stack([heads[first], heads[second]], axis=-1))
+class _Contexts:
+    """Each bag of a list as found in an LM, once for a whole command.
+    Per bag: its sorted distinct ``words`` and their number, its
+    ``marker``.  Flat, bag by bag, never padded: ``heads``, the vocabulary
+    ids of its words and then of <s>, with ``counts``, how often the bag
+    holds each (0 for <s>); and from ``starts[b]`` on, its
+    ``_dense_histories`` in vocabulary ids (-1 for no word), with
+    ``state``, whether each is an LM state, from one ``has_ngram`` call."""
+
+    def __init__(self, bags, model: NGramModel):
+        dense = min(model.order - 1, _DENSE_HISTORY)
+        self.bags, self.words = list(bags), [sorted(set(bag.words)) for bag in bags]
+        self.marker = np.array([len(words) for words in self.words], dtype=np.int64)
+        self.heads = np.array([model.vocab.index(w) for ws in self.words for w in (*ws, BOS_WORD)], dtype=np.int64)
+        counts = [c for bag, words in zip(bags, self.words) for c in (*map(bag.words.count, words), 0)]
+        self.counts = np.array(counts, dtype=np.int64)
+        local = [_dense_histories(m, dense)[0] for m in self.marker.tolist()]  # ids within the bag, -1 for none
+        self.starts = np.cumsum([0, *map(len, local)])
+        first = np.repeat(np.cumsum(self.marker + 1) - (self.marker + 1), np.diff(self.starts))  # its bag's first head
+        local = np.concatenate([np.zeros((0, dense), dtype=np.int64), *local])
+        self.histories = np.where(local >= 0, self.heads[first[:, None] + local], -1)
+        two = (local >= 0).sum(axis=1) == 2  # a two-word history that is no bigram is no state
+        self.state = ~two
+        self.state[two] = model.has_ngram(self.histories[two])
+
+    def __len__(self) -> int:
+        return len(self.bags)
+
+    def __getitem__(self, part: slice) -> _Contexts:
+        """The bags of ``part``, a slice of step 1, without a new lookup."""
+        lo, hi, _ = part.indices(len(self))
+        h, s = (slice(*ends[[lo, hi]]) for ends in (np.cumsum([0, *self.marker + 1]), self.starts))
+        out = object.__new__(_Contexts)
+        out.bags, out.words, out.marker, out.heads = self.bags[part], self.words[part], self.marker[part], self.heads[h]
+        out.counts, out.histories, out.state = self.counts[h], self.histories[s], self.state[s]
+        out.starts = self.starts[lo : hi + 1] - self.starts[lo]
+        return out
 
 
 class ScoreTable:
@@ -234,12 +257,11 @@ class ScoreTable:
     word of a history and for ``</s>`` as the predicted word.  Row
     ``rows[b, code]`` of ``block`` holds log10 p(word | history), indexed
     by predicted id, for each history of up to ``_DENSE_HISTORY`` ids of
-    bag b with ``_codes`` ``code`` in base ``marker[b] + 2``.  The per-bag
-    arrays ``counts``, ``heads`` and ``predicted`` are padded to the
-    widest bag and indexed ``[bag, id]``: ``heads`` and ``predicted`` hold
-    the vocabulary ids of the history and predicted words, ``heads`` with
-    ``<s>`` at the marker and -1 (no word) after it, ``predicted`` with
-    ``</s>`` at the marker and ``<s>`` after it.
+    bag b with ``_codes`` ``code`` in base ``marker[b] + 2``.  ``counts``,
+    ``heads`` and ``predicted`` are the batch's ``_Contexts`` padded to
+    the widest bag and indexed ``[bag, id]``: ``heads`` with -1 (no word)
+    after the marker, ``predicted`` with ``</s>`` at the marker and
+    ``<s>`` after it.
 
     ``block`` has one row per LM state, the part of a history the LM
     reads (Heafield 2011).  The LM's tables are prefix-closed, so a
@@ -248,42 +270,31 @@ class ScoreTable:
     gives its last word alone: such a history shares that word's row.
     """
 
-    def __init__(self, bags, model: NGramModel):
+    def __init__(self, contexts: _Contexts, model: NGramModel):
         self.model, self.span = model, model.order - 1
-        self.words = [sorted(set(bag.words)) for bag in bags]
-        self.length = np.array([len(bag) for bag in bags])
-        self.marker = np.array([len(words) for words in self.words])
+        self.words, self.marker = contexts.words, contexts.marker
+        self.length = np.array([len(bag) for bag in contexts.bags])
         dense = min(self.span, _DENSE_HISTORY)
-        width = int(self.marker.max()) + 2
-        bos = model.vocab.index(BOS_WORD)
-        self.counts = np.zeros((len(bags), width - 2), dtype=np.int64)
-        self.heads = np.full((len(bags), width), -1, dtype=np.int64)
-        self.predicted = np.full((len(bags), width), bos, dtype=np.int64)
-        self.rows = np.zeros((len(bags), width**dense), dtype=np.int64)
-        histories, first = [], 0
-        for b, (bag, words) in enumerate(zip(bags, self.words)):
-            m = len(words)
-            index = {w: i for i, w in enumerate(words)}
-            self.counts[b, :m] = np.bincount([index[w] for w in bag.words], minlength=m)
-            ids = [model.vocab.index(w) for w in words]
-            self.heads[b, : m + 1] = [*ids, bos]
-            self.predicted[b, : m + 1] = [*ids, model.vocab.index(EOS_WORD)]
-            padded, rows = _dense_histories(m, dense)
-            self.rows[b, : len(rows)] = first + rows
-            histories.append(self.heads[b, padded])  # the id -1 reads the last column, -1
-            first += len(padded)
-        owner = np.repeat(np.arange(len(bags)), [len(h) for h in histories])
-        histories = np.concatenate(histories)
-        state = np.ones(len(histories), dtype=bool)  # the histories that fill a row of their own
-        if dense == 2:
-            heads = self.heads[np.arange(width) <= self.marker[:, None]]
-            state[histories[:, 0] >= 0] = _bigrams(model, heads, self.marker)
-        # any other history reads the row of its last id alone, whose code is its own last digit
+        bags, width = len(contexts), int(self.marker.max()) + 2
+        head = np.arange(width) <= self.marker[:, None]  # each bag's words, then its marker
+        self.heads = np.full((bags, width), -1, dtype=np.int64)
+        self.heads[head] = contexts.heads
+        self.predicted = np.where(head, self.heads, model.vocab.index(BOS_WORD))
+        self.predicted[np.arange(bags), self.marker] = model.vocab.index(EOS_WORD)
+        counts = np.zeros((bags, width), dtype=np.int64)
+        counts[head] = contexts.counts
+        self.counts = counts[:, :-2]
+        self.rows = np.zeros((bags, width**dense), dtype=np.int64)
+        for m in np.unique(self.marker).tolist():
+            group = np.flatnonzero(self.marker == m)
+            self.rows[group, : (m + 2) ** dense] = contexts.starts[group, None] + _dense_histories(m, dense)[1]
+        # a history that is no state reads the row of its last id alone, whose code is its own last digit
         alone = np.take_along_axis(self.rows, np.arange(width**dense) % (self.marker[:, None] + 2), axis=1)
-        self.rows = (np.cumsum(state) - 1)[np.where(state[self.rows], self.rows, alone)]
+        self.rows = (np.cumsum(contexts.state) - 1)[np.where(contexts.state[self.rows], self.rows, alone)]
         # each state before every predicted id of its bag, then <s>, whose
         # log p after the empty history (a bag's first row) starts every sentence
-        self.block, _ = model.logprob_ids(histories[state, None, :], self.predicted[owner[state]])
+        owner = np.repeat(np.arange(bags), np.diff(contexts.starts))[contexts.state]  # each state's bag
+        self.block, _ = model.logprob_ids(contexts.histories[contexts.state, None], self.predicted[owner])
         self.start = self.block[self.rows[:, 0], self.marker + 1]
 
     def __call__(self, bag: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
@@ -298,9 +309,6 @@ class ScoreTable:
         heads = [self.heads[bag, h] for h in history]  # the id -1 reads the last column, -1
         logp, _ = self.model.logprob_ids(np.stack(np.broadcast_arrays(*heads), axis=-1), self.predicted[bag, word])
         return logp
-
-    def decode(self, bag: int, ids) -> list[str]:
-        return [self.words[bag][i] for i in ids]
 
 
 def _fits(counts, ids):
@@ -498,8 +506,7 @@ def _chunkings_many(
     bag's grid with the words left and takes the first maximum.  The
     fills go depth by depth, since a prefix's fill needs its parent's
     remaining words: depth d fills the d-th chunk of every prefix of d
-    sizes, chunk size by chunk size, in passes of at most
-    ``ORDER_CHUNK`` grid entries (at least one row).
+    sizes, chunk size by chunk size, also in ``_passes``.
     """
     plans = [_scheme_plan(int(table.length[b]), cap) for b in which]
     levels: dict = {}  # (depth, chunk size) -> the (bag, sizes prefix) pairs ending there
@@ -525,8 +532,8 @@ def _chunkings_many(
         best = np.zeros((len(keys), size), dtype=np.int64)
         for p, score in enumerate(scored):
             rows = np.flatnonzero(where[:, 0] == p)
-            step = max(1, ORDER_CHUNK // score[0].size)
-            for part in (rows[i : i + step] for i in range(0, len(rows), step)):
+            for part, _ in _passes(np.full(len(rows), score.shape[-1]), size):
+                part = rows[part]
                 best[part], _ = _masked_best(score[where[part, 1]], remaining[part])
         for column in best.T:
             remaining[np.arange(len(keys)), column] -= 1
@@ -691,15 +698,15 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
     return found, transitions
 
 
-def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
+def _order_batch(batch: _Contexts, model: NGramModel, methods, cap: int) -> list:
     """``_order`` of one batch: one score-table fill, one exhaustive pass
     per bag length, one ``method1`` seed pass and growth, one greedy
     chunk-fill pass per chunk-size prefix depth and chunk size, one
     arrangement pass and one final-score call."""
-    table = ScoreTable(bags, model)
+    table = ScoreTable(batch, model)
     which = {method: [b for b, m in enumerate(methods) if m is method] for method in OrderMethod}
-    found: list = [None] * len(bags)
-    plans: list = [[] for _ in bags]
+    found: list = [None] * len(batch)
+    plans: list = [[] for _ in methods]
     small = which[OrderMethod.EXHAUSTIVE]
     for b, (ids, evaluated) in zip(small, _exhaustive_many(table, small)):
         found[b] = (ids, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
@@ -720,7 +727,7 @@ def _order_batch(bags, model: NGramModel, methods, cap: int) -> list:
         if ids is None:
             results.append(ValueError("every chunk scheme was skipped by the arrangement cap"))
         else:
-            results.append(OrderingResult(sequence=table.decode(b, ids), lm_score=None, **fields))
+            results.append(OrderingResult(sequence=[table.words[b][i] for i in ids], lm_score=None, **fields))
     done = [r for r in results if isinstance(r, OrderingResult)]
     for result, lm_score in zip(done, score_many(model, [[BOS_WORD, *r.sequence, EOS_WORD] for r in done])):
         result.lm_score = lm_score
@@ -731,43 +738,35 @@ def _order(bags, model: NGramModel, methods, cap: int = _ARRANGEMENT_CAP) -> lis
     """An ``OrderingResult`` per bag searched with its method, or the
     exception that stopped it.
 
-    Consecutive bags are searched together while their score table's
-    block takes at most ``ORDER_CHUNK`` entries: the LM states of their
-    histories, counted for every bag with one lookup, times the widest
-    bag's distinct words plus 2.  A bag over the budget is a batch of
-    its own.
+    The bags are looked up once, as ``_Contexts``, and each batch gets
+    its slice.  Consecutive bags are searched together while their score
+    table's block takes at most ``ORDER_CHUNK`` entries: their LM states
+    times the widest bag's distinct words plus 2.  A bag over the budget
+    is a batch of its own.
     """
-    dense = min(model.order - 1, _DENSE_HISTORY)
-    distinct = [sorted(set(bag.words)) for bag in bags]
-    m = np.array([len(words) for words in distinct], dtype=np.int64)
-    states = 1 + (m + 1) * min(dense, 1)  # the empty history, then one id
-    if dense == 2 and len(bags):  # and the two-id histories that are bigrams
-        heads = np.array([model.vocab.index(w) for words in distinct for w in (*words, BOS_WORD)])
-        owner = np.repeat(np.arange(len(bags)), m * (m + 1))
-        states += np.bincount(owner, weights=_bigrams(model, heads, m), minlength=len(bags)).astype(np.int64)
+    contexts = _Contexts(bags, model)
+    before = np.append(0, np.cumsum(contexts.state))[contexts.starts].tolist()  # the LM states before each bag
+    m = contexts.marker.tolist()
     results: list = []
     start = 0
     while start < len(bags):
-        stop, rows, width = start, 0, 0
-        while stop < len(bags):
-            more, wider = int(states[stop]), max(width, int(m[stop]) + 2)
-            if stop > start and (rows + more) * wider > ORDER_CHUNK:
-                break
-            rows, width, stop = rows + more, wider, stop + 1
-        results += _order_safely(bags[start:stop], model, methods[start:stop], cap)
+        stop, width = start + 1, m[start] + 2
+        while stop < len(bags) and (before[stop + 1] - before[start]) * max(width, m[stop] + 2) <= ORDER_CHUNK:
+            stop, width = stop + 1, max(width, m[stop] + 2)
+        results += _order_safely(contexts[start:stop], model, methods[start:stop], cap)
         start = stop
     return results
 
 
-def _order_safely(bags, model: NGramModel, methods, cap: int) -> list:
+def _order_safely(batch: _Contexts, model: NGramModel, methods, cap: int) -> list:
     """``_order_batch``; if it raises, its bags one at a time, so that an
     unexpected failure degrades only the bags that raise it."""
     try:
-        return _order_batch(bags, model, methods, cap)
+        return _order_batch(batch, model, methods, cap)
     except Exception as exc:
-        if len(bags) == 1:
+        if len(batch) == 1:
             return [exc]
-        return [r for i in range(len(bags)) for r in _order_safely(bags[i : i + 1], model, methods[i : i + 1], cap)]
+        return [r for i in range(len(batch)) for r in _order_safely(batch[i : i + 1], model, methods[i : i + 1], cap)]
 
 
 def _one(results: list):

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -632,3 +636,42 @@ def test_config_accepts_integer_lr(workspace, tmp_path):
          "--out", str(tmp_path / "p.txt"), "--config", str(config)]
     )
     assert code == cli.EXIT_OK
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``udrealize`` run alone in a new process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "udrealize.cli", *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_builds_the_parser_once(workspace, tmp_path, capfd):
+    # a usage error, then a valid command, in one process: each ends as it
+    # does alone in a fresh process, and both parse with one parser tree
+    out = tmp_path / "p.txt"
+    bad = ["reorder", str(workspace["treebank"]), "--out", str(out)]  # no --lm
+    good = ["reorder", str(workspace["treebank"]), "--lm", str(workspace["arpa"]), "--out", str(out)]
+    alone = []
+    for argv in (bad, good):
+        alone.append((*_fresh_process(argv), out.read_bytes() if out.exists() else None))
+    out.unlink()
+    cli.build_parser.cache_clear()
+    together = []
+    for argv in (bad, good):
+        code = cli.main(argv)
+        captured = capfd.readouterr()
+        together.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+    assert together == alone
+    assert [code for code, *_ in together] == [cli.EXIT_USAGE, cli.EXIT_OK]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--config", "/nonexistent.json"), ("--seed", "-3")])
+def test_reinflect_takes_no_config_or_seed(workspace, tmp_path, capfd, flag, value):
+    # no PipelineConfig field applies to reinflect: the checkpoint fixes its sizes
+    out = tmp_path / "filled.conllu"
+    argv = ["reinflect", str(workspace["treebank"]), "--model", str(workspace["checkpoint"]), "--out", str(out)]
+    assert cli.main([*argv, flag, value]) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capfd.readouterr().err
+    assert not out.exists()

@@ -399,12 +399,12 @@ def test_score_table_holds_exact_logprobs(lm_order, where):
 
     model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
     bag = preprocess(["the", "dog", "the", "quix"])
-    alone = ScoreTable([bag], model)
+    alone = ScoreTable(order._Contexts([bag], model), model)
     if where == "alone":
         table, b = alone, 0
     else:  # between a one-word bag and one with more distinct words, so its arrays are padded
         wider = preprocess(["the", "old", "dog", "ran", "in", "park"])
-        table, b = ScoreTable([preprocess(["dog"]), bag, wider], model), 1
+        table, b = ScoreTable(order._Contexts([preprocess(["dog"]), bag, wider], model), model), 1
         assert table.counts.shape[1] > alone.counts.shape[1]
     m = table.marker[b]
     assert (table.start[b], m, table.length[b]) == (alone.start[0], alone.marker[0], alone.length[0])
@@ -447,7 +447,7 @@ _STATES_ARPA = (
 
 def test_score_table_rows_follow_the_lm_states():
     model = lm.parse_arpa(_STATES_ARPA)
-    table = ScoreTable([preprocess(["c", "b", "a"])], model)
+    table = ScoreTable(order._Contexts([preprocess(["c", "b", "a"])], model), model)
     a, b, c, bos = range(4)  # sorted word ids, then the marker
     histories = [(a,), (b,), (c,), (a, b), (bos, a), (bos, c)]
     row = {history: table.rows[0, order._codes(history, table.marker[0] + 2)] for history in histories}
@@ -623,7 +623,7 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
     for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per grid of 8 or more words
         monkeypatch.setattr(order, "ORDER_CHUNK", chunk)
         passes.clear()
-        table = ScoreTable(bags, model)
+        table = ScoreTable(order._Contexts(bags, model), model)
         for cap, expected in zip(caps, chunkings):
             scoring.clear()
             assert order._chunkings_many(table, list(range(len(bags))), cap) == list(expected)
@@ -747,6 +747,46 @@ def test_realize_orders_matches_one_at_a_time(lm_order, monkeypatch):
     assert "ValueError: every chunk scheme was skipped by the arrangement cap" in expected
 
 
+def test_a_command_looks_its_bigrams_up_once_whatever_its_batches(monkeypatch):
+    model = lm.train_lm(toy_corpus_sentences(), order=3)
+    token_lists = [list(bag.words) for bag in _oracle_bags(83, 30, 1, 14)]
+    calls, batches = [], []
+    has_ngram, batch = lm.NGramModel.has_ngram, order._order_batch
+    monkeypatch.setattr(lm.NGramModel, "has_ngram", lambda self, ids: calls.append(len(ids)) or has_ngram(self, ids))
+    monkeypatch.setattr(order, "_order_batch", lambda bags, *rest: batches.append(len(bags)) or batch(bags, *rest))
+    monkeypatch.setattr(order, "ORDER_CHUNK", 400)
+    realize_orders(token_lists, model)
+    assert len(batches) > 1 and sum(batches) == len(token_lists)
+    assert len(calls) == 1 and calls[0] > 0
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4])
+def test_each_batch_fills_the_states_it_was_budgeted(lm_order, monkeypatch):
+    # the budget counts a batch's LM states in the arrays its table fills
+    # its block rows from: one row per state, in batches under ORDER_CHUNK
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    token_lists = [list(bag.words) for bag in _oracle_bags(89, 30, 1, 14)]
+    budgeted, filled = [], []
+    batch = order._order_batch
+
+    def batch_spy(contexts, *rest):
+        budgeted.append((int(contexts.state.sum()), int(contexts.marker.max()) + 2, len(contexts)))
+        return batch(contexts, *rest)
+
+    class Spy(ScoreTable):
+        def __init__(self, contexts, model):
+            super().__init__(contexts, model)
+            filled.append(len(self.block))
+
+    monkeypatch.setattr(order, "_order_batch", batch_spy)
+    monkeypatch.setattr(order, "ScoreTable", Spy)
+    monkeypatch.setattr(order, "ORDER_CHUNK", 400)
+    realize_orders(token_lists, model)
+    assert [states for states, _, _ in budgeted] == filled
+    assert len(budgeted) > 1 and sum(bags for _, _, bags in budgeted) == len(token_lists)
+    assert all(states * width <= 400 or bags == 1 for states, width, bags in budgeted)
+
+
 @pytest.mark.parametrize("lm_order", [3, 4, 5])
 def test_reorder_output_matches_the_golden_file(tmp_path, lm_order):
     # golden.conllu holds bags of 1-26 words (every method, duplicates, OOV
@@ -777,10 +817,10 @@ def test_a_failing_bag_degrades_only_its_own_sentence(toy_lm, monkeypatch):
     assert [preprocess(tokens) for tokens in token_lists].count(poisoned) == 1
 
     class Failing(ScoreTable):  # an unexpected failure inside any batch that holds the poisoned bag
-        def __init__(self, bags, model):
-            if poisoned in bags:
+        def __init__(self, contexts, model):
+            if poisoned in contexts.bags:
                 raise RuntimeError("planted failure")
-            super().__init__(bags, model)
+            super().__init__(contexts, model)
 
     batches = []
     real = order._order_batch

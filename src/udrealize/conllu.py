@@ -76,7 +76,9 @@ def _check_structure(sent: UdSentence, diagnostics: list[str]) -> None:
     id_set = set(ids)
     roots = 0
     for tok in sent.tokens:
-        if tok.head == 0:
+        if tok.head < 0:
+            diagnostics.append(f"sentence {sent.sent_id}: token {tok.id} has negative head")
+        elif tok.head == 0:
             roots += 1
         elif tok.head not in id_set:
             diagnostics.append(
@@ -84,8 +86,6 @@ def _check_structure(sent: UdSentence, diagnostics: list[str]) -> None:
             )
         if tok.head == tok.id:
             diagnostics.append(f"sentence {sent.sent_id}: token {tok.id} is its own head")
-        if tok.head < 0:
-            diagnostics.append(f"sentence {sent.sent_id}: token {tok.id} has negative head")
     if roots != 1:
         diagnostics.append(f"sentence {sent.sent_id}: {roots} root tokens (expected 1)")
 

@@ -2,8 +2,9 @@
 
 Three search strategies, dispatched on bag size:
 
-* ``exhaustive``  - score every permutation, for bags of up to
-                    ``EXHAUSTIVE_LIMIT`` (4) words;
+* ``exhaustive``  - the best of every distinct permutation, for bags of
+                    up to ``EXHAUSTIVE_LIMIT`` (4) words, found exactly
+                    by the arrangement DP over one-word chunks;
 * ``method2``     - partition the length into unigram/bigram/trigram
                     chunks, fill each chunk greedily with the
                     best-scoring word tuple, then find the best
@@ -38,20 +39,22 @@ first maximum in C order.
 ``method2`` arranges its chunks with a Held-Karp dynamic program (Held &
 Karp 1962; word ordering as a travelling-salesman problem, Horvat &
 Byrne 2014) over states (used-chunk mask, last ``order - 1`` ids)
-instead of scoring all k! arrangements.  Rounding is monotone, so a
-prefix that scores lower at a state never overtakes a higher one, but
-the two may end up tied, and then the smaller sequence wins.  The DP
-therefore keeps every prefix within ``_TIE_BAND`` (1e-9) of the best one
-at its state: each later addition closes the gap between two sums by at
-most one ulp, under 1e-12 while sums stay below 4096 in magnitude, so
-fewer than 1000 later additions cannot close a larger gap.  Among prefixes
-with the same score at a state it keeps only the smallest, since their
-continuations score the same.  One pass arranges the chunks of every
-scheme of every ``method2`` bag of a batch, layer by layer (layer L holds
-the states with L chunks used): each kept prefix is a numpy row of
-(scheme, mask, history, score, prefix ids).  The band is applied first,
-after a sort by state alone, and only the rows within it are sorted by
-score and prefix to keep the smallest prefix per score.
+instead of scoring all k! arrangements; an exhaustive bag is the same
+problem with one chunking, a one-word chunk per word.  Rounding is
+monotone, so a prefix that scores lower at a state never overtakes a
+higher one, but the two may end up tied, and then the smaller sequence
+wins.  The DP therefore keeps every prefix within ``_TIE_BAND`` (1e-9)
+of the best one at its state: each later addition closes the gap between
+two sums by at most one ulp, under 1e-12 while sums stay below 4096 in
+magnitude, so fewer than 1000 later additions cannot close a larger gap.
+Among prefixes with the same score at a state it keeps only the
+smallest, since their continuations score the same.  One pass arranges
+the chunks of every scheme of every ``method2`` and exhaustive bag of a
+batch, layer by layer (layer L holds the states with L chunks used):
+each kept prefix is a numpy row of (scheme, mask, history, score, prefix
+ids).  The band is applied first, after a sort by state alone, and only
+the rows within it are sorted by score and prefix to keep the smallest
+prefix per score.
 
 ``realize_orders`` takes a whole command's token lists to sentence
 strings: it preprocesses, dispatches, and applies casing and the final
@@ -61,13 +64,12 @@ with one LM call to fill its table, one arrangement pass and one
 ``lm.score_many`` call for the final scores; a batch that raises is
 rerun bag by bag, so a failure degrades only its own sentence.  The
 searches are array passes over the batch: ``_grid_best`` finds each
-row's best tuple of still-unused ids after a given history, for the
-exhaustive bags of each length and for ``method1``'s seeds, and
-``method2``'s chunk fills mask each (bag, chunk size) grid of fragment
-scores with the words left.  Grid rows are padded to the widest bag of
-their pass, in passes of at most ``ORDER_CHUNK`` entries or one row.
-``realize_order``, ``order_words`` and the three searches are one-item
-calls of the same path.
+row's best tuple of still-unused ids after a given history, for
+``method1``'s seeds, and ``method2``'s chunk fills mask each (bag, chunk
+size) grid of fragment scores with the words left.  Grid rows are padded
+to the widest bag of their pass, in passes of at most ``ORDER_CHUNK``
+entries or one row.  ``realize_order``, ``order_words`` and the three
+searches are one-item calls of the same path.
 """
 
 from __future__ import annotations
@@ -341,21 +343,20 @@ def _axes(size: int, width: int) -> list:
 
 
 def _grid_scores(
-    table: ScoreTable, bag: np.ndarray, size: int, width: int, history: list, start: np.ndarray, end=False
+    table: ScoreTable, bag: np.ndarray, size: int, width: int, history: list, start: np.ndarray
 ) -> np.ndarray:
     """Per row r: the score of every ``size``-tuple of ids below ``width``,
     an (R,) + (width,) * size array.  A tuple is scored from ``start[r]``,
     adding left to right the conditional of each of its ids after the
     history so far, which opens with the id columns ``history`` (an entry
-    per row), and with ``end`` that of ``</s>`` after it.  An id past
-    bag ``bag[r]``'s words reads its last word's scores."""
+    per row).  An id past bag ``bag[r]``'s words reads its last word's
+    scores."""
     column = (len(bag),) + (1,) * size  # a value per row, against the row's grid
     b = bag.reshape(column)
-    marker = table.marker[b]
-    ids = [np.minimum(axis, marker - 1) for axis in _axes(size, width)]
+    ids = [np.minimum(axis, table.marker[b] - 1) for axis in _axes(size, width)]
     words = [h.reshape(column) for h in history] + ids
     score = start.reshape(column)
-    for p, w in enumerate(ids + ([marker] if end else [])):  # </s> is the marker
+    for p, w in enumerate(ids):
         score = score + table(b, words[: len(history) + p], w)
     return score
 
@@ -371,7 +372,7 @@ def _masked_best(score: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _grid_best(
-    table: ScoreTable, bag: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray, end=False
+    table: ScoreTable, bag: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row r: the best ``size``-tuple of the word ids of bag ``bag[r]``
     that uses no word more often than ``counts[r]`` allows, as a row of
@@ -383,25 +384,9 @@ def _grid_best(
     best = np.zeros((len(bag), size), dtype=np.int64)
     scores = np.zeros(len(bag))
     for part, width in _passes(table.marker[bag], size):
-        score = _grid_scores(table, bag[part], size, width, [h[part] for h in history], start[part], end)
+        score = _grid_scores(table, bag[part], size, width, [h[part] for h in history], start[part])
         best[part], scores[part] = _masked_best(score, counts[part])
     return best, scores
-
-
-def _exhaustive_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Per bag in ``which``: its best distinct permutation, scored as a
-    full sentence, and the number of distinct permutations; one
-    ``_grid_best`` call per bag length."""
-    found: dict = {}
-    for length in sorted({int(table.length[b]) for b in which}):
-        group = np.array([b for b in which if table.length[b] == length])
-        start = table.start[group]
-        best, _ = _grid_best(table, group, table.counts[group], length, [table.marker[group]], start, end=True)
-        found.update(zip(group.tolist(), map(tuple, best.tolist())))
-    return [
-        (found[b], math.factorial(table.length[b]) // math.prod(map(math.factorial, table.counts[b].tolist())))
-        for b in which
-    ]
 
 
 def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, ...], dict]]:
@@ -699,17 +684,20 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
 
 
 def _order_batch(batch: _Contexts, model: NGramModel, methods, cap: int) -> list:
-    """``_order`` of one batch: one score-table fill, one exhaustive pass
-    per bag length, one ``method1`` seed pass and growth, one greedy
-    chunk-fill pass per chunk-size prefix depth and chunk size, one
-    arrangement pass and one final-score call."""
+    """``_order`` of one batch: one score-table fill, one ``method1`` seed
+    pass and growth, one greedy chunk-fill pass per chunk-size prefix
+    depth and chunk size, one arrangement pass and one final-score call.
+    An exhaustive bag is arranged as one chunking, a one-word chunk per
+    word; it counts its distinct permutations, not the DP's transitions."""
     table = ScoreTable(batch, model)
     which = {method: [b for b, m in enumerate(methods) if m is method] for method in OrderMethod}
     found: list = [None] * len(batch)
     plans: list = [[] for _ in methods]
-    small = which[OrderMethod.EXHAUSTIVE]
-    for b, (ids, evaluated) in zip(small, _exhaustive_many(table, small)):
-        found[b] = (ids, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
+    for b in which[OrderMethod.EXHAUSTIVE]:
+        counts = table.counts[b].tolist()
+        plans[b] = [tuple((i,) for i, c in enumerate(counts) for _ in range(c))]
+        evaluated = math.factorial(table.length[b]) // math.prod(map(math.factorial, counts))
+        found[b] = (None, {"method": OrderMethod.EXHAUSTIVE, "candidates_evaluated": evaluated})
     grown = which[OrderMethod.METHOD1]
     for b, result in zip(grown, _method1_many(table, grown)):
         found[b] = result
@@ -721,8 +709,9 @@ def _order_batch(batch: _Contexts, model: NGramModel, methods, cap: int) -> list
     arranged, transitions = _arrange(table, plans)
     results: list = []
     for b, ((ids, fields), arrangement, more) in enumerate(zip(found, arranged, transitions.tolist())):
-        if fields["method"] is OrderMethod.METHOD2:
+        if fields["method"] is not OrderMethod.METHOD1:
             ids = arrangement
+        if fields["method"] is OrderMethod.METHOD2:
             fields["candidates_evaluated"] += more
         if ids is None:
             results.append(ValueError("every chunk scheme was skipped by the arrangement cap"))

@@ -1,5 +1,6 @@
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,23 @@ def test_structural_violations_flagged_not_fatal():
     assert len(corpus.sentences) == 1
     assert any("head 9" in d for d in corpus.diagnostics)
     assert any("root" in d for d in corpus.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "heads, expected",
+    [
+        ((0, -1), "token 2 has negative head"),
+        ((0, 2), "token 2 is its own head"),
+        ((0, 9), "token 2 head 9 does not exist"),
+        ((2, 1), "0 root tokens (expected 1)"),
+        ((0, 0), "2 root tokens (expected 1)"),
+    ],
+)
+def test_each_head_fault_gives_one_diagnostic(heads, expected):
+    text = "".join(f"{i}\tw{i}\tw{i}\tNOUN\t_\t_\t{h}\tdep\t_\t_\n" for i, h in enumerate(heads, 1))
+    corpus = parse_conllu(text)
+    assert len(corpus.sentences) == 1
+    assert corpus.diagnostics == [f"sentence 1: {expected}"]
 
 
 def test_sent_id_comment_and_running_index():

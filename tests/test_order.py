@@ -110,9 +110,17 @@ def test_exhaustive_matches_brute_force_oracle(toy_lm):
     assert result.lm_score.total == pytest.approx(expected_total, abs=1e-12)
 
 
-def test_exhaustive_oracle_agreement_random_bags(toy_lm):
-    for bag in _oracle_bags(17, 40, 1, EXHAUSTIVE_LIMIT):
-        _assert_matches_oracle(exhaustive(bag, toy_lm), toy_lm, brute_force_best(toy_lm, bag.words)[0])
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_exhaustive_oracle_agreement_random_bags(lm_order):
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    bags = _oracle_bags(17, 40, 1, EXHAUSTIVE_LIMIT) + [
+        WordBag(("blorft", "quix", "zandor")),  # every word out of vocabulary: all permutations tie
+        WordBag(("blorft", "blorft", "quix", "zandor")),
+    ]
+    for bag in bags:
+        result = exhaustive(bag, model)
+        _assert_matches_oracle(result, model, brute_force_best(model, bag.words)[0])
+        assert result.candidates_evaluated == _exhaustive_oracle(model, bag.words)[1]
 
 
 def test_exhaustive_rejects_large_bags(toy_lm):
@@ -630,7 +638,10 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
             # one fragment grid per (bag, chunk size), each masked by every fill of that size
             grids = {(t, len(chunk)) for t, (plan, _, _) in enumerate(expected) for cs in plan for chunk in cs}
             assert sum(scoring) == len(grids)
-        assert order._exhaustive_many(table, small) == exhaustive
+        # the exhaustive bags, batched by the same budget, through the arrangement DP
+        found = order._order([bags[t] for t in small], model, [OrderMethod.EXHAUSTIVE] * len(small))
+        ids = [tuple(sorted(set(r.sequence)).index(w) for w in r.sequence) for r in found]
+        assert list(zip(ids, [r.candidates_evaluated for r in found])) == exhaustive
         assert order._method1_many(table, large) == grown
         assert all(entries <= chunk or rows == 1 for entries, rows in passes)
         assert any(rows > 1 for _, rows in passes)

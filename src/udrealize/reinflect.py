@@ -15,7 +15,10 @@ and gates on a tape.  ``_backward``, the LSTM's closed-form gradient
 weight block's gradient is then one product over all steps, so
 checkpoints are reproducible from run to run.  ``predict_many`` keeps
 no tape: it decodes each distinct (lemma, tag) pair once, many pairs at
-a time, and ``predict`` is its one-pair case.
+a time, and ``predict`` is its one-pair case.  There each encoder and
+decoder step goes through ``_step_live``, which steps only the rows
+still live and never one row alone, so a pair's form does not depend
+on the pairs decoded with it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,13 @@ class CharVocab:
     def __post_init__(self):
         if self.chars[: len(RESERVED_CHARS)] != RESERVED_CHARS:
             raise ValueError("reserved characters must occupy the first indices")
-        object.__setattr__(self, "_index", {ch: i for i, ch in enumerate(self.chars)})
+        index = {ch: i for i, ch in enumerate(self.chars)}
+        for i, ch in enumerate(self.chars[len(RESERVED_CHARS) :], len(RESERVED_CHARS)):
+            if len(ch) != 1:
+                raise ValueError(f"vocabulary entry {ch!r} is not one character")
+            if index[ch] != i:  # the index keeps a repeated character's last position
+                raise ValueError(f"vocabulary character {ch!r} occurs more than once")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def build(cls, texts) -> "CharVocab":
@@ -163,6 +172,22 @@ def _lstm_cell(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, 
     return o * tanh_c, c_new, (i, f, g, o, tanh_c)
 
 
+def _step_live(model: Seq2SeqModel, prefix: str, x: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray):
+    """Step rows ``live`` of the (B, H) states ``h`` and ``c`` in place from their inputs ``x``; returns their new h.
+
+    A lone row steps beside a copy of itself, in both products, and its
+    new h has two rows: numpy multiplies a one-row matrix with BLAS's
+    matrix-vector routine, which adds in another order, so a row's
+    result would depend on the rows stepped with it.
+    """
+    if len(live) == 1:
+        live, x = np.repeat(live, 2), np.repeat(x, 2, axis=0)
+    # the gates are dropped at once: held through the next step they raise peak memory
+    h_new, c_new = _lstm_cell(model, prefix, x @ model.params[f"{prefix}.wx"], h[live], c[live])[:2]
+    h[live], c[live] = h_new, c_new
+    return h_new
+
+
 _Run = namedtuple("_Run", "prefix idx x hs cs gates live")
 
 
@@ -192,10 +217,10 @@ def _encode_rows(
 
     With a ``tape``, every step steps every row, and the tape gets one
     ``_run_taped`` run per direction, both on one input array.  Without
-    one, each step steps only the rows whose input reaches it, a lone
-    row beside a copy of itself, so a row's summary does not depend on
-    the rows batched with it; for two or more rows it is the taped one
-    bit for bit.
+    one, each step steps only the rows whose input reaches it, through
+    ``_step_live``, so a row's summary does not depend on the rows
+    batched with it; for two or more rows it is the taped one bit for
+    bit.
     """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
@@ -207,50 +232,23 @@ def _encode_rows(
         return np.concatenate([tape[-2].hs[-1], tape[-1].hs[-1]], axis=1)
     finals = []
     for prefix, steps in (("enc_f", range(max_t)), ("enc_b", range(max_t - 1, -1, -1))):
-        wx = model.params[f"{prefix}.wx"]
         h, c = np.zeros((b, model.hidden_size)), np.zeros((b, model.hidden_size))
         for t in steps:
             live = np.flatnonzero(t < lengths)
-            # never one row alone: numpy multiplies a one-row matrix with
-            # BLAS's matrix-vector routine, which adds in another order
-            rows = live if len(live) > 1 else np.repeat(live, 2)
-            # the gates are dropped at once: held through the next step they raise peak memory
-            hn, cn = _lstm_cell(model, prefix, emb[idx[rows, t]] @ wx, h[rows], c[rows])[:2]
-            h[live], c[live] = hn[: len(live)], cn[: len(live)]
+            _step_live(model, prefix, emb[idx[live, t]], h, c, live)
         finals.append(h)
     return np.concatenate(finals, axis=1)
 
 
-def decode_step(model: Seq2SeqModel, char_vec, summary, morph_vec, state=None):
-    """One decoder LSTM step plus output projection, for one row or a batch of rows.
+def decode_step(model: Seq2SeqModel, x: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """One decoder step of rows ``live`` from their inputs ``x``: their logits over the vocabulary.
 
-    ``char_vec`` is a 64-dim character embedding (conventionally the lemma
-    character aligned with this step), ``summary`` the 2H encoder summary,
-    ``morph_vec`` the F-dim morphological feature vector.  Each is either
-    one vector or a (B, width) array of B rows.  Returns (logits over the
-    vocabulary, new (h, c) state), one row or B rows like the input.
+    Each row of ``x`` is the embedding of the lemma character aligned
+    with this step, the 2H encoder summary and the F-dim morphological
+    feature vector.  Steps ``h`` and ``c`` in place like ``_step_live``,
+    so a lone row's logits have two rows.
     """
-    char_vec = np.asarray(char_vec, dtype=np.float64)
-    summary = np.asarray(summary, dtype=np.float64)
-    morph_vec = np.asarray(morph_vec, dtype=np.float64)
-    h = model.hidden_size
-    if char_vec.shape[-1:] != (EMB_DIM,):
-        raise ValueError(f"character embedding must have width {EMB_DIM}, got {char_vec.shape}")
-    if summary.shape[-1:] != (2 * h,):
-        raise ValueError(f"encoder summary must have width {2 * h}, got {summary.shape}")
-    if morph_vec.shape[-1:] != (model.feature_size,):
-        raise ValueError(
-            f"morph vector must have width {model.feature_size}, got {morph_vec.shape}"
-        )
-    single = char_vec.ndim == 1
-    x = np.concatenate([np.atleast_2d(char_vec), np.atleast_2d(summary), np.atleast_2d(morph_vec)], axis=1)
-    if state is None:
-        state = (np.zeros((x.shape[0], h)), np.zeros((x.shape[0], h)))
-    h_t, c_t = _lstm_cell(model, "dec", x @ model.params["dec.wx"], *map(np.atleast_2d, state))[:2]
-    logits = h_t @ model.params["out.w"] + model.params["out.b"]
-    if single:
-        return logits[0], (h_t[0], c_t[0])
-    return logits, (h_t, c_t)
+    return _step_live(model, "dec", x, h, c, live) @ model.params["out.w"] + model.params["out.b"]
 
 
 def _index_rows(rows, width: int) -> np.ndarray:
@@ -473,12 +471,10 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
 
     out: list[list[str]] = [[] for _ in pairs]
     live = np.arange(len(pairs))  # rows that have not emitted EOS yet
-    h = c = np.zeros((len(pairs), model.hidden_size))  # their decoder state
+    h, c = np.zeros((len(pairs), model.hidden_size)), np.zeros((len(pairs), model.hidden_size))
     for t in range(model.max_len):
-        # a lone row steps beside a copy of itself, as in _encode_rows
-        pick = slice(None) if len(live) > 1 else [0, 0]
-        rows = live[pick]
-        logits, (h, c) = decode_step(model, emb[idx[rows, t]], summary[rows], morph[rows], (h[pick], c[pick]))
+        x = np.concatenate([emb[idx[live, t]], summary[live], morph[live]], axis=1)
+        logits = decode_step(model, x, h, c, live)
         logits[:, [PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
         best = np.argmax(logits[: len(live)], axis=1)
         going = best != EOS
@@ -487,7 +483,6 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
             out[r].append(model.vocab.chars[ix])
         if not live.size:
             break
-        h, c = h[: len(going)][going], c[: len(going)][going]
     return ["".join(chars) for chars in out]
 
 
@@ -619,7 +614,10 @@ def load_model(path) -> Seq2SeqModel:
         _check_header(path, header)
         if header["emb_dim"] != EMB_DIM:
             raise ValueError(f"{path}: embedding width {header['emb_dim']} differs from {EMB_DIM}")
-        vocab = CharVocab(tuple(header["chars"]))
+        try:
+            vocab = CharVocab(tuple(header["chars"]))
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         shapes = Seq2SeqModel.shapes(len(vocab), len(header["inventory"]), header["hidden_size"])
         names = [name for name, _ in header["params"]]
         if names != list(Seq2SeqModel.PARAM_NAMES):

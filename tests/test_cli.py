@@ -487,11 +487,12 @@ _HEADER_EDITS = {
     "missing-key": lambda h: {k: v for k, v in h.items() if k != "emb_dim"},
     "array-header": lambda h: list(h.items()),
     "string-hidden-size": lambda h: {**h, "hidden_size": str(h["hidden_size"])},
+    "duplicate-char": lambda h: {**h, "chars": h["chars"][:-1] + h["chars"][-2:-1]},
 }
 
 
 @pytest.mark.parametrize(
-    "edit", ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size"],
+    "edit", ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size", "duplicate-char"],
 )
 def test_realize_inconsistent_checkpoint_is_data_error(workspace, tmp_path, capfd, edit):
     magic, header, blocks = workspace["checkpoint"].read_bytes().split(b"\n", 2)

@@ -15,7 +15,6 @@ from udrealize.reinflect import (
     GradientError,
     TrainExample,
     build_model,
-    decode_step,
     grad,
     load_model,
     load_training_file,
@@ -27,12 +26,6 @@ from udrealize.reinflect import (
 
 N_TAG = MorphTag(("N",))
 PL_TAG = MorphTag(("N", "PL"))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _lstm(p, prefix, x, state):
@@ -161,72 +154,32 @@ def test_decoder_input_width_invariant():
     assert model.params["dec.wx"].shape[0] == 64 + 2 * 4 + model.feature_size
 
 
-# --------------------------------------------------------------- decode_step
+# ---------------------------------------------------------- greedy decoding
 
-def test_decode_step_zero_model_is_uniform():
+def _zero_model():
     model, _ = tiny_model()
     for p in model.params.values():
         p[:] = 0.0
-    v = len(model.vocab)
-    logits, _ = decode_step(
-        model, np.zeros(64), np.zeros(2 * model.hidden_size), np.zeros(model.feature_size)
-    )
-    probs = softmax(logits)
-    assert np.allclose(probs, np.full(v, 1.0 / v), atol=1e-15)
+    return model
 
 
-def test_decode_step_bias_saturation():
-    model, _ = tiny_model()
-    for p in model.params.values():
-        p[:] = 0.0
+_ZERO_MODEL_PAIRS = [("ab", PL_TAG), ("cde", N_TAG), ("a", N_TAG), ("q!", PL_TAG)]
+
+
+def test_predict_many_zero_model_decodes_empty():
+    # every logit ties and PAD and BOS are masked, so EOS is the first
+    # character that may be emitted, in a batch and alone
+    model = _zero_model()
+    assert predict_many(model, _ZERO_MODEL_PAIRS) == [""] * len(_ZERO_MODEL_PAIRS)
+    assert predict(model, "ab", PL_TAG) == ""
+
+
+def test_predict_many_output_bias_fills_max_len():
+    model = _zero_model()
     model.params["out.b"][4] = 10.0
-    logits, _ = decode_step(
-        model, np.zeros(64), np.zeros(2 * model.hidden_size), np.zeros(model.feature_size)
-    )
-    probs = softmax(logits)
-    assert probs[4] > 0.999
-    assert int(np.argmax(logits)) == 4
-
-
-def test_decode_step_argmax_matches_softmax_argmax():
-    model, _ = tiny_model(seed=9)
-    rng = np.random.default_rng(0)
-    logits, _ = decode_step(
-        model,
-        rng.standard_normal(64),
-        rng.standard_normal(2 * model.hidden_size),
-        rng.standard_normal(model.feature_size),
-    )
-    assert int(np.argmax(logits)) == int(np.argmax(softmax(logits)))
-
-
-def test_decode_step_softmax_is_distribution():
-    model, _ = tiny_model(seed=11)
-    rng = np.random.default_rng(1)
-    state = None
-    for _ in range(4):
-        logits, state = decode_step(
-            model,
-            rng.standard_normal(64),
-            rng.standard_normal(2 * model.hidden_size),
-            rng.standard_normal(model.feature_size),
-            state,
-        )
-        probs = softmax(logits)
-        assert abs(probs.sum() - 1.0) < 1e-12
-        assert (probs >= 0).all()
-
-
-def test_decode_step_width_mismatch_errors():
-    model, _ = tiny_model()
-    good_summary = np.zeros(2 * model.hidden_size)
-    good_morph = np.zeros(model.feature_size)
-    with pytest.raises(ValueError, match="width"):
-        decode_step(model, np.zeros(63), good_summary, good_morph)
-    with pytest.raises(ValueError, match="width"):
-        decode_step(model, np.zeros(64), np.zeros(2 * model.hidden_size + 1), good_morph)
-    with pytest.raises(ValueError, match="width"):
-        decode_step(model, np.zeros(64), good_summary, np.zeros(model.feature_size + 1))
+    form = model.vocab.chars[4] * model.max_len
+    assert predict_many(model, _ZERO_MODEL_PAIRS) == [form] * len(_ZERO_MODEL_PAIRS)
+    assert predict(model, "ab", PL_TAG) == form
 
 
 # --------------------------------------------------------------------- loss
@@ -634,10 +587,10 @@ def _decode_trace(model, pairs, monkeypatch):
         summaries.append(encode_rows(*args))
         return summaries[-1]
 
-    def step_spy(model, char_vec, summary, morph_vec, state):
-        logits, state = step(model, char_vec, summary, morph_vec, state)
-        steps.append((np.concatenate([summary, morph_vec], axis=1), logits.copy()))
-        return logits, state
+    def step_spy(model, x, h, c, live):
+        logits = step(model, x, h, c, live)
+        steps.append((x[:, EMB_DIM:], logits.copy()))
+        return logits
 
     with monkeypatch.context() as patch:
         patch.setattr(rf, "_encode_rows", encode_spy)
@@ -761,6 +714,17 @@ def _hidden_size_as_string(header):
     return {**header, "hidden_size": str(header["hidden_size"])}
 
 
+def _set_vocab_char(ch):
+    # "b", the vocabulary's second letter after "a", becomes ch; the
+    # vocabulary keeps its size, so every block keeps its shape
+    def edit(header):
+        assert header["chars"][4:6] == ["a", "b"]
+        header["chars"][5] = ch
+        return header
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit_header, trailer, message",
     [
@@ -771,16 +735,23 @@ def _hidden_size_as_string(header):
         (_drop_emb_dim, b"", "no field 'emb_dim'"),
         (_header_as_array, b"", "not a JSON object"),
         (_hidden_size_as_string, b"", "field 'hidden_size' is not a positive integer"),
+        (_set_vocab_char("a"), b"", "character 'a' occurs more than once"),
+        (_set_vocab_char("bc"), b"", "entry 'bc' is not one character"),
+        (_set_vocab_char(""), b"", "entry '' is not one character"),
     ],
-    ids=["emb-dim", "unknown-block", "shape", "trailing-bytes", "missing-key", "array-header", "string-hidden-size"],
+    ids=[
+        "emb-dim", "unknown-block", "shape", "trailing-bytes", "missing-key", "array-header", "string-hidden-size",
+        "duplicate-char", "multi-char-entry", "empty-entry",
+    ],
 )
 def test_checkpoint_rejects_inconsistent_file(tmp_path, edit_header, trailer, message):
     model, _ = tiny_model(seed=19)
     path = tmp_path / "model.bin"
     save_model(model, path)
     _corrupt_checkpoint(path, edit_header, trailer)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as err:
         load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 # ------------------------------------------------------------- data loading

@@ -92,6 +92,7 @@ _CONFIG_TYPES = {
 def _load_config(args) -> PipelineConfig:
     """Start from defaults, apply --config file values, let explicit flags win."""
     cfg = PipelineConfig()
+    kinds = {f.name: f.type for f in fields(PipelineConfig)}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -100,7 +101,6 @@ def _load_config(args) -> PipelineConfig:
             raise DataError(f"{config_path}: invalid JSON ({exc})") from None
         if type(raw) is not dict:
             raise UsageError(f"{config_path}: config must be a JSON object")
-        kinds = {f.name: f.type for f in fields(PipelineConfig)}
         for key, value in raw.items():
             if key not in kinds:
                 raise UsageError(f"{config_path}: unknown config key {key!r}")
@@ -108,25 +108,9 @@ def _load_config(args) -> PipelineConfig:
             if type(value) not in accepted:
                 raise UsageError(f"{config_path}: config key {key!r} must be {kind}, got {json.dumps(value)}")
             setattr(cfg, key, value)
-    overrides = {
-        "order": "lm_order",
-        "threshold": "threshold",
-        "seed": "seed",
-        "jobs": "jobs",
-        "hidden_size": "hidden_size",
-        "epochs": "epochs",
-        "lr": "lr",
-        "batch_size": "batch_size",
-        "max_len": "max_len",
-    }
-    for flag, name in overrides.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "no_full_stop", False):
-        cfg.append_full_stop = False
-    if getattr(args, "no_capitalize", False):
-        cfg.capitalize = False
+    for name in kinds:  # each flag's dest is its field's name; a flag not given is None
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     cfg.validate()
     return cfg
 
@@ -163,21 +147,20 @@ def cmd_train_lm(args) -> int:
     cfg = _load_config(args)
     sentences = [line for line in _read_text(args.corpus).splitlines() if line.strip()]
     try:
-        vocab = lm.Vocabulary.build(sentences)
-        model = lm.train_lm(sentences, order=cfg.lm_order, vocab=vocab)
+        model = lm.train_lm(sentences, order=cfg.lm_order)
     except lm.EmptyCorpusError as exc:
         raise DataError(f"{args.corpus}: {exc}") from None
     arpa = lm.emit_arpa(model).encode("utf-8")
     tables = lm.tables_path(args.lm_out)
     with _output(args.vocab_out):
-        Path(args.vocab_out).write_text(vocab.to_text(), encoding="utf-8")
+        Path(args.vocab_out).write_text(model.vocab.to_text(), encoding="utf-8")
     with _output(args.lm_out):
         Path(args.lm_out).write_bytes(arpa)
     with _output(tables):
         tables.write_bytes(lm.tables_image(model, arpa))
     counts = " ".join(f"{n + 1}-grams={len(t)}" for n, t in enumerate(model.tables))
     print(f"trained order-{model.order} model on {len(sentences)} sentences: {counts}")
-    print(f"vocabulary: {len(vocab)} words -> {args.vocab_out}")
+    print(f"vocabulary: {len(model.vocab)} words -> {args.vocab_out}")
     print(f"model -> {args.lm_out}")
     print(f"tables -> {tables}")
     return EXIT_OK
@@ -223,12 +206,13 @@ def _load_corpus(path) -> conllu.Corpus:
     return corpus
 
 
-def surface_forms(model, tokens, table=None) -> list[str | None]:
+def surface_forms(model, tokens) -> list[str | None]:
     """Surface forms of tokens, decoding each distinct (lemma, tag) once.
 
     Punctuation passes through unchanged.  A token with an empty lemma
     gets None: it has nothing to reinflect.
     """
+    table = morphmap.default_table()  # looked up once, not per token
     keys = [
         None if tok.upos == "PUNCT" or order.is_punct(tok.lemma)
         else (tok.lemma, morphmap.convert(tok.upos, tok.feats, table))
@@ -260,7 +244,7 @@ def cmd_reinflect(args) -> int:
     corpus = _load_corpus(args.conllu)
     model = _load_reinflector(args.model)
     tokens = [tok for sentence in corpus.sentences for tok in sentence.tokens]
-    for tok, form in zip(tokens, surface_forms(model, tokens, morphmap.default_table())):
+    for tok, form in zip(tokens, surface_forms(model, tokens)):
         tok.form = tok.lemma if form is None else form
     with _output(args.out):
         Path(args.out).write_text(conllu.emit_conllu(corpus), encoding="utf-8")
@@ -281,7 +265,7 @@ def cmd_realize(args) -> int:
     else:
         # one batch over the whole file; each sentence takes back its share
         all_tokens = [tok for tokens in sentence_tokens for tok in tokens]
-        flat = iter(surface_forms(reinf_model, all_tokens, morphmap.default_table()))
+        flat = iter(surface_forms(reinf_model, all_tokens))
         sentence_words = [list(islice(flat, len(tokens))) for tokens in sentence_tokens]
 
     # a token whose lemma is empty could not be reinflected
@@ -363,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("corpus", help="ordered sentences, one per line")
     p.add_argument("--lm-out", required=True)
     p.add_argument("--vocab-out", required=True)
-    p.add_argument("--order", type=int, help="n-gram order (default 3)")
+    p.add_argument("--order", type=int, dest="lm_order", help="n-gram order (default 3)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train_lm)
 
@@ -397,8 +381,8 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--threshold", type=int, help=f"max length handled by method2 (default {order.DEFAULT_THRESHOLD})"
         )
-        p.add_argument("--no-full-stop", action="store_true")
-        p.add_argument("--no-capitalize", action="store_true")
+        p.add_argument("--no-full-stop", action="store_false", dest="append_full_stop", default=None)
+        p.add_argument("--no-capitalize", action="store_false", dest="capitalize", default=None)
         p.add_argument(
             "--jobs", type=int,
             help="accepted and validated (default 1); sentences are realized in input order in one thread",

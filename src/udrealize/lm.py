@@ -11,8 +11,8 @@ the full vocabulary, so p sums to one over the vocabulary for every
 history; expressed in backoff form, bow(h) = T(h) / (C(h) + T(h)).
 
 All probabilities and backoff weights are log10, matching ARPA files.
-Training sentences are lowercased, wrapped in <s>...</s>, and words
-outside the vocabulary are counted as <unk>.
+Training sentences are lowercased and wrapped in <s>...</s>; the
+vocabulary is their words plus <s>, </s> and <unk>.
 
 Storage is the sorted-array layout of KenLM (Heafield 2011, "KenLM:
 Faster and Smaller Language Model Queries", WMT).  A word's id is its
@@ -90,14 +90,6 @@ class Vocabulary:
     def from_words(cls, words) -> "Vocabulary":
         extra = sorted(set(words) - set(RESERVED_WORDS))
         return cls(RESERVED_WORDS + tuple(extra))
-
-    @classmethod
-    def build(cls, corpus_text) -> "Vocabulary":
-        """Unique lowercased whitespace tokens of the corpus, plus reserved words."""
-        seen: set[str] = set()
-        for sentence in corpus_text:
-            seen.update(sentence.lower().split())
-        return cls.from_words(seen)
 
     def to_text(self) -> str:
         """One corpus word per line (reserved markers are implicit)."""
@@ -257,7 +249,7 @@ class NGramModel:
         return out
 
 
-def train_lm(corpus_text, order: int = 3, vocab: Vocabulary | None = None) -> NGramModel:
+def train_lm(corpus_text, order: int = 3) -> NGramModel:
     """Count n-grams up to ``order`` and build the smoothed model.
 
     ``corpus_text`` is an iterable of sentence strings.  Raises
@@ -268,12 +260,11 @@ def train_lm(corpus_text, order: int = 3, vocab: Vocabulary | None = None) -> NG
     sentences = [s.lower().split() for s in corpus_text if s.strip()]
     if not sentences:
         raise EmptyCorpusError("no data")
-    if vocab is None:
-        vocab = Vocabulary.from_words(w for words in sentences for w in words)
+    vocab = Vocabulary.from_words(w for words in sentences for w in words)
 
     counts: list[Counter] = [Counter() for _ in range(order)]
     for words in sentences:
-        padded = [BOS_WORD] + [w if w in vocab else UNK_WORD for w in words] + [EOS_WORD]
+        padded = [BOS_WORD, *words, EOS_WORD]
         # <s> is context only, never a predicted unigram event
         for i in range(1, len(padded)):
             counts[0][(padded[i],)] += 1

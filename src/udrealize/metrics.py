@@ -136,7 +136,6 @@ class EvalReport:
     bleu: float
     nist: float
     dist: float
-    dists: list[float]
     sentences: int
     hyp_tokens: int
     ref_tokens: int
@@ -167,8 +166,7 @@ def _tokenize(text: str) -> list[str]:
 
 
 def evaluate_pairs(hypotheses: list[str], references: list[str]) -> EvalReport:
-    """Score aligned sentence strings: corpus BLEU, NIST and DIST, and
-    each sentence's DIST.
+    """Score aligned sentence strings: corpus BLEU, NIST and DIST.
 
     Tokenization is whitespace splitting after lowercasing.  Corpus DIST
     is the mean of the per-sentence DIST values.
@@ -182,7 +180,6 @@ def evaluate_pairs(hypotheses: list[str], references: list[str]) -> EvalReport:
         bleu=bleu(hyp_tokens, ref_tokens),
         nist=nist(hyp_tokens, ref_tokens),
         dist=sum(dists) / len(dists) if dists else 100.0,
-        dists=dists,
         sentences=len(hypotheses),
         hyp_tokens=sum(len(t) for t in hyp_tokens),
         ref_tokens=sum(len(t) for t in ref_tokens),

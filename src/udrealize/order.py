@@ -477,11 +477,11 @@ def _chunk_schemes(n: int) -> tuple[ChunkScheme, ...]:
 
 
 def _chunkings_many(
-    table: ScoreTable, which: list[int], cap: int
+    table: ScoreTable, which: list[int]
 ) -> list[tuple[list[tuple[tuple[int, ...], ...]], int, list[str]]]:
     """Per bag in ``which``: the greedy chunks of every chunk scheme
-    with at most ``cap`` arrangements, the chunk fragments scored, and a
-    diagnostic per skipped scheme.
+    with at most ``_ARRANGEMENT_CAP`` arrangements, the chunk fragments
+    scored, and a diagnostic per skipped scheme.
 
     Chunks are filled in scheme order with the highest-scoring ordered
     tuple of still-unused words, scored as a bare fragment.  Schemes
@@ -493,7 +493,7 @@ def _chunkings_many(
     remaining words: depth d fills the d-th chunk of every prefix of d
     sizes, chunk size by chunk size, also in ``_passes``.
     """
-    plans = [_scheme_plan(int(table.length[b]), cap) for b in which]
+    plans = [_scheme_plan(int(table.length[b]), _ARRANGEMENT_CAP) for b in which]
     levels: dict = {}  # (depth, chunk size) -> the (bag, sizes prefix) pairs ending there
     for b, (_, _, _, prefixes) in zip(which, plans):
         for sizes in prefixes:
@@ -683,7 +683,7 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
     return found, transitions
 
 
-def _order_batch(batch: _Contexts, model: NGramModel, methods, cap: int) -> list:
+def _order_batch(batch: _Contexts, model: NGramModel, methods) -> list:
     """``_order`` of one batch: one score-table fill, one ``method1`` seed
     pass and growth, one greedy chunk-fill pass per chunk-size prefix
     depth and chunk size, one arrangement pass and one final-score call.
@@ -702,7 +702,7 @@ def _order_batch(batch: _Contexts, model: NGramModel, methods, cap: int) -> list
     for b, result in zip(grown, _method1_many(table, grown)):
         found[b] = result
     chunked = which[OrderMethod.METHOD2]
-    for b, (plan, evaluated, diagnostics) in zip(chunked, _chunkings_many(table, chunked, cap)):
+    for b, (plan, evaluated, diagnostics) in zip(chunked, _chunkings_many(table, chunked)):
         plans[b] = plan
         fields = {"method": OrderMethod.METHOD2, "candidates_evaluated": evaluated, "diagnostics": diagnostics}
         found[b] = (None, fields)
@@ -723,7 +723,7 @@ def _order_batch(batch: _Contexts, model: NGramModel, methods, cap: int) -> list
     return results
 
 
-def _order(bags, model: NGramModel, methods, cap: int = _ARRANGEMENT_CAP) -> list:
+def _order(bags, model: NGramModel, methods) -> list:
     """An ``OrderingResult`` per bag searched with its method, or the
     exception that stopped it.
 
@@ -742,20 +742,20 @@ def _order(bags, model: NGramModel, methods, cap: int = _ARRANGEMENT_CAP) -> lis
         stop, width = start + 1, m[start] + 2
         while stop < len(bags) and (before[stop + 1] - before[start]) * max(width, m[stop] + 2) <= ORDER_CHUNK:
             stop, width = stop + 1, max(width, m[stop] + 2)
-        results += _order_safely(contexts[start:stop], model, methods[start:stop], cap)
+        results += _order_safely(contexts[start:stop], model, methods[start:stop])
         start = stop
     return results
 
 
-def _order_safely(batch: _Contexts, model: NGramModel, methods, cap: int) -> list:
+def _order_safely(batch: _Contexts, model: NGramModel, methods) -> list:
     """``_order_batch``; if it raises, its bags one at a time, so that an
     unexpected failure degrades only the bags that raise it."""
     try:
-        return _order_batch(batch, model, methods, cap)
+        return _order_batch(batch, model, methods)
     except Exception as exc:
         if len(batch) == 1:
             return [exc]
-        return [r for i in range(len(batch)) for r in _order_safely(batch[i : i + 1], model, methods[i : i + 1], cap)]
+        return [r for i in range(len(batch)) for r in _order_safely(batch[i : i + 1], model, methods[i : i + 1])]
 
 
 def _one(results: list):
@@ -791,27 +791,24 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     return _one(_order([bag], model, [OrderMethod.METHOD1]))
 
 
-def method2(
-    bag: WordBag,
-    model: NGramModel,
-    limit: int = DEFAULT_THRESHOLD,
-    arrangement_cap: int = _ARRANGEMENT_CAP,
-) -> OrderingResult:
+def method2(bag: WordBag, model: NGramModel, limit: int = DEFAULT_THRESHOLD) -> OrderingResult:
     """Chunk-partition search: greedy chunk filling, exact arrangement.
 
     For every chunk scheme, chunks are filled in scheme order with the
     highest-scoring ordered tuple of still-unused words (scored as bare
     fragments); the best full-sentence arrangement of the filled chunks
     is then found by ``_arrange``.  The best (score, then lexicographic)
-    sequence over all schemes wins.  Schemes whose arrangement count
-    exceeds ``arrangement_cap`` are skipped with a diagnostic.
+    sequence over all schemes wins.  A scheme of more than 9 chunks has
+    more arrangements than the fixed cap of 9! (``_ARRANGEMENT_CAP``)
+    and is skipped with a diagnostic: at 25 to 27 words some schemes go,
+    and a bag of 28 or more words has none left and raises ValueError.
     ``candidates_evaluated`` counts the chunk fragments plus the DP's
     transitions.
     """
     n = len(bag)
     if not 1 <= n <= limit:
         raise ValueError(f"method2 handles 1..{limit} words, got {n}")
-    return _one(_order([bag], model, [OrderMethod.METHOD2], arrangement_cap))
+    return _one(_order([bag], model, [OrderMethod.METHOD2]))
 
 
 def _method(n: int, cfg: OrderConfig) -> OrderMethod:

@@ -41,6 +41,9 @@ _CHECKPOINT_MAGIC = b"udrealize-reinflector-v1\n"
 # the memory of one batch of rows.
 PREDICT_CHUNK = 256
 
+# Largest global L2 norm of a training step's gradients; larger ones are scaled down to it.
+_CLIP_NORM = 5.0
+
 
 class GradientError(RuntimeError):
     """A parameter block produced a non-finite gradient."""
@@ -259,16 +262,16 @@ def _index_rows(rows, width: int) -> np.ndarray:
     return idx
 
 
-def _make_batch(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
+def _make_batch(model: Seq2SeqModel, examples):
     """Pad a list of examples into index matrices for the batched loss.
 
     One index row per example serves both stages, as in ``_decode_chunk``.
     """
     lemmas, golds, morph = [], [], np.zeros((len(examples), model.feature_size))
     for r, ex in enumerate(examples):
-        lemmas.append(model.vocab.encode(ex.lemma, diagnostics))
-        golds.append(model.vocab.encode(ex.target, diagnostics) + [EOS])
-        morph[r] = feature_vector(ex.tag, model.inventory, diagnostics)
+        lemmas.append(model.vocab.encode(ex.lemma))
+        golds.append(model.vocab.encode(ex.target) + [EOS])
+        morph[r] = feature_vector(ex.tag, model.inventory)
     enc_len, dec_len = np.asarray([len(row) for row in lemmas]), np.asarray([len(row) for row in golds])
     max_enc, max_dec = int(enc_len.max()), int(dec_len.max())
     idx = _index_rows(lemmas, max(max_enc, max_dec))
@@ -276,7 +279,7 @@ def _make_batch(model: Seq2SeqModel, examples, diagnostics: list[str] | None = N
     return idx[:, :max_enc], enc_len, idx[:, :max_dec], _index_rows(golds, max_dec), mask, morph
 
 
-def _forward(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None):
+def _forward(model: Seq2SeqModel, examples):
     """Teacher-forced batch loss and the tape that ``_backward`` reads.
 
     The loss is the mean over examples of each example's mean
@@ -284,7 +287,7 @@ def _forward(model: Seq2SeqModel, examples, diagnostics: list[str] | None = None
     the runs of both encoder directions and the decoder, and the
     (T, B, V) gradient of the loss with respect to the logits.
     """
-    enc_idx, enc_len, dec_idx, targets, mask, morph = _make_batch(model, examples, diagnostics)
+    enc_idx, enc_len, dec_idx, targets, mask, morph = _make_batch(model, examples)
     b, max_dec = targets.shape
     params = model.params
     hid = model.hidden_size
@@ -392,7 +395,6 @@ def train(
     lr: float = 1e-3,
     seed: int = 0,
     batch_size: int = 32,
-    clip_norm: float = 5.0,
     log=None,
 ) -> tuple[Seq2SeqModel, list[float]]:
     """Adam training loop; deterministic for a fixed seed.
@@ -423,7 +425,7 @@ def train(
                 diverged = True
                 break
             grads = _backward(model, tape)
-            _clip_gradients(grads, clip_norm)
+            _clip_gradients(grads, _CLIP_NORM)
             step += 1
             bias1 = 1.0 - beta1**step
             bias2 = 1.0 - beta2**step
@@ -602,9 +604,9 @@ def load_model(path) -> Seq2SeqModel:
     """Read a checkpoint written by ``save_model``.
 
     Raises ValueError when the header does not have exactly the fields
-    and types that ``save_model`` writes, or the file does not hold
-    exactly the blocks, in the shapes, that its header's vocabulary,
-    inventory and hidden size imply.
+    and types that ``save_model`` writes, repeats a character or an
+    inventory tag, or the file does not hold exactly the blocks, in the
+    shapes, that its header's vocabulary, inventory and hidden size imply.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
@@ -618,7 +620,11 @@ def load_model(path) -> Seq2SeqModel:
             vocab = CharVocab(tuple(header["chars"]))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-        shapes = Seq2SeqModel.shapes(len(vocab), len(header["inventory"]), header["hidden_size"])
+        inventory = header["inventory"]
+        if len(set(inventory)) < len(inventory):  # feature_vector would see only a repeated tag's last position
+            tag = next(t for i, t in enumerate(inventory) if t in inventory[:i])
+            raise ValueError(f"{path}: inventory tag {tag!r} occurs more than once")
+        shapes = Seq2SeqModel.shapes(len(vocab), len(inventory), header["hidden_size"])
         names = [name for name, _ in header["params"]]
         if names != list(Seq2SeqModel.PARAM_NAMES):
             raise ValueError(f"{path}: parameter blocks {names} are not {list(Seq2SeqModel.PARAM_NAMES)}")
@@ -634,4 +640,4 @@ def load_model(path) -> Seq2SeqModel:
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: unexpected bytes after the last parameter block")
-    return Seq2SeqModel(vocab, header["inventory"], header["hidden_size"], header["max_len"], params)
+    return Seq2SeqModel(vocab, inventory, header["hidden_size"], header["max_len"], params)

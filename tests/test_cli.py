@@ -4,13 +4,14 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from udrealize import cli, conllu, lm, metrics, morphmap, order, reinflect
 
-from conftest import DATA_DIR, toy_corpus_sentences
+from conftest import DATA_DIR, TOY_VOCAB, toy_corpus_sentences
 from _synth import make_dataset
 
 
@@ -235,6 +236,28 @@ def test_realize_degrades_per_sentence(workspace, tmp_path, capfd):
     ) == 0
     assert capfd.readouterr().err.splitlines() == [good_note]
     assert _read_predictions(alone_out) == {"good": preds["good"]}
+
+
+def test_reorder_degrades_a_bag_past_the_nine_chunk_cap(workspace, tmp_path, capfd):
+    # with --threshold 30, method2 takes the 28-word bag, and each of its
+    # chunk schemes has 10 or more chunks: more than 9! arrangements
+    words = TOY_VOCAB[:28]
+    rows = "".join(f"{i}\t_\t{w}\tX\t_\t_\t{int(i > 1)}\tdep\t_\t_\n" for i, w in enumerate(words, 1))
+    tb = tmp_path / "long.conllu"
+    tb.write_text(
+        "# sent_id = long\n" + rows + "\n# sent_id = short\n"
+        "1\t_\tdog\tNOUN\t_\t_\t0\troot\t_\t_\n2\t_\tthe\tDET\t_\t_\t1\tdet\t_\t_\n"
+    )
+    out = tmp_path / "pred.txt"
+    assert cli.main(
+        ["reorder", str(tb), "--lm", str(workspace["arpa"]), "--out", str(out), "--threshold", "30"]
+    ) == 0
+    notes = capfd.readouterr().err.splitlines()
+    assert notes[0] == (
+        "long: realization failed (every chunk scheme was skipped by the arrangement cap), emitted lemmas in id order"
+    )
+    assert re.fullmatch(r"short: method=exhaustive lm_score=-?\d+\.\d{4}", notes[1])
+    assert _read_predictions(out) == {"long": " ".join(words), "short": "The dog ."}
 
 
 def test_realize_all_failed_is_data_error(workspace, tmp_path):
@@ -488,11 +511,14 @@ _HEADER_EDITS = {
     "array-header": lambda h: list(h.items()),
     "string-hidden-size": lambda h: {**h, "hidden_size": str(h["hidden_size"])},
     "duplicate-char": lambda h: {**h, "chars": h["chars"][:-1] + h["chars"][-2:-1]},
+    "duplicate-tag": lambda h: {**h, "inventory": h["inventory"][:-1] + h["inventory"][-2:-1]},
 }
 
 
 @pytest.mark.parametrize(
-    "edit", ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size", "duplicate-char"],
+    "edit",
+    ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size", "duplicate-char",
+     "duplicate-tag"],
 )
 def test_realize_inconsistent_checkpoint_is_data_error(workspace, tmp_path, capfd, edit):
     magic, header, blocks = workspace["checkpoint"].read_bytes().split(b"\n", 2)
@@ -637,6 +663,51 @@ def test_config_accepts_integer_lr(workspace, tmp_path):
          "--out", str(tmp_path / "p.txt"), "--config", str(config)]
     )
     assert code == cli.EXIT_OK
+
+
+# Each flag: the subcommand that takes it, its arguments, and the
+# PipelineConfig field it sets, with the value it sets and a --config value.
+_FLAG_FIELDS = [
+    ("train-lm", ["--order", "2"], "lm_order", 2, 4),
+    ("reorder", ["--threshold", "10"], "threshold", 10, 12),
+    ("train-reinflector", ["--hidden-size", "8"], "hidden_size", 8, 16),
+    ("train-reinflector", ["--epochs", "3"], "epochs", 3, 5),
+    ("train-reinflector", ["--lr", "0.5"], "lr", 0.5, 0.25),
+    ("train-reinflector", ["--batch-size", "4"], "batch_size", 4, 8),
+    ("train-reinflector", ["--max-len", "9"], "max_len", 9, 30),
+    ("reorder", ["--seed", "7"], "seed", 7, 3),
+    ("realize", ["--no-capitalize"], "capitalize", False, True),
+    ("realize", ["--no-full-stop"], "append_full_stop", False, True),
+    ("realize", ["--jobs", "3"], "jobs", 3, 2),
+]
+
+_REQUIRED_ARGS = {  # _load_config reads none of these files
+    "train-lm": ["corpus.txt", "--lm-out", "lm.arpa", "--vocab-out", "lm.vocab"],
+    "train-reinflector": ["triples.tsv", "--model-out", "model.bin"],
+    "reorder": ["in.conllu", "--lm", "lm.arpa", "--out", "pred.txt"],
+    "realize": ["in.conllu", "--lm", "lm.arpa", "--out", "pred.txt"],
+}
+
+
+def test_every_config_field_has_a_flag():
+    assert sorted(field for _, _, field, _, _ in _FLAG_FIELDS) == sorted(f.name for f in fields(cli.PipelineConfig))
+
+
+@pytest.mark.parametrize("command, flag, field, value, config_value", _FLAG_FIELDS, ids=[f[1][0] for f in _FLAG_FIELDS])
+def test_each_flag_sets_its_config_field_over_the_config_file(tmp_path, command, flag, field, value, config_value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({field: config_value}))
+    base = [command, *_REQUIRED_ARGS[command]]
+
+    def loaded(*extra):
+        return getattr(cli._load_config(cli.build_parser().parse_args(base + list(extra))), field)
+
+    assert value != getattr(cli.PipelineConfig(), field)
+    assert loaded() == getattr(cli.PipelineConfig(), field)
+    assert loaded(*flag) == value
+    assert loaded("--config", str(config)) == config_value
+    assert loaded(*flag, "--config", str(config)) == value
+    assert loaded("--config", str(config), *flag) == value
 
 
 def _fresh_process(argv):

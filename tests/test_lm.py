@@ -30,20 +30,16 @@ def prob_sum(model: NGramModel, history) -> float:
 # ---------------------------------------------------------------- vocabulary
 
 def test_build_vocab_basic():
-    vocab = Vocabulary.build(["a b a"])
+    vocab = train_lm(["a b a"], order=1).vocab
     assert set(vocab.words) == {"a", "b", "<s>", "</s>", "<unk>"}
 
 
-def test_build_vocab_empty():
-    assert set(Vocabulary.build([]).words) == {"<s>", "</s>", "<unk>"}
-
-
 def test_build_vocab_case_folds():
-    assert set(Vocabulary.build(["A a"]).words) == {"a", "<s>", "</s>", "<unk>"}
+    assert set(train_lm(["A a"], order=1).vocab.words) == {"a", "<s>", "</s>", "<unk>"}
 
 
 def test_vocab_text_round_trip():
-    vocab = Vocabulary.build(["b a c"])
+    vocab = train_lm(["b a c"], order=1).vocab
     text = vocab.to_text()
     assert text == "a\nb\nc\n"
     assert Vocabulary.from_words(text.split()) == vocab

@@ -156,7 +156,6 @@ def test_evaluate_pairs_identity():
     assert report.bleu == pytest.approx(100.0)
     assert report.dist == pytest.approx(100.0)
     assert report.sentences == 1
-    assert report.dists == [pytest.approx(100.0)]
 
 
 def test_evaluate_pairs_tokenizes_case_insensitively():

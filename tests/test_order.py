@@ -498,14 +498,36 @@ def test_method2_never_beats_full_enumeration(toy_lm):
     assert result.lm_score.total <= full_best + 1e-9
 
 
-def test_method2_arrangement_cap_skips_schemes(toy_lm):
+def test_method2_arrangement_cap_skips_schemes(toy_lm, monkeypatch):
     bag = WordBag(tuple(sorted(["the", "boy", "reads", "a", "book", "tonight"])))
-    result = method2(bag, toy_lm, arrangement_cap=2)
+    monkeypatch.setattr(order, "_ARRANGEMENT_CAP", 2)
+    result = method2(bag, toy_lm)
     # only the two-chunk scheme (3,3) fits under the cap
     assert len(result.diagnostics) == 2
     assert Counter(result.sequence) == Counter(bag.words)
+    monkeypatch.setattr(order, "_ARRANGEMENT_CAP", 1)
     with pytest.raises(ValueError, match="skipped"):
-        method2(bag, toy_lm, arrangement_cap=1)
+        method2(bag, toy_lm)
+
+
+def _long_bag(n):
+    """A bag of the first n of the 34 distinct toy words."""
+    return WordBag(tuple(TOY_VOCAB[:n]))
+
+
+def test_order_words_past_the_nine_chunk_cap(toy_lm):
+    # with the threshold at 30, method2 takes bags of 25 to 30 words; its
+    # schemes of 10 or more chunks have more than 9! arrangements
+    cfg = OrderConfig(threshold=30)
+    result = order_words(_long_bag(25), toy_lm, cfg)
+    assert result.method is OrderMethod.METHOD2
+    assert result.diagnostics == [
+        f"scheme {sizes}: 10! arrangements exceed cap 362880, skipped"
+        for sizes in ((3, 3, 3, 3, 3, 3, 3, 2, 1, 1), (3, 3, 3, 3, 3, 3, 2, 2, 2, 1), (3, 3, 3, 3, 3, 2, 2, 2, 2, 2))
+    ]
+    assert Counter(result.sequence) == Counter(_long_bag(25).words)
+    with pytest.raises(ValueError, match="every chunk scheme was skipped"):
+        order_words(_long_bag(28), toy_lm, cfg)
 
 
 @pytest.mark.parametrize(
@@ -634,7 +656,8 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
         table = ScoreTable(order._Contexts(bags, model), model)
         for cap, expected in zip(caps, chunkings):
             scoring.clear()
-            assert order._chunkings_many(table, list(range(len(bags))), cap) == list(expected)
+            monkeypatch.setattr(order, "_ARRANGEMENT_CAP", cap)
+            assert order._chunkings_many(table, list(range(len(bags)))) == list(expected)
             # one fragment grid per (bag, chunk size), each masked by every fill of that size
             grids = {(t, len(chunk)) for t, (plan, _, _) in enumerate(expected) for cs in plan for chunk in cs}
             assert sum(scoring) == len(grids)

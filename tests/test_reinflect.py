@@ -184,9 +184,9 @@ def test_predict_many_output_bias_fills_max_len():
 
 # --------------------------------------------------------------------- loss
 
-def _loss(model, example, diagnostics=None):
+def _loss(model, example):
     """The teacher-forced loss of one example."""
-    return rf._forward(model, [example], diagnostics)[0]
+    return rf._forward(model, [example])[0]
 
 
 def test_loss_uniform_model_is_log_vocab():
@@ -245,10 +245,10 @@ def test_loss_matches_independent_forward_oracle():
 
 def test_loss_maps_oov_chars_to_unk():
     model, _ = tiny_model()
-    diags = []
-    value = _loss(model, TrainExample("aZb", N_TAG, "ab"), diags)
-    assert np.isfinite(value)
-    assert any("UNK" in d for d in diags)
+    example = TrainExample("aZb", N_TAG, "ab")
+    assert np.isfinite(_loss(model, example))
+    a, b = model.vocab.encode("ab")
+    assert rf._make_batch(model, [example])[0].tolist() == [[a, UNK, b]]  # the lemma row
 
 
 # --------------------------------------------------------------------- grad
@@ -490,11 +490,11 @@ def test_train_rolls_back_on_divergence(monkeypatch):
     real_forward = rf._forward
     calls = {"n": 0}
 
-    def poisoned(model_, batch, diagnostics=None):
+    def poisoned(model_, batch):
         calls["n"] += 1
         if calls["n"] > 2:  # two batches per epoch: blow up in epoch 2
             return float("nan"), None
-        return real_forward(model_, batch, diagnostics)
+        return real_forward(model_, batch)
 
     monkeypatch.setattr(rf, "_forward", poisoned)
     model, trace = train(model, examples, epochs=3, lr=1e-3, seed=5, batch_size=2)

@@ -27,6 +27,12 @@ prefix-closed: the first n - 1 words of every n-gram are an entry of
 the order n - 1 table.  ``train_lm`` output always is, and
 ``parse_arpa`` rejects a file that is not.
 
+``train_lm`` counts the corpus as word ids straight into this layout,
+one ``np.unique`` of keys per order, with no table of word tuples.
+Counts stay integers, the smoothing formulas run in the order written
+above, and every logarithm is ``math.log10`` of one value, so the
+tables hold the same bits however the counting is arranged.
+
 ``train-lm`` writes a tables image beside its ARPA file
 (``tables_path``): the vocabulary and these arrays, raw, with the
 sha256 of the ARPA bytes and of the image's own payload.  ``load_arpa``
@@ -46,7 +52,6 @@ import hashlib
 import json
 import math
 import os
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -254,6 +259,16 @@ def train_lm(corpus_text, order: int = 3) -> NGramModel:
 
     ``corpus_text`` is an iterable of sentence strings.  Raises
     EmptyCorpusError when no non-blank sentence is present.
+
+    The padded sentences become one array of word ids, counted order by
+    order straight into the tables: ``np.unique`` of the keys of the
+    n-grams ending at each position is the sorted ``key`` column, and
+    C(h) and T(h) are bincounts over prefix rows.  p(w | h') is that of
+    the (n-1)-gram ending at the same position, which is always counted
+    (a counted n-gram's suffix is).  Counts stay integers, each formula
+    runs in the order written above, and each logarithm is
+    ``math.log10`` of one Python float (``np.log10`` rounds some values
+    differently), so the tables do not depend on how counting is laid out.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -261,70 +276,34 @@ def train_lm(corpus_text, order: int = 3) -> NGramModel:
     if not sentences:
         raise EmptyCorpusError("no data")
     vocab = Vocabulary.from_words(w for words in sentences for w in words)
+    v = len(vocab)
+    lengths = np.array([len(words) + 2 for words in sentences], dtype=np.int64)
+    padded = chain.from_iterable([BOS_WORD, *words, EOS_WORD] for words in sentences)
+    ids = np.fromiter(map(vocab._index.__getitem__, padded), np.int64, int(lengths.sum()))
+    col = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # position in its sentence
 
-    counts: list[Counter] = [Counter() for _ in range(order)]
-    for words in sentences:
-        padded = [BOS_WORD, *words, EOS_WORD]
-        # <s> is context only, never a predicted unigram event
-        for i in range(1, len(padded)):
-            counts[0][(padded[i],)] += 1
-        for n in range(2, order + 1):
-            for i in range(len(padded) - n + 1):
-                counts[n - 1][tuple(padded[i : i + n])] += 1
-
-    # Context statistics per history length: C(h) and T(h)
-    ctx_total: list[dict] = [defaultdict(int) for _ in range(order)]
-    ctx_types: list[dict] = [defaultdict(int) for _ in range(order)]
-    for n in range(1, order + 1):
-        for gram, c in counts[n - 1].items():
-            h = gram[:-1]
-            ctx_total[len(h)][h] += c
-            ctx_types[len(h)][h] += 1
-
-    # Probabilities bottom-up, in the linear domain for exactness
-    probs: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
-    uniform = 1.0 / len(vocab)
-    t0 = ctx_types[0][()]
-    c0 = ctx_total[0][()]
-
-    def lower_prob(word: str, history: tuple[str, ...]) -> float:
-        while True:
-            p = probs[len(history)].get(history + (word,))
-            if p is not None:
-                return p
-            if not history:
-                raise AssertionError("unigram table must cover the vocabulary")
-            t = ctx_types[len(history)].get(history, 0)
-            c = ctx_total[len(history)].get(history, 0)
-            if t:
-                # multiply by bow(h) = T/(C+T) in the linear domain
-                return (t / (c + t)) * lower_prob(word, history[1:])
-            history = history[1:]
-
-    for w in vocab:
-        probs[0][(w,)] = (counts[0].get((w,), 0) + t0 * uniform) / (c0 + t0)
+    # <s> is context only, never a predicted unigram event; the unigram table is the whole vocabulary
+    count = np.bincount(ids[col > 0], minlength=v)
+    total, types = int(count.sum()), int(np.count_nonzero(count))
+    keys, probs, bows = [np.arange(v, dtype=np.int64)], [(count + types * (1.0 / v)) / (total + types)], []
+    rows = ids  # rows[j]: row of the (n-1)-gram ending at position j, where col[j] >= n - 2
     for n in range(2, order + 1):
-        for gram, c in counts[n - 1].items():
-            h = gram[:-1]
-            t = ctx_types[len(h)][h]
-            ctotal = ctx_total[len(h)][h]
-            probs[n - 1][gram] = (c + t * lower_prob(gram[-1], h[1:])) / (ctotal + t)
-
-    def backoff(gram: tuple[str, ...]) -> float:
-        t = ctx_types[len(gram)].get(gram, 0)
-        c = ctx_total[len(gram)].get(gram, 0)
-        return math.log10(t / (c + t)) if t else 0.0
-
-    tables: list[NGramTable] = []
-    for n in range(1, order + 1):
-        grams = list(probs[n - 1])
-        words = map(vocab._index.__getitem__, chain.from_iterable(grams))  # all in the vocabulary
-        ids = np.fromiter(words, np.int64, n * len(grams)).reshape(len(grams), n)
-        logp = np.fromiter(map(math.log10, probs[n - 1].values()), np.float64, len(grams))
-        bow = np.fromiter(map(backoff, grams), np.float64, len(grams)) if n < order else None
-        prefix = _find_rows(tables, ids[:, :-1], len(vocab))
-        tables.append(_sorted_table(prefix * len(vocab) + ids[:, -1], logp, bow))
-    return NGramModel(order, vocab, tables)
+        at = np.flatnonzero(col >= n - 1)  # the positions an n-gram ends at
+        key, row, count = np.unique(rows[at - 1] * v + ids[at], return_inverse=True, return_counts=True)
+        prefix = key // v
+        ctx_total = np.bincount(rows[at - 1], minlength=len(keys[-1]))
+        ctx_types = np.bincount(prefix, minlength=len(keys[-1]))
+        bow = [math.log10(t / (c + t)) if t else 0.0 for t, c in zip(ctx_types.tolist(), ctx_total.tolist())]
+        bows.append(np.array(bow, dtype=np.float64))
+        lower = np.empty(len(key))
+        lower[row] = probs[-1][rows[at]]  # p(w | h'): the (n-1)-gram ending at the same position
+        t = ctx_types[prefix]
+        keys.append(key)
+        probs.append((count + t * lower) / (ctx_total[prefix] + t))
+        rows = np.zeros_like(ids)
+        rows[at] = row
+    logps = (np.fromiter(map(math.log10, p.tolist()), np.float64, len(p)) for p in probs)
+    return NGramModel(order, vocab, [NGramTable(*table) for table in zip(keys, logps, bows + [None])])
 
 
 def score(model: NGramModel, words) -> LmScore:

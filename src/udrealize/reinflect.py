@@ -24,6 +24,8 @@ on the pairs decoded with it.
 from __future__ import annotations
 
 import json
+import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -612,7 +614,10 @@ def load_model(path) -> Seq2SeqModel:
         magic = fh.read(len(_CHECKPOINT_MAGIC))
         if magic != _CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a reinflector checkpoint")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError:  # also a header that is not UTF-8
+            raise ValueError(f"{path}: checkpoint header is not JSON") from None
         _check_header(path, header)
         if header["emb_dim"] != EMB_DIM:
             raise ValueError(f"{path}: embedding width {header['emb_dim']} differs from {EMB_DIM}")
@@ -628,16 +633,17 @@ def load_model(path) -> Seq2SeqModel:
         names = [name for name, _ in header["params"]]
         if names != list(Seq2SeqModel.PARAM_NAMES):
             raise ValueError(f"{path}: parameter blocks {names} are not {list(Seq2SeqModel.PARAM_NAMES)}")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes the blocks may take
         params = {}
         for name, shape in header["params"]:
             expected = shapes[name]
             if tuple(shape) != expected:
                 raise ValueError(f"{path}: parameter block {name!r} has shape {tuple(shape)}, expected {expected}")
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            size = 8 * math.prod(expected)  # an exact int: np.prod could overflow int64
+            if size > left:  # checked before reading, so a huge declared shape allocates nothing
                 raise ValueError(f"{path}: truncated parameter block {name!r}")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
+            left -= size
+            params[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(expected).copy()
+        if left:
             raise ValueError(f"{path}: unexpected bytes after the last parameter block")
     return Seq2SeqModel(vocab, inventory, header["hidden_size"], header["max_len"], params)

@@ -512,18 +512,31 @@ _HEADER_EDITS = {
     "string-hidden-size": lambda h: {**h, "hidden_size": str(h["hidden_size"])},
     "duplicate-char": lambda h: {**h, "chars": h["chars"][:-1] + h["chars"][-2:-1]},
     "duplicate-tag": lambda h: {**h, "inventory": h["inventory"][:-1] + h["inventory"][-2:-1]},
+    # consistent shapes of about 2**55 bytes: rejected before any block is read
+    "huge-hidden-size": lambda h: {
+        **h,
+        "hidden_size": 2**40,
+        "params": [
+            [name, list(shape)]
+            for name, shape in reinflect.Seq2SeqModel.shapes(len(h["chars"]), len(h["inventory"]), 2**40).items()
+        ],
+    },
 }
+# header lines that are not JSON, as raw bytes
+_RAW_HEADERS = {"not-json": b"{nope", "not-utf8": b'{"chars": "\xff'}
 
 
 @pytest.mark.parametrize(
     "edit",
     ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size", "duplicate-char",
-     "duplicate-tag"],
+     "duplicate-tag", "huge-hidden-size", "not-json", "not-utf8"],
 )
 def test_realize_inconsistent_checkpoint_is_data_error(workspace, tmp_path, capfd, edit):
     magic, header, blocks = workspace["checkpoint"].read_bytes().split(b"\n", 2)
     if edit == "trailing-bytes":
         blocks += b"\0" * 8
+    elif edit in _RAW_HEADERS:
+        header = _RAW_HEADERS[edit]
     else:
         header = json.dumps(_HEADER_EDITS[edit](json.loads(header))).encode()
     bad = tmp_path / "bad.bin"

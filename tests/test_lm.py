@@ -21,6 +21,7 @@ from udrealize.lm import (
 
 from conftest import TOY_VOCAB, random_bag, toy_corpus_sentences
 from _lm_oracle import DictLM
+from _lm_oracle import train_lm as oracle_train_lm
 
 
 def prob_sum(model: NGramModel, history) -> float:
@@ -81,12 +82,14 @@ def test_training_lowercases():
 
 
 def test_prefix_closure_invariant(toy_lm):
-    # every (n>1)-gram's prefix exists one order down, with a backoff weight
+    # every (n>1)-gram's prefix exists one order down, with a backoff weight;
+    # so does its suffix, whose probability train_lm interpolates with
     grams = toy_lm.ngrams()
     for n in range(2, toy_lm.order + 1):
         lower = set(grams[n - 2])
         for gram in grams[n - 1]:
             assert gram[:-1] in lower, gram
+            assert gram[1:] in lower, gram
         assert len(toy_lm.tables[n - 2].bow) == len(toy_lm.tables[n - 2])
 
 
@@ -96,6 +99,43 @@ def test_backoff_weights_nonpositive(toy_lm):
         bow = toy_lm.tables[n - 1].bow
         assert bow is not None and np.all(bow <= 0.0)
     assert toy_lm.tables[-1].bow is None
+
+
+def _assert_same_model(model, expected):
+    """The same vocabulary, table bytes and ARPA text."""
+    assert model.order == expected.order and model.vocab == expected.vocab
+    for got, want in zip(model.tables, expected.tables, strict=True):
+        assert got.key.dtype == want.key.dtype and got.key.tobytes() == want.key.tobytes()
+        assert got.logp.dtype == want.logp.dtype and got.logp.tobytes() == want.logp.tobytes()
+        assert (got.bow is None) == (want.bow is None)
+        if want.bow is not None:
+            assert got.bow.dtype == want.bow.dtype and got.bow.tobytes() == want.bow.tobytes()
+    assert emit_arpa(model) == emit_arpa(expected)
+
+
+# mixed case, literal reserved words, blank lines, and sentences shorter than the highest orders
+_EDGE_CORPUS = ["The <S> cat", "", "   ", "<UNK> a <unk> A", "a </s> B c d", "x", "THE cat"]
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "corpus", [toy_corpus_sentences(), _EDGE_CORPUS, ["word"]], ids=["toy", "edge", "one-word"]
+)
+def test_train_lm_matches_the_dict_oracle(corpus, lm_order):
+    _assert_same_model(train_lm(corpus, order=lm_order), oracle_train_lm(corpus, order=lm_order))
+
+
+@given(
+    corpus=st.lists(
+        st.lists(st.sampled_from(["a", "b", "C", "d", "<s>", "</s>", "<unk>"]), max_size=7).map(" ".join),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda c: any(s.strip() for s in c)),
+    lm_order=st.integers(1, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_train_lm_matches_the_dict_oracle_on_drawn_corpora(corpus, lm_order):
+    _assert_same_model(train_lm(corpus, order=lm_order), oracle_train_lm(corpus, order=lm_order))
 
 
 # ------------------------------------------------------------------- scoring

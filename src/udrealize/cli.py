@@ -97,7 +97,7 @@ def _load_config(args) -> PipelineConfig:
     if config_path:
         try:
             raw = json.loads(_read_text(config_path))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep to parse
             raise DataError(f"{config_path}: invalid JSON ({exc})") from None
         if type(raw) is not dict:
             raise UsageError(f"{config_path}: config must be a JSON object")

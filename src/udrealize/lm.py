@@ -587,7 +587,7 @@ def _image_header(image) -> tuple[object, int]:
     end = line.find(b"\n")
     try:
         header = json.loads(line[:end]) if end >= 0 else None
-    except ValueError:  # also a header that is not UTF-8
+    except (ValueError, RecursionError):  # also a header that is not UTF-8, or nested too deep to parse
         header = None
     return header, len(_TABLES_MAGIC) + end + 1
 

@@ -791,7 +791,7 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     return _one(_order([bag], model, [OrderMethod.METHOD1]))
 
 
-def method2(bag: WordBag, model: NGramModel, limit: int = DEFAULT_THRESHOLD) -> OrderingResult:
+def method2(bag: WordBag, model: NGramModel) -> OrderingResult:
     """Chunk-partition search: greedy chunk filling, exact arrangement.
 
     For every chunk scheme, chunks are filled in scheme order with the
@@ -806,8 +806,8 @@ def method2(bag: WordBag, model: NGramModel, limit: int = DEFAULT_THRESHOLD) -> 
     transitions.
     """
     n = len(bag)
-    if not 1 <= n <= limit:
-        raise ValueError(f"method2 handles 1..{limit} words, got {n}")
+    if not 1 <= n <= DEFAULT_THRESHOLD:
+        raise ValueError(f"method2 handles 1..{DEFAULT_THRESHOLD} words, got {n}")
     return _one(_order([bag], model, [OrderMethod.METHOD2]))
 
 

@@ -15,10 +15,10 @@ and gates on a tape.  ``_backward``, the LSTM's closed-form gradient
 weight block's gradient is then one product over all steps, so
 checkpoints are reproducible from run to run.  ``predict_many`` keeps
 no tape: it decodes each distinct (lemma, tag) pair once, many pairs at
-a time, and ``predict`` is its one-pair case.  There each encoder and
-decoder step goes through ``_step_live``, which steps only the rows
-still live and never one row alone, so a pair's form does not depend
-on the pairs decoded with it.
+a time, and ``predict`` is its one-pair case.  There each step goes
+through ``_step_live``, which steps only the rows still live; every
+product pads its rows to a multiple of 8 (``_by_rows``), so a pair's
+form does not depend on the pairs decoded with it.
 """
 
 from __future__ import annotations
@@ -161,12 +161,22 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return e
 
 
+def _by_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` on ``a`` padded to a multiple of 8 rows with copies of its last row and ``w`` to a multiple
+    of 8 columns with zeros.  BLAS sums a row in an order set by the shape (one row; OpenBLAS's AVX2 kernels at
+    odd row counts; its AVX-512 small-product path at some column counts), and at multiples of 8 in one order."""
+    (n, _), v = a.shape, w.shape[1]
+    a = a[np.minimum(np.arange(n + -n % 8), n - 1)] if n % 8 else a  # a gather keeps C order, even for one row
+    w = np.hstack([w, np.zeros((len(w), -v % 8))]) if v % 8 else w
+    return (a @ w)[:n, :v]
+
+
 def _lstm_cell(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
     """One LSTM step of B rows from ``zx = x @ wx`` (overwritten): new (h, c) and gates (i, f, g, o, tanh c)."""
     params = model.params
     hid = h.shape[1]
     z = zx  # in place: the caller's zx would otherwise stay alive beside z
-    z += h @ params[f"{prefix}.wh"]
+    z += _by_rows(h, params[f"{prefix}.wh"])
     z += params[f"{prefix}.b"]
     i = logistic(z[:, 0:hid])
     f = logistic(z[:, hid : 2 * hid])
@@ -177,18 +187,10 @@ def _lstm_cell(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, 
     return o * tanh_c, c_new, (i, f, g, o, tanh_c)
 
 
-def _step_live(model: Seq2SeqModel, prefix: str, x: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray):
-    """Step rows ``live`` of the (B, H) states ``h`` and ``c`` in place from their inputs ``x``; returns their new h.
-
-    A lone row steps beside a copy of itself, in both products, and its
-    new h has two rows: numpy multiplies a one-row matrix with BLAS's
-    matrix-vector routine, which adds in another order, so a row's
-    result would depend on the rows stepped with it.
-    """
-    if len(live) == 1:
-        live, x = np.repeat(live, 2), np.repeat(x, 2, axis=0)
+def _step_live(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray):
+    """Step rows ``live`` of the (B, H) states ``h`` and ``c`` in place from ``zx = x @ wx``; returns their new h."""
     # the gates are dropped at once: held through the next step they raise peak memory
-    h_new, c_new = _lstm_cell(model, prefix, x @ model.params[f"{prefix}.wx"], h[live], c[live])[:2]
+    h_new, c_new = _lstm_cell(model, prefix, zx, h[live], c[live])[:2]
     h[live], c[live] = h_new, c_new
     return h_new
 
@@ -205,7 +207,7 @@ def _run_taped(model: Seq2SeqModel, prefix: str, idx, x, live) -> _Run:
     """
     steps, b, width = x.shape
     hid = model.hidden_size
-    zx = (x.reshape(steps * b, width) @ model.params[f"{prefix}.wx"]).reshape(steps, b, 4 * hid)
+    zx = _by_rows(x.reshape(steps * b, width), model.params[f"{prefix}.wx"]).reshape(steps, b, 4 * hid)
     hs, cs = np.zeros((2, steps + 1, b, hid))
     gates = []
     for t in range(steps):
@@ -215,17 +217,15 @@ def _run_taped(model: Seq2SeqModel, prefix: str, idx, x, live) -> _Run:
     return _Run(prefix, idx, x, hs, cs, gates, live)
 
 
-def _encode_rows(
-    model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray, tape: list | None = None
-) -> np.ndarray:
+def _encode_rows(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray, tape: list | None = None) -> np.ndarray:
     """The (B, 2H) encoder summary of padded index rows.
 
     With a ``tape``, every step steps every row, and the tape gets one
     ``_run_taped`` run per direction, both on one input array.  Without
     one, each step steps only the rows whose input reaches it, through
-    ``_step_live``, so a row's summary does not depend on the rows
-    batched with it; for two or more rows it is the taped one bit for
-    bit.
+    ``_step_live``, from their rows of one projection of every character;
+    by the row rule of ``_by_rows`` a row's summary does not depend on the
+    rows batched with it and is the taped one bit for bit.
     """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
@@ -237,10 +237,11 @@ def _encode_rows(
         return np.concatenate([tape[-2].hs[-1], tape[-1].hs[-1]], axis=1)
     finals = []
     for prefix, steps in (("enc_f", range(max_t)), ("enc_b", range(max_t - 1, -1, -1))):
+        table = _by_rows(emb, model.params[f"{prefix}.wx"])  # each step gathers a copy of its rows' x @ wx
         h, c = np.zeros((b, model.hidden_size)), np.zeros((b, model.hidden_size))
         for t in steps:
             live = np.flatnonzero(t < lengths)
-            _step_live(model, prefix, emb[idx[live, t]], h, c, live)
+            _step_live(model, prefix, table[idx[live, t]], h, c, live)
         finals.append(h)
     return np.concatenate(finals, axis=1)
 
@@ -248,12 +249,11 @@ def _encode_rows(
 def decode_step(model: Seq2SeqModel, x: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
     """One decoder step of rows ``live`` from their inputs ``x``: their logits over the vocabulary.
 
-    Each row of ``x`` is the embedding of the lemma character aligned
-    with this step, the 2H encoder summary and the F-dim morphological
-    feature vector.  Steps ``h`` and ``c`` in place like ``_step_live``,
-    so a lone row's logits have two rows.
+    Each row of ``x`` is the embedding of the lemma character aligned with this step, the 2H
+    encoder summary and the F-dim morphological feature vector; ``h`` and ``c`` step in place.
     """
-    return _step_live(model, "dec", x, h, c, live) @ model.params["out.w"] + model.params["out.b"]
+    h_new = _step_live(model, "dec", _by_rows(x, model.params["dec.wx"]), h, c, live)
+    return _by_rows(h_new, model.params["out.w"]) + model.params["out.b"]
 
 
 def _index_rows(rows, width: int) -> np.ndarray:
@@ -480,7 +480,7 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
         x = np.concatenate([emb[idx[live, t]], summary[live], morph[live]], axis=1)
         logits = decode_step(model, x, h, c, live)
         logits[:, [PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
-        best = np.argmax(logits[: len(live)], axis=1)
+        best = np.argmax(logits, axis=1)
         going = best != EOS
         live, best = live[going], best[going]
         for r, ix in zip(live.tolist(), best.tolist()):
@@ -616,7 +616,7 @@ def load_model(path) -> Seq2SeqModel:
             raise ValueError(f"{path}: not a reinflector checkpoint")
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError:  # also a header that is not UTF-8
+        except (ValueError, RecursionError):  # also a header that is not UTF-8, or nested too deep to parse
             raise ValueError(f"{path}: checkpoint header is not JSON") from None
         _check_header(path, header)
         if header["emb_dim"] != EMB_DIM:

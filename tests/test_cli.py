@@ -523,13 +523,13 @@ _HEADER_EDITS = {
     },
 }
 # header lines that are not JSON, as raw bytes
-_RAW_HEADERS = {"not-json": b"{nope", "not-utf8": b'{"chars": "\xff'}
+_RAW_HEADERS = {"not-json": b"{nope", "not-utf8": b'{"chars": "\xff', "nested": b"[" * 100_000}
 
 
 @pytest.mark.parametrize(
     "edit",
     ["unknown-block", "trailing-bytes", "missing-key", "array-header", "string-hidden-size", "duplicate-char",
-     "duplicate-tag", "huge-hidden-size", "not-json", "not-utf8"],
+     "duplicate-tag", "huge-hidden-size", *_RAW_HEADERS],
 )
 def test_realize_inconsistent_checkpoint_is_data_error(workspace, tmp_path, capfd, edit):
     magic, header, blocks = workspace["checkpoint"].read_bytes().split(b"\n", 2)
@@ -590,6 +590,18 @@ def test_config_fixed_search_limits_are_unknown_keys(workspace, tmp_path, capfd,
     )
     assert code == cli.EXIT_USAGE
     assert "unknown config key" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{nope", "[" * 100_000], ids=["not-json", "nested"])
+def test_config_that_is_not_json_is_data_error(workspace, tmp_path, capfd, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    code = cli.main(
+        ["train-lm", str(workspace["corpus"]), "--lm-out", str(tmp_path / "o.arpa"),
+         "--vocab-out", str(tmp_path / "o.vocab"), "--config", str(config)]
+    )
+    assert code == cli.EXIT_DATA
+    assert f"error: {config}: invalid JSON" in capfd.readouterr().err
 
 
 def test_config_invalid_values_are_usage_error(workspace, tmp_path):

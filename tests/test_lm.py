@@ -560,6 +560,7 @@ _IMAGE_EDITS = {
     "wrong-magic": (lambda img: b"udrealize-ngram-tables-v0" + img[img.index(b"\n") :], "not an n-gram tables"),
     "no-header-line": (lambda img: img[: img.index(b"\n") + 1] + b'{"order": 3', "header does not hold"),
     "not-json": (lambda img: img.replace(b"{", b"{{", 1), "header does not hold"),
+    "nested-header": (lambda img: img.replace(img.split(b"\n", 2)[1], b"[" * 60_000, 1), "header does not hold"),
     "array-header": (_edit_header(lambda h: list(h.items())), "header does not hold"),
     "missing-field": (_edit_header(lambda h: {k: h[k] for k in h if k != "vocab_bytes"}), "header does not hold"),
     "extra-field": (_edit_header(lambda h: {**h, "created": 0}), "header does not hold"),

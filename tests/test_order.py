@@ -672,8 +672,8 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
 
 
 def test_method2_limit(toy_lm):
-    with pytest.raises(ValueError):
-        method2(WordBag(tuple("abcdef")), toy_lm, limit=5)
+    with pytest.raises(ValueError, match=f"1..{order.DEFAULT_THRESHOLD} words, got 24"):
+        method2(_long_bag(24), toy_lm)
 
 
 # ------------------------------------------------------------------ dispatch

@@ -606,10 +606,9 @@ def _decode_trace(model, pairs, monkeypatch):
 
 
 def test_a_pair_decodes_bit_identically_alone_and_in_any_chunk(oracle_case, monkeypatch):
-    # numpy multiplies a one-row matrix with BLAS's matrix-vector routine,
-    # which adds in another order than its matrix routine, so no encoder or
-    # decoder step may step a row alone: not a one-pair chunk, and not the
-    # last live row of a chunk
+    # BLAS adds a row's terms in an order set by the row count, so a pair
+    # decoded alone, beside one other pair, or in a full chunk, must still
+    # get the same bits at every encoder and decoder step
     model, items = oracle_case
     chunk = list(dict.fromkeys(items))[: rf.PREDICT_CHUNK]
     full = _decode_trace(model, chunk, monkeypatch)
@@ -631,6 +630,33 @@ def test_a_pair_decodes_bit_identically_alone_and_in_any_chunk(oracle_case, monk
         if checked == 12:
             break
     assert checked == 12
+
+
+def test_decode_step_gives_any_live_subset_the_bits_of_the_full_step():
+    # at the real hidden size and a full chunk.  BLAS sums a row in an order set
+    # by the product's shape: numpy sends one row to the matrix-vector routine,
+    # OpenBLAS's AVX2 kernels sum odd row counts, 10, 14 and more apart, and its
+    # AVX-512 kernels sum 33 to 36 output columns apart in products of under
+    # about 10**6 multiply-adds (at 36 characters, a full chunk's logits are over)
+    chars = "abcdefghijklmnopqrstuvwxyzäöüßéè"
+    model = build_model([TrainExample(chars, N_TAG, chars[::-1])], hidden_size=128, max_len=10, seed=4)
+    assert len(model.vocab) == 36
+    rng = np.random.default_rng(22)
+    b, hid = rf.PREDICT_CHUNK, model.hidden_size
+    x = rng.standard_normal((b, model.params["dec.wx"].shape[0]))
+    h0, c0 = rng.standard_normal((2, b, hid))
+    h_full, c_full = h0.copy(), c0.copy()
+    full = rf.decode_step(model, x, h_full, c_full, np.arange(b))
+    for size in range(1, 18):
+        for _ in range(3):
+            live = rng.permutation(b)[:size]
+            h, c = h0.copy(), c0.copy()
+            logits = rf.decode_step(model, x[live], h, c, live)
+            assert logits.shape == (size, len(model.vocab))
+            for got, expected in ((h[live], h_full[live]), (c[live], c_full[live]), (logits, full[live])):
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), size
+            rest = np.setdiff1d(np.arange(b), live)
+            assert np.array_equal(h[rest], h0[rest]) and np.array_equal(c[rest], c0[rest])
 
 
 # ------------------------------------------------------------ serialization

@@ -189,8 +189,7 @@ class NGramModel:
         Inputs are expected already lowercased; OOV words fall back to
         <unk>.  Histories longer than order-1 are truncated on the left.
         """
-        h = tuple(history)[-(self.order - 1) :] if self.order > 1 else ()
-        ids = np.array([self.vocab.index(w) for w in h], dtype=np.int64)
+        ids = np.array([self.vocab.index(w) for w in history], dtype=np.int64)
         return float(self.logprob_ids(ids, self.vocab.index(word))[0])
 
     def logprob_ids(self, histories, words) -> tuple[np.ndarray, np.ndarray]:
@@ -209,15 +208,9 @@ class NGramModel:
         histories = np.asarray(histories, dtype=np.int64)
         words = np.asarray(words, dtype=np.int64)
         span = min(histories.shape[-1], self.order - 1)
-        h = histories[..., histories.shape[-1] - span :]
         v = len(self.vocab)
-        # contexts[k]: row of the last k history words in the order-k table.
-        # After step t, walk[..., j] is the row of h[..., j : j + t].
-        contexts = [np.zeros(h.shape[:-1], dtype=np.int64)]
-        walk = np.zeros(h.shape, dtype=np.int64)
-        for t in range(1, span + 1):
-            walk = self.tables[t - 1].find(walk[..., : span - t + 1] * v + h[..., t - 1 :])
-            contexts.append(walk[..., -1])
+        # contexts[k]: row of the last k history words in the order-k table, -1 where absent
+        contexts = [_find_rows(self.tables, histories[..., histories.shape[-1] - k :], v) for k in range(span + 1)]
         shape = np.broadcast(contexts[0], words).shape
         logp = np.empty(shape)
         matched = np.ones(shape, dtype=np.int64)
@@ -386,16 +379,18 @@ def _columns(texts: list[str], sep: str, width: int) -> list[list[str]] | None:
 
 def _floats(texts: list[str]) -> tuple[np.ndarray | None, int]:
     """The numbers of the texts and their count, or None and the index of
-    the first text ``float`` rejects."""
+    the first text ``float`` rejects or reads as NaN."""
     try:
-        return np.fromiter(map(float, texts), np.float64, len(texts)), len(texts)
-    except ValueError:
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:  # the texts up to the first one rejected; NaN from it on
+        values = np.full(len(texts), np.nan)
         for i, text in enumerate(texts):
             try:
-                float(text)
+                values[i] = float(text)
             except ValueError:
-                return None, i
-        raise
+                break
+    bad = np.flatnonzero(np.isnan(values))
+    return (None, int(bad[0])) if len(bad) else (values, len(texts))
 
 
 def _parse_section(

@@ -22,12 +22,15 @@ every history of up to ``min(order - 1, 2)`` of the bag's words, or
 ``NGramModel.logprob_ids`` call, one row per LM state, the part of a
 history the LM reads (Heafield 2011): a history of two words that are
 no bigram of the LM (about 78% of them on the benchmark's inputs) reads
-the row of its last word.  Each bag's words, vocabulary ids, histories
-and states are found once per command (``_Contexts``, with one
-``NGramModel.has_ngram`` call), and each batch's table takes its slice.
-Calling the table reads those values, and longer histories (LM order 4
-and up) from the LM, for arrays of (bag, history, word) ids, so the
-searches score whole grids of id tuples at once by numpy broadcasting.
+the row of its last word.  Each bag's words, vocabulary ids, counts,
+histories and states are found once per command (``_Contexts``, with one
+``NGramModel.has_ngram`` call), in one layout: the per-word arrays are
+padded to the widest bag and indexed [bag, id], and each batch takes its
+rows, trimmed to its own widest bag, whose width is the one base in
+which its table codes every history.  Calling the table reads those
+values, and longer histories (LM order 4 and up) from the LM, for arrays
+of (bag, history, word) ids, so the searches score whole grids of id
+tuples at once by numpy broadcasting.
 
 Exactness: a candidate's score is the float sum of its conditionals,
 added one at a time from the left (from log p(<s>) for a sentence, from
@@ -182,72 +185,78 @@ def preprocess(tokens) -> WordBag:
 
 def _codes(columns, base):
     """Each history of ids, given column by column, oldest first (-1 for
-    no word), as one integer: its digits are ``id + 1`` in ``base``.
-    Leading -1 digits add nothing, so a short history may leave them out."""
-    code = 0
+    no word), as one int64 whatever the columns' type: its digits are
+    ``id + 1`` in ``base``, a batch's width.  Leading -1 digits add
+    nothing, so a short history may leave them out."""
+    code = np.int64(0)
     for column in columns:
         code = code * base + column + 1
     return code
 
 
 @functools.lru_cache(maxsize=64)
-def _dense_histories(m: int, dense: int):
+def _dense_histories(m: int, dense: int) -> np.ndarray:
     """Every history of up to ``dense`` ids among ``m`` words, the first of
     which may be the marker, section by section (the empty history, then
-    one id, then two, ...), padded on the left with -1 to ``dense`` ids.
-    Returns the histories and the row of each history by its ``_codes``
-    in base ``m + 2``."""
+    one id, then two, ...), padded on the left with -1 to ``dense`` ids."""
     shapes = [(m + 1,) + (m,) * (length - 1) if length else () for length in range(dense + 1)]
     sizes = [math.prod(shape) for shape in shapes]
     ends = np.cumsum(sizes)
     padded = np.full((ends[-1], dense), -1, dtype=np.int64)
     for shape, size, end in zip(shapes, sizes, ends):
         padded[end - size : end, dense - len(shape) :] = np.indices(shape).reshape(len(shape), size).T
-    rows = np.zeros((m + 2) ** dense, dtype=np.int64)  # without history ids, the one row is row 0
-    if dense:
-        rows[_codes(padded.T, m + 2)] = np.arange(len(padded))
-    for array in (padded, rows):
-        array.flags.writeable = False
-    return padded, rows
+    padded.flags.writeable = False
+    return padded
 
 
 class _Contexts:
-    """Each bag of a list as found in an LM, once for a whole command.
-    Per bag: its sorted distinct ``words`` and their number, its
-    ``marker``.  Flat, bag by bag, never padded: ``heads``, the vocabulary
-    ids of its words and then of <s>, with ``counts``, how often the bag
-    holds each (0 for <s>); and from ``starts[b]`` on, its
-    ``_dense_histories`` in vocabulary ids (-1 for no word), with
-    ``state``, whether each is an LM state, from one ``has_ngram`` call."""
+    """Each bag of a list as found in an LM, once for a whole command
+    (``find``); a slice of it is a batch.  Per bag: its sorted distinct
+    ``words`` and their number, its ``marker``.  ``heads`` and ``counts``
+    are padded to the widest bag plus 2 and indexed ``[bag, id]``:
+    ``heads`` holds the vocabulary ids of its words, then of <s> at the
+    marker, then -1 (no word); ``counts`` how often the bag holds each
+    word, 0 from the marker on.  Flat, bag by bag: each bag's
+    ``_dense_histories`` in its own ids (``local``, -1 for no word), with
+    its ``owner``, the bag's index, and ``state``, whether it is an LM
+    state, from one ``has_ngram`` call."""
 
-    def __init__(self, bags, model: NGramModel):
+    def __init__(self, bags, words, marker, heads, counts, local, owner, state):
+        self.bags, self.words, self.marker, self.heads = bags, words, marker, heads
+        self.counts, self.local, self.owner, self.state = counts, local, owner, state
+
+    @classmethod
+    def find(cls, bags, model: NGramModel) -> _Contexts:
         dense = min(model.order - 1, _DENSE_HISTORY)
-        self.bags, self.words = list(bags), [sorted(set(bag.words)) for bag in bags]
-        self.marker = np.array([len(words) for words in self.words], dtype=np.int64)
-        self.heads = np.array([model.vocab.index(w) for ws in self.words for w in (*ws, BOS_WORD)], dtype=np.int64)
-        counts = [c for bag, words in zip(bags, self.words) for c in (*map(bag.words.count, words), 0)]
-        self.counts = np.array(counts, dtype=np.int64)
-        local = [_dense_histories(m, dense)[0] for m in self.marker.tolist()]  # ids within the bag, -1 for none
-        self.starts = np.cumsum([0, *map(len, local)])
-        first = np.repeat(np.cumsum(self.marker + 1) - (self.marker + 1), np.diff(self.starts))  # its bag's first head
+        words = [sorted(set(bag.words)) for bag in bags]
+        marker = np.array([len(ws) for ws in words], dtype=np.int64)
+        head = np.arange(marker.max(initial=0) + 2) <= marker[:, None]  # each bag's words, then its marker
+        heads = np.full(head.shape, -1, dtype=np.int64)
+        heads[head] = [model.vocab.index(w) for ws in words for w in (*ws, BOS_WORD)]
+        counts = np.zeros(head.shape, dtype=np.int64)
+        counts[head] = [c for bag, ws in zip(bags, words) for c in (*map(bag.words.count, ws), 0)]
+        local = [_dense_histories(m, dense) for m in marker.tolist()]
+        owner = np.repeat(np.arange(len(bags)), [len(histories) for histories in local])
         local = np.concatenate([np.zeros((0, dense), dtype=np.int64), *local])
-        self.histories = np.where(local >= 0, self.heads[first[:, None] + local], -1)
         two = (local >= 0).sum(axis=1) == 2  # a two-word history that is no bigram is no state
-        self.state = ~two
-        self.state[two] = model.has_ngram(self.histories[two])
+        state = ~two
+        state[two] = model.has_ngram(heads[owner[two, None], local[two]])
+        for array in (heads, counts, local, owner, state):  # each batch reads views of them
+            array.flags.writeable = False
+        return cls(list(bags), words, marker, heads, counts, local, owner, state)
 
     def __len__(self) -> int:
         return len(self.bags)
 
     def __getitem__(self, part: slice) -> _Contexts:
-        """The bags of ``part``, a slice of step 1, without a new lookup."""
+        """The bags of ``part``, a slice of step 1, padded to its widest bag
+        plus 2, without a new lookup."""
         lo, hi, _ = part.indices(len(self))
-        h, s = (slice(*ends[[lo, hi]]) for ends in (np.cumsum([0, *self.marker + 1]), self.starts))
-        out = object.__new__(_Contexts)
-        out.bags, out.words, out.marker, out.heads = self.bags[part], self.words[part], self.marker[part], self.heads[h]
-        out.counts, out.histories, out.state = self.counts[h], self.histories[s], self.state[s]
-        out.starts = self.starts[lo : hi + 1] - self.starts[lo]
-        return out
+        columns, s = slice(int(self.marker[part].max(initial=0)) + 2), slice(*self.owner.searchsorted([lo, hi]))
+        return _Contexts(
+            self.bags[part], self.words[part], self.marker[part], self.heads[part, columns],
+            self.counts[part, columns], self.local[s], self.owner[s] - lo, self.state[s],
+        )
 
 
 class ScoreTable:
@@ -256,14 +265,15 @@ class ScoreTable:
 
     A bag's word ids follow its sorted word order; ``marker[b]`` (the
     number of distinct words of bag b) stands for ``<s>`` as the first
-    word of a history and for ``</s>`` as the predicted word.  Row
-    ``rows[b, code]`` of ``block`` holds log10 p(word | history), indexed
-    by predicted id, for each history of up to ``_DENSE_HISTORY`` ids of
-    bag b with ``_codes`` ``code`` in base ``marker[b] + 2``.  ``counts``,
-    ``heads`` and ``predicted`` are the batch's ``_Contexts`` padded to
-    the widest bag and indexed ``[bag, id]``: ``heads`` with -1 (no word)
-    after the marker, ``predicted`` with ``</s>`` at the marker and
-    ``<s>`` after it.
+    word of a history and for ``</s>`` as the predicted word.  ``heads``,
+    ``counts`` and ``predicted`` are indexed ``[bag, id]``, padded to the
+    batch's width, its widest bag plus 2: ``heads`` and ``counts`` are the
+    batch's ``_Contexts`` (``counts`` without the last two columns), and
+    ``predicted`` is ``heads`` with ``</s>`` at the marker and ``<s>``
+    after it.  Row ``rows[b, code]`` of ``block`` holds log10 p(word |
+    history), indexed by predicted id, for each history of up to
+    ``_DENSE_HISTORY`` ids of bag b with ``_codes`` ``code`` in the one
+    base of the batch, its width.
 
     ``block`` has one row per LM state, the part of a history the LM
     reads (Heafield 2011).  The LM's tables are prefix-closed, so a
@@ -274,29 +284,23 @@ class ScoreTable:
 
     def __init__(self, contexts: _Contexts, model: NGramModel):
         self.model, self.span = model, model.order - 1
-        self.words, self.marker = contexts.words, contexts.marker
-        self.length = np.array([len(bag) for bag in contexts.bags])
+        self.words, self.marker, self.heads = contexts.words, contexts.marker, contexts.heads
+        self.counts = contexts.counts[:, :-2]
+        self.length = self.counts.sum(axis=1)
         dense = min(self.span, _DENSE_HISTORY)
-        bags, width = len(contexts), int(self.marker.max()) + 2
-        head = np.arange(width) <= self.marker[:, None]  # each bag's words, then its marker
-        self.heads = np.full((bags, width), -1, dtype=np.int64)
-        self.heads[head] = contexts.heads
-        self.predicted = np.where(head, self.heads, model.vocab.index(BOS_WORD))
+        bags, width = self.heads.shape
+        self.predicted = np.where(self.heads >= 0, self.heads, model.vocab.index(BOS_WORD))
         self.predicted[np.arange(bags), self.marker] = model.vocab.index(EOS_WORD)
-        counts = np.zeros((bags, width), dtype=np.int64)
-        counts[head] = contexts.counts
-        self.counts = counts[:, :-2]
-        self.rows = np.zeros((bags, width**dense), dtype=np.int64)
-        for m in np.unique(self.marker).tolist():
-            group = np.flatnonzero(self.marker == m)
-            self.rows[group, : (m + 2) ** dense] = contexts.starts[group, None] + _dense_histories(m, dense)[1]
+        rows = np.zeros((bags, width**dense), dtype=np.int64)
+        rows[contexts.owner, _codes(contexts.local.T, width)] = np.arange(len(contexts.local))
         # a history that is no state reads the row of its last id alone, whose code is its own last digit
-        alone = np.take_along_axis(self.rows, np.arange(width**dense) % (self.marker[:, None] + 2), axis=1)
-        self.rows = (np.cumsum(contexts.state) - 1)[np.where(contexts.state[self.rows], self.rows, alone)]
+        alone = rows[:, np.arange(width**dense) % width]
+        self.rows = (np.cumsum(contexts.state) - 1)[np.where(contexts.state[rows], rows, alone)]
         # each state before every predicted id of its bag, then <s>, whose
-        # log p after the empty history (a bag's first row) starts every sentence
-        owner = np.repeat(np.arange(bags), np.diff(contexts.starts))[contexts.state]  # each state's bag
-        self.block, _ = model.logprob_ids(contexts.histories[contexts.state, None], self.predicted[owner])
+        # log p after the empty history (a bag's first row) starts every
+        # sentence; the id -1 reads the last column of heads, -1
+        owner, local = contexts.owner[contexts.state], contexts.local[contexts.state]
+        self.block, _ = model.logprob_ids(self.heads[owner[:, None], local][:, None], self.predicted[owner])
         self.start = self.block[self.rows[:, 0], self.marker + 1]
 
     def __call__(self, bag: np.ndarray, history: list, word: np.ndarray) -> np.ndarray:
@@ -307,7 +311,7 @@ class ScoreTable:
         else from the LM: the two give the same floats."""
         history = history[max(0, len(history) - self.span) :]
         if len(history) <= _DENSE_HISTORY:
-            return self.block[self.rows[bag, _codes(history, self.marker[bag] + 2)], word]
+            return self.block[self.rows[bag, _codes(history, self.heads.shape[1])], word]
         heads = [self.heads[bag, h] for h in history]  # the id -1 reads the last column, -1
         logp, _ = self.model.logprob_ids(np.stack(np.broadcast_arrays(*heads), axis=-1), self.predicted[bag, word])
         return logp
@@ -733,15 +737,15 @@ def _order(bags, model: NGramModel, methods) -> list:
     times the widest bag's distinct words plus 2.  A bag over the budget
     is a batch of its own.
     """
-    contexts = _Contexts(bags, model)
-    before = np.append(0, np.cumsum(contexts.state))[contexts.starts].tolist()  # the LM states before each bag
+    contexts = _Contexts.find(bags, model)
+    states = np.bincount(contexts.owner[contexts.state], minlength=len(bags)).tolist()  # each bag's LM states
     m = contexts.marker.tolist()
     results: list = []
     start = 0
     while start < len(bags):
-        stop, width = start + 1, m[start] + 2
-        while stop < len(bags) and (before[stop + 1] - before[start]) * max(width, m[stop] + 2) <= ORDER_CHUNK:
-            stop, width = stop + 1, max(width, m[stop] + 2)
+        stop, width, filled = start + 1, m[start] + 2, states[start]
+        while stop < len(bags) and (filled + states[stop]) * max(width, m[stop] + 2) <= ORDER_CHUNK:
+            stop, width, filled = stop + 1, max(width, m[stop] + 2), filled + states[stop]
         results += _order_safely(contexts[start:stop], model, methods[start:stop])
         start = stop
     return results

@@ -465,10 +465,10 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
     rows = [model.vocab.encode(lemma) for lemma, _ in pairs]
     lengths = np.asarray([len(r) for r in rows])
     # one index row per pair serves both stages: the encoder reads its
-    # first len(lemma) entries, the decoder reads entry t at step t (PAD
-    # past the lemma's end)
+    # first len(lemma) entries, the decoder reads entry t at step t, and
+    # entry ``longest``, PAD in every row, at every later step
     longest = int(lengths.max())
-    idx = _index_rows(rows, max(longest, model.max_len))
+    idx = _index_rows(rows, longest + 1)
     summary = _encode_rows(model, idx[:, :longest], lengths)
     morph = np.stack([feature_vector(tag, model.inventory) for _, tag in pairs])
     emb = model.params["emb"]
@@ -477,7 +477,7 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
     live = np.arange(len(pairs))  # rows that have not emitted EOS yet
     h, c = np.zeros((len(pairs), model.hidden_size)), np.zeros((len(pairs), model.hidden_size))
     for t in range(model.max_len):
-        x = np.concatenate([emb[idx[live, t]], summary[live], morph[live]], axis=1)
+        x = np.concatenate([emb[idx[live, min(t, longest)]], summary[live], morph[live]], axis=1)
         logits = decode_step(model, x, h, c, live)
         logits[:, [PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
         best = np.argmax(logits, axis=1)

@@ -406,6 +406,8 @@ _BAD_ENTRIES = {
     "four-fields": (lambda f: "\t".join(f + ["0.0"] * (4 - len(f))), "expected 2 or 3 tab-separated fields"),
     "bad-logp": (lambda f: "\t".join(["-1.2.3", *f[1:]]), "malformed number"),
     "bad-bow": (lambda f: "\t".join([*f[:2], "x"]), "malformed number"),
+    "nan-logp": (lambda f: "\t".join(["nan", *f[1:]]), "malformed number"),
+    "nan-bow": (lambda f: "\t".join([*f[:2], "NaN"]), "malformed number"),
     "long-gram": (lambda f: "\t".join([f[0], f[1] + " the", *f[2:]]), "expected a [1-3]-gram, got"),
     "empty-word": (lambda f: "\t".join([f[0], " " + f[1], *f[2:]]), "expected a [1-3]-gram, got"),
     "top-bow": (lambda f: "\t".join([*f, "-0.5"]), "highest order must not carry a backoff"),
@@ -427,7 +429,7 @@ def _break_entries(text, edits):
 @pytest.mark.parametrize(
     "n, kind",
     [(n, kind) for n in (1, 2) for kind in _BAD_ENTRIES if kind != "top-bow"]
-    + [(3, kind) for kind in _BAD_ENTRIES if kind != "bad-bow"],
+    + [(3, kind) for kind in _BAD_ENTRIES if kind not in ("bad-bow", "nan-bow")],
 )
 def test_arpa_bad_entry_reports_its_line(toy_lm, n, kind):
     text, (lineno,) = _break_entries(emit_arpa(toy_lm), [(n, 7, kind)])

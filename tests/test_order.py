@@ -407,19 +407,19 @@ def test_score_table_holds_exact_logprobs(lm_order, where):
 
     model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
     bag = preprocess(["the", "dog", "the", "quix"])
-    alone = ScoreTable(order._Contexts([bag], model), model)
+    alone = ScoreTable(order._Contexts.find([bag], model), model)
     if where == "alone":
         table, b = alone, 0
     else:  # between a one-word bag and one with more distinct words, so its arrays are padded
         wider = preprocess(["the", "old", "dog", "ran", "in", "park"])
-        table, b = ScoreTable(order._Contexts([preprocess(["dog"]), bag, wider], model), model), 1
+        table, b = ScoreTable(order._Contexts.find([preprocess(["dog"]), bag, wider], model), model), 1
         assert table.counts.shape[1] > alone.counts.shape[1]
     m = table.marker[b]
     assert (table.start[b], m, table.length[b]) == (alone.start[0], alone.marker[0], alone.length[0])
     assert table.counts[b].tolist() == [*alone.counts[0].tolist(), *[0] * (table.counts.shape[1] - m)]
     # one block row per LM state: from order 3 on, some two-word histories
     # are no bigram and share the row of their last word
-    histories = len(order._dense_histories(m, min(lm_order - 1, 2))[0])
+    histories = len(order._dense_histories(m, min(lm_order - 1, 2)))
     assert len(alone.block) < histories if lm_order >= 3 else len(alone.block) == histories
     _assert_exact_conditionals(table, b, model)
 
@@ -455,7 +455,7 @@ _STATES_ARPA = (
 
 def test_score_table_rows_follow_the_lm_states():
     model = lm.parse_arpa(_STATES_ARPA)
-    table = ScoreTable(order._Contexts([preprocess(["c", "b", "a"])], model), model)
+    table = ScoreTable(order._Contexts.find([preprocess(["c", "b", "a"])], model), model)
     a, b, c, bos = range(4)  # sorted word ids, then the marker
     histories = [(a,), (b,), (c,), (a, b), (bos, a), (bos, c)]
     row = {history: table.rows[0, order._codes(history, table.marker[0] + 2)] for history in histories}
@@ -653,7 +653,7 @@ def test_batched_fills_match_the_per_bag_searches(lm_order, monkeypatch):
     for chunk in (order.ORDER_CHUNK, 400):  # the default; then a pass per grid of 8 or more words
         monkeypatch.setattr(order, "ORDER_CHUNK", chunk)
         passes.clear()
-        table = ScoreTable(order._Contexts(bags, model), model)
+        table = ScoreTable(order._Contexts.find(bags, model), model)
         for cap, expected in zip(caps, chunkings):
             scoring.clear()
             monkeypatch.setattr(order, "_ARRANGEMENT_CAP", cap)

@@ -174,6 +174,14 @@ def test_predict_many_zero_model_decodes_empty():
     assert predict(model, "ab", PL_TAG) == ""
 
 
+def test_decoder_index_does_not_grow_with_max_len():
+    # the decoder's index is one PAD column wider than the longest lemma,
+    # whatever max_len says: one max_len wide would need 8 PB here
+    model = _zero_model()
+    model.max_len = 10**15
+    assert predict_many(model, _ZERO_MODEL_PAIRS) == [""] * len(_ZERO_MODEL_PAIRS)
+
+
 def test_predict_many_output_bias_fills_max_len():
     model = _zero_model()
     model.params["out.b"][4] = 10.0

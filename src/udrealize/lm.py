@@ -158,7 +158,8 @@ def _sorted_table(key: np.ndarray, logp: np.ndarray, bow: np.ndarray | None) -> 
 
 def _find_rows(tables: list[NGramTable], ids: np.ndarray, vocab_size: int) -> np.ndarray:
     """Row of each n-gram ``ids[..., :]`` (word ids, oldest first) in the
-    table of its order, or -1 where it is absent; an id of -1 is never found."""
+    table of its order, or -1 where it is absent.  Leading ids of -1 are
+    never found; a -1 after a word id can match another n-gram's key."""
     rows = np.zeros(ids.shape[:-1], dtype=np.int64)
     for n in range(ids.shape[-1]):
         rows = tables[n].find(rows * vocab_size + ids[..., n])
@@ -233,7 +234,7 @@ class NGramModel:
 
     def has_ngram(self, ids) -> np.ndarray:
         """True where the n-gram ``ids[..., :]`` (word ids, oldest first) is in
-        the model; an id of -1 is never found."""
+        the model; leading ids of -1 are never found (see ``_find_rows``)."""
         return _find_rows(self.tables, np.asarray(ids, dtype=np.int64), len(self.vocab)) >= 0
 
     def ngrams(self) -> list[list[tuple[str, ...]]]:
@@ -377,20 +378,51 @@ def _columns(texts: list[str], sep: str, width: int) -> list[list[str]] | None:
     return [fields[k :: width + 1] for k in range(width)]
 
 
-def _floats(texts: list[str]) -> tuple[np.ndarray | None, int]:
-    """The numbers of the texts and their count, or None and the index of
-    the first text ``float`` rejects or reads as NaN."""
+def _floats(texts: list[str]) -> np.ndarray | None:
+    """The numbers of the texts, or None where ``float`` rejects one or reads it as NaN."""
     try:
         values = np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:  # the texts up to the first one rejected; NaN from it on
-        values = np.full(len(texts), np.nan)
-        for i, text in enumerate(texts):
-            try:
-                values[i] = float(text)
-            except ValueError:
-                break
-    bad = np.flatnonzero(np.isnan(values))
-    return (None, int(bad[0])) if len(bad) else (values, len(texts))
+    except ValueError:
+        return None
+    return None if np.isnan(values).any() else values
+
+
+def _by_columns(body: list[str], n: int, top: int):
+    """The column route: the ``logp`` and ``bow`` arrays and the word
+    columns of the n-grams section's entries, or None where any entry is
+    malformed.  ``bow`` is None at the highest order ``top``."""
+    cols = _columns(body, "\t", 2 if n == top else 3)
+    if cols is None and n < top:  # an entry without a backoff column has backoff 0.0
+        cols = _columns([line if line.count("\t") == 2 else line + "\t0.0" for line in body], "\t", 3)
+    words = None if cols is None else _columns(cols[1], " ", n)
+    if words is None or any("" in col for col in words):
+        return None
+    logp, bow = _floats(cols[0]), _floats(cols[2]) if n < top else None
+    return None if logp is None or (n < top and bow is None) else (logp, bow, words)
+
+
+def _by_lines(body: list[str], linenos: list[int], n: int, top: int):
+    """The line route: what ``_by_columns`` returns, read one entry at a
+    time (field count, numbers, words, then no backoff at the highest
+    order); raises ArpaFormatError at the first malformed entry."""
+    values, grams = [], []
+    for lineno, line in zip(linenos, body):
+        fields = line.split("\t")
+        if not 2 <= len(fields) <= 3:
+            message = "expected 2 or 3 tab-separated fields"
+        elif (numbers := _floats(fields[::2])) is None:
+            message = f"malformed number in {line!r}"
+        elif len(gram := fields[1].split(" ")) != n or "" in gram:
+            message = f"expected a {n}-gram, got {fields[1]!r}"
+        elif len(fields) == 3 and n == top:
+            message = "highest order must not carry a backoff"
+        else:
+            values.append([*numbers.tolist(), 0.0][:2])  # backoff 0.0 where the entry has none
+            grams.append(gram)
+            continue
+        raise ArpaFormatError(f"line {lineno}: {message}")
+    logp, bow = np.array(values, dtype=np.float64).reshape(-1, 2).T
+    return logp, bow if n < top else None, [list(col) for col in zip(*grams)] or [[] for _ in range(n)]
 
 
 def _parse_section(
@@ -398,73 +430,34 @@ def _parse_section(
 ) -> tuple[NGramTable, Vocabulary]:
     """Check and convert the stripped entry lines of the n-grams section.
 
-    The checks run column-wise, in the order one line's checks would run;
-    each one looks only at the lines before the first failure so far, so
-    the failure left at the end is the one at the earliest line.  Returns
-    the table and the vocabulary, which the 1-grams section defines.
+    The column route converts a well-formed section; where it refuses
+    one, the line route reads it entry by entry and reports the first
+    malformed entry.  Only then are the words checked, on the arrays: an
+    n-gram with a word that is no 1-gram, or whose first n - 1 words are
+    no (n-1)-gram, is an error, the earliest row first.  Returns the
+    table and the vocabulary, which the 1-grams section defines.
     """
-    limit, message = len(body), None
-
-    def check(bad: np.ndarray, describe) -> None:
-        nonlocal limit, message
-        hits = np.flatnonzero(bad[:limit])
-        if len(hits):
-            limit = int(hits[0])
-            message = describe(limit)
-
-    def fail_if_any() -> None:
-        if message is not None:
-            raise ArpaFormatError(f"line {linenos[limit]}: {message}")
-
-    width = 2 if n == top else 3
-    cols = _columns(body, "\t", width)
-    if cols is None:  # entries of another width, or of several
-        tabs = np.fromiter(map(str.count, body, repeat("\t")), np.int64, len(body))
-        check((tabs < 1) | (tabs > 2), lambda r: "expected 2 or 3 tab-separated fields")
-        tabs = tabs[:limit]
-        width = 3 if 2 in tabs else 2
-        rows = body[:limit]
-        if width == 3:  # an entry without a backoff column has backoff 0.0
-            rows = [line if t == 2 else line + "\t0.0" for line, t in zip(rows, tabs.tolist())]
-        cols = _columns(rows, "\t", width)
-    else:
-        tabs = np.full(limit, width - 1)
-
-    logp, good = _floats(cols[0])
-    bow, good_bow = _floats(cols[2]) if width == 3 else (np.zeros(limit), limit)
-    check(np.arange(limit) == min(good, good_bow), lambda r: f"malformed number in {body[r]!r}")
-
-    grams = cols[1]
-    gram_message = lambda r: f"expected a {n}-gram, got {grams[r]!r}"  # noqa: E731
-    words = _columns(grams[:limit], " ", n)
-    if words is None:  # a gram with the wrong number of words
-        check(np.fromiter(map(str.count, grams, repeat(" ")), np.int64, len(grams)) != n - 1, gram_message)
-        words = _columns(grams[:limit], " ", n)
-    for col in words:
-        if "" in col:
-            check(np.array([not w for w in col], dtype=bool), gram_message)
-    if n == top:
-        check(tabs == 2, lambda r: "highest order must not carry a backoff")
-    fail_if_any()
-
+    logp, bow, words = _by_columns(body, n, top) or _by_lines(body, linenos, n, top)
     if n == 1:
         vocab = Vocabulary.from_words(words[0])
-    ids = np.empty((limit, n), dtype=np.int64)
-    for i, col in enumerate(words):
-        ids[:, i] = np.fromiter(map(vocab._index.get, col, repeat(-1)), np.int64, limit)
-    check(ids[:, -1] < 0, lambda r: f"word {words[-1][r]!r} has no 1-gram")
+    ids = np.stack([np.fromiter(map(vocab._index.get, col, repeat(-1)), np.int64, len(body)) for col in words], axis=1)
     prefix = _find_rows(tables, ids[:, :-1], len(vocab))
-    check(prefix < 0, lambda r: f"prefix {' '.join(col[r] for col in words[:-1])!r} has no {n - 1}-gram")
-    fail_if_any()
-    return _sorted_table(prefix * len(vocab) + ids[:, -1], logp, bow if n < top else None), vocab
+    unknown = ids < 0  # in every column: _find_rows can find a prefix with a -1 after its first word
+    bad = np.flatnonzero(unknown.any(axis=1) | (prefix < 0))
+    if len(bad):
+        r = int(bad[0])
+        head = " ".join(col[r] for col in words[:-1])
+        message = f"word {words[-1][r]!r} has no 1-gram" if unknown[r, -1] else f"prefix {head!r} has no {n - 1}-gram"
+        raise ArpaFormatError(f"line {linenos[r]}: {message}")
+    return _sorted_table(prefix * len(vocab) + ids[:, -1], logp, bow), vocab
 
 
 def parse_arpa(text: str) -> NGramModel:
     """Parse ARPA text into a model; raises ArpaFormatError with line numbers.
 
-    Each n-grams section is converted column by column.  Besides the
+    Each n-grams section is read by ``_parse_section``.  Besides the
     format, the model must be prefix-closed: an n-gram whose first
-    n - 1 words are not an (n-1)-gram, or whose last word is not a
+    n - 1 words are not an (n-1)-gram, or one of whose words is not a
     1-gram, is an error.
     """
     lines = [line.strip() for line in text.splitlines()]
@@ -495,7 +488,7 @@ def parse_arpa(text: str) -> NGramModel:
             raise ArpaFormatError(f"line {lineno}: malformed ngram count {line!r}") from None
     if not declared:
         raise ArpaFormatError(f"line {lineno}: no ngram count declarations")
-    order = max(declared)
+    order = len(declared)
     if sorted(declared) != list(range(1, order + 1)):
         raise ArpaFormatError(f"line {lineno}: ngram orders must be contiguous from 1")
 

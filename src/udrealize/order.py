@@ -71,8 +71,8 @@ row's best tuple of still-unused ids after a given history, for
 ``method1``'s seeds, and ``method2``'s chunk fills mask each (bag, chunk
 size) grid of fragment scores with the words left.  Grid rows are padded
 to the widest bag of their pass, in passes of at most ``ORDER_CHUNK``
-entries or one row.  ``realize_order``, ``order_words`` and the three
-searches are one-item calls of the same path.
+entries or one row.  ``order_words`` and the three searches are
+one-item calls of the same path.
 """
 
 from __future__ import annotations
@@ -861,13 +861,3 @@ def realize_orders(
             text += " ."
         out.append((text, result))
     return out
-
-
-def realize_order(
-    tokens, model: NGramModel, cfg: OrderConfig | None = None
-) -> tuple[str, OrderingResult]:
-    """Order a token list into a sentence string, with casing and final stop.
-
-    Returns the text together with the search result it was built from.
-    """
-    return _one(realize_orders([tokens], model, cfg))

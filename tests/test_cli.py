@@ -280,6 +280,14 @@ def test_realize_jobs_byte_identical(workspace, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_reorder_lm_declaring_a_huge_order_is_data_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "huge.arpa"
+    bad.write_text("\\data\\\nngram 1=1\nngram 1000000000000000000=1\n\n\\1-grams:\n-1.0\ta\n\n\\end\\\n")
+    code = cli.main(["reorder", str(workspace["treebank"]), "--lm", str(bad), "--out", str(tmp_path / "p.txt")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.endswith("line 5: ngram orders must be contiguous from 1\n")
+
+
 def test_realize_malformed_lm_is_data_error(workspace, tmp_path):
     bad = tmp_path / "bad.arpa"
     bad.write_text("this is not arpa\n")

@@ -19,7 +19,7 @@ from udrealize.lm import (
     train_lm,
 )
 
-from conftest import TOY_VOCAB, random_bag, toy_corpus_sentences
+from conftest import DATA_DIR, TOY_VOCAB, random_bag, toy_corpus_sentences
 from _lm_oracle import DictLM
 from _lm_oracle import train_lm as oracle_train_lm
 
@@ -400,6 +400,13 @@ def test_arpa_malformed_count_line():
         parse_arpa("\\data\\\nngram x=y\n\\end\\\n")
 
 
+def test_arpa_huge_declared_order_is_rejected_without_allocating():
+    # the orders are compared with as many as are declared, not with a range up to the largest
+    text = "\\data\\\nngram 1=1\nngram 1000000000000000000=1\n\n\\1-grams:\n-1.0\ta\n\n\\end\\\n"
+    with pytest.raises(ArpaFormatError, match="^line 5: ngram orders must be contiguous from 1$"):
+        parse_arpa(text)
+
+
 # Ways to break one entry (its tab-separated fields), and the error each gives.
 _BAD_ENTRIES = {
     "one-field": (lambda f: f[0], "expected 2 or 3 tab-separated fields"),
@@ -437,6 +444,18 @@ def test_arpa_bad_entry_reports_its_line(toy_lm, n, kind):
         parse_arpa(text)
 
 
+@pytest.mark.parametrize("bare", [3, 12])
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (1, 2) for kind in _BAD_ENTRIES if kind != "top-bow"])
+def test_arpa_bad_entry_beside_an_entry_without_backoff_reports_its_line(toy_lm, n, kind, bare):
+    # the column route pads entry `bare` with backoff 0.0 and still meets the broken entry 7
+    lines = emit_arpa(toy_lm).split("\n")
+    at = lines.index(f"\\{n}-grams:") + 1 + bare
+    lines[at] = lines[at].rsplit("\t", 1)[0]
+    text, (lineno,) = _break_entries("\n".join(lines), [(n, 7, kind)])
+    with pytest.raises(ArpaFormatError, match=f"^line {lineno}: {_BAD_ENTRIES[kind][1]}"):
+        parse_arpa(text)
+
+
 @pytest.mark.parametrize(
     "first, second",
     [
@@ -447,7 +466,7 @@ def test_arpa_bad_entry_reports_its_line(toy_lm, n, kind):
     ],
 )
 def test_arpa_earliest_bad_entry_wins(toy_lm, first, second):
-    # each check runs column-wise over the section, but the reported line is the earliest
+    # of two malformed entries in a section, the one on the earlier line is reported
     text, (lineno, _) = _break_entries(emit_arpa(toy_lm), [(3, 20, first), (3, 40, second)])
     with pytest.raises(ArpaFormatError, match=f"^line {lineno}: {_BAD_ENTRIES[first][1]}"):
         parse_arpa(text)
@@ -467,6 +486,18 @@ def test_arpa_missing_prefix_is_rejected_with_its_line(toy_lm):
     prefix = next((a, b) for a in TOY_VOCAB for b in TOY_VOCAB if (a, b) not in bigrams)
     text, lineno = _insert_trigram(emit_arpa(toy_lm), f"-1.0\t{' '.join(prefix)} dog")
     with pytest.raises(ArpaFormatError, match=f"^line {lineno}: prefix '{' '.join(prefix)}' has no 2-gram"):
+        parse_arpa(text)
+
+
+def test_arpa_prefix_word_without_unigram_is_rejected_with_its_line():
+    # as ids the prefix "</s> zz" is [1, -1], whose walk reaches the key 1 * 4 - 1 of the 2-gram "<s> a"
+    text = "\n".join([
+        "\\data\\", "ngram 1=4", "ngram 2=1", "ngram 3=1", "",
+        "\\1-grams:", "-1.0\t<s>\t-0.1", "-1.0\t</s>\t-0.1", "-1.0\t<unk>\t-0.1", "-1.0\ta\t-0.1", "",
+        "\\2-grams:", "-1.0\t<s> a\t-0.1", "",
+        "\\3-grams:", "-1.0\t</s> zz a", "", "\\end\\", "",
+    ])
+    with pytest.raises(ArpaFormatError, match="^line 16: prefix '</s> zz' has no 2-gram$"):
         parse_arpa(text)
 
 
@@ -495,6 +526,31 @@ def test_arpa_repeated_entry_keeps_the_last(toy_lm):
     assert len(model.tables[0]) == len(toy_lm.tables[0])
     assert model.logprob("dog") == -0.25
     assert model.tables[0].bow[model.ngrams()[0].index(("dog",))] == -0.5
+
+
+def _sections_without_some_backoffs(text):
+    """``text`` with every third entry below the highest order stripped of its backoff."""
+    lines, top = text.split("\n"), text.count("-grams:")
+    for n in range(1, top):
+        start = lines.index(f"\\{n}-grams:") + 1
+        for at in range(start, lines.index("", start), 3):
+            lines[at] = lines[at].rsplit("\t", 1)[0]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "source", ["golden-o3", "golden-o4", "golden-o5", "o1", "o2", "o3", "o4", "o5", "bare-bows-o3", "bare-bows-o5"]
+)
+def test_line_route_reads_the_model_the_column_route_does(monkeypatch, source):
+    if source.startswith("golden"):
+        text = (DATA_DIR / f"{source}.arpa").read_text(encoding="utf-8")
+    else:
+        text = emit_arpa(train_lm(toy_corpus_sentences(), order=int(source[-1])))
+    if source.startswith("bare-bows"):
+        text = _sections_without_some_backoffs(text)
+    columns = parse_arpa(text)
+    monkeypatch.setattr(lm, "_columns", lambda *args: None)  # every section takes the line route
+    _assert_same_model(parse_arpa(text), columns)
 
 
 # -------------------------------------------------------------- tables image

@@ -22,7 +22,6 @@ from udrealize.order import (
     method2,
     order_words,
     preprocess,
-    realize_order,
     realize_orders,
 )
 
@@ -713,7 +712,7 @@ def test_dispatch_every_accepted_threshold_is_safe(toy_lm, threshold):
 
 
 def test_realize_order_appends_full_stop_and_capitalizes(toy_lm):
-    out, result = realize_order(["dog", "the", "ran"], toy_lm)
+    ((out, result),) = realize_orders([["dog", "the", "ran"]], toy_lm)
     assert out.endswith(" .")
     assert out[0].isupper()
     assert out[:-2].lower().split() == result.sequence
@@ -721,15 +720,15 @@ def test_realize_order_appends_full_stop_and_capitalizes(toy_lm):
 
 def test_realize_order_flags(toy_lm):
     cfg = OrderConfig(capitalize=False, append_full_stop=False)
-    out, result = realize_order(["dog", "the"], toy_lm, cfg)
+    ((out, result),) = realize_orders([["dog", "the"]], toy_lm, cfg)
     assert not out.endswith(".")
     assert out == out.lower()
     assert out.split() == result.sequence
 
 
 def test_realize_order_propagates_empty_bag(toy_lm):
-    with pytest.raises(EmptyBagError):
-        realize_order([",", "!"], toy_lm)
+    (outcome,) = realize_orders([[",", "!"]], toy_lm)
+    assert isinstance(outcome, EmptyBagError)
 
 
 def _outcome(result):
@@ -740,13 +739,6 @@ def _outcome(result):
     s = r.lm_score
     return (text, r.sequence, s.total.hex(), s.oov_count, s.ngrams_used, r.method,
             r.candidates_evaluated, r.seed_candidates, r.lrw_iterations, r.diagnostics)
-
-
-def _realize_alone(tokens, model, cfg):
-    try:
-        return realize_order(tokens, model, cfg)
-    except Exception as exc:
-        return exc
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
@@ -768,7 +760,7 @@ def test_realize_orders_matches_one_at_a_time(lm_order, monkeypatch):
     monkeypatch.setattr(order, "_order_batch", lambda bags, *rest: batches.append(len(bags)) or real(bags, *rest))
     for threshold in (4, 9, 23, 30):
         cfg = OrderConfig(threshold=threshold)
-        expected = [_outcome(_realize_alone(tokens, model, cfg)) for tokens in token_lists]
+        expected = [_outcome(realize_orders([tokens], model, cfg)[0]) for tokens in token_lists]
         sizes = []
         for chunk in (order.ORDER_CHUNK, 400):  # the default; then many batches, some of a single bag
             batches.clear()

@@ -28,7 +28,8 @@ the order n - 1 table.  ``train_lm`` output always is, and
 ``parse_arpa`` rejects a file that is not.
 
 ``train_lm`` counts the corpus as word ids straight into this layout,
-one ``np.unique`` of keys per order, with no table of word tuples.
+one ``np.unique`` of keys per order, and ``emit_arpa`` orders each ARPA
+section from it with one ``np.lexsort``: neither builds word tuples.
 Counts stay integers, the smoothing formulas run in the order written
 above, and every logarithm is ``math.log10`` of one value, so the
 tables hold the same bits however the counting is arranged.
@@ -237,16 +238,6 @@ class NGramModel:
         the model; leading ids of -1 are never found (see ``_find_rows``)."""
         return _find_rows(self.tables, np.asarray(ids, dtype=np.int64), len(self.vocab)) >= 0
 
-    def ngrams(self) -> list[list[tuple[str, ...]]]:
-        """The word tuples of every table, order by order, in row order."""
-        words, v = self.vocab.words, len(self.vocab)
-        out, grams = [], [()]
-        for table in self.tables:
-            prefixes, ids = np.divmod(table.key, v)
-            grams = [grams[p] + (words[w],) for p, w in zip(prefixes.tolist(), ids.tolist())]
-            out.append(grams)
-        return out
-
 
 def train_lm(corpus_text, order: int = 3) -> NGramModel:
     """Count n-grams up to ``order`` and build the smoothed model.
@@ -337,26 +328,30 @@ def score_many(model: NGramModel, sequences) -> list[LmScore]:
 def emit_arpa(model: NGramModel) -> str:
     """Serialize to the standard ARPA layout; byte-deterministic.
 
-    Entries are sorted by their word strings (not by id: the reserved
-    words have the first ids); floats use repr so parsing them back is
-    exact.  The highest-order section never carries a backoff column.
+    Each section lists its entries in code-point order of their words,
+    not by id.  Section n - 1 is already in that order, so section n is
+    one ``np.lexsort`` by the place of each entry's prefix row there,
+    then by its last word's rank; its text is the prefix row's text, a
+    space and the word.  Floats use repr so parsing them back is exact.
+    The highest-order section never carries a backoff column.
     """
-    lines = ["\\data\\"]
-    for n in range(1, model.order + 1):
-        lines.append(f"ngram {n}={len(model.tables[n - 1])}")
-    for n, (table, grams) in enumerate(zip(model.tables, model.ngrams()), start=1):
-        lines.append("")
-        lines.append(f"\\{n}-grams:")
-        logp = table.logp.tolist()
-        bow = None if table.bow is None else table.bow.tolist()
-        for row in sorted(range(len(grams)), key=grams.__getitem__):
-            entry = f"{logp[row]!r}\t{' '.join(grams[row])}"
-            if bow is not None:
-                entry += f"\t{bow[row]!r}"
-            lines.append(entry)
-    lines.append("")
-    lines.append("\\end\\")
-    lines.append("")
+    words, v = model.vocab.words, len(model.vocab)
+    rank = np.empty(v, dtype=np.int64)
+    rank[sorted(range(v), key=words.__getitem__)] = np.arange(v)
+    lines = ["\\data\\", *(f"ngram {n}={len(table)}" for n, table in enumerate(model.tables, start=1))]
+    place, texts = np.zeros(1, dtype=np.int64), [""]  # of the order n - 1 rows: one empty prefix for 1-grams
+    for n, table in enumerate(model.tables, start=1):
+        prefix, ids = np.divmod(table.key, v)
+        rows = np.lexsort((rank[ids], place[prefix]))
+        place = np.empty_like(rows)
+        place[rows] = np.arange(len(rows))
+        sep = " " if n > 1 else ""
+        texts = [texts[p] + sep + words[w] for p, w in zip(prefix.tolist(), ids.tolist())]
+        columns = [map(repr, table.logp[rows].tolist()), map(texts.__getitem__, rows.tolist())]
+        if table.bow is not None:
+            columns.append(map(repr, table.bow[rows].tolist()))
+        lines += ["", f"\\{n}-grams:", *map("\t".join, zip(*columns))]
+    lines += ["", "\\end\\", ""]
     return "\n".join(lines)
 
 
@@ -408,16 +403,20 @@ def _by_lines(body: list[str], linenos: list[int], n: int, top: int):
     values, grams = [], []
     for lineno, line in zip(linenos, body):
         fields = line.split("\t")
+        try:  # backoff 0.0 where the entry has none; NaN stands for a number float rejects
+            logp, bow = float(fields[0]), float(fields[2]) if len(fields) == 3 else 0.0
+        except ValueError:
+            logp = bow = math.nan
         if not 2 <= len(fields) <= 3:
             message = "expected 2 or 3 tab-separated fields"
-        elif (numbers := _floats(fields[::2])) is None:
+        elif logp != logp or bow != bow:
             message = f"malformed number in {line!r}"
         elif len(gram := fields[1].split(" ")) != n or "" in gram:
             message = f"expected a {n}-gram, got {fields[1]!r}"
         elif len(fields) == 3 and n == top:
             message = "highest order must not carry a backoff"
         else:
-            values.append([*numbers.tolist(), 0.0][:2])  # backoff 0.0 where the entry has none
+            values.append((logp, bow))
             grams.append(gram)
             continue
         raise ArpaFormatError(f"line {lineno}: {message}")

@@ -10,6 +10,12 @@ tuples and answers one query at a time with the scalar backoff
 recursion, verbatim.  It shares no lookup code with
 ``NGramModel.logprob_ids``, so tests check the array store against it
 bit for bit, and the ordering oracles read it.
+
+``ngrams(model)`` is the word-tuple view of a model's tables, and
+``emit_arpa(model)`` the writer that sorted each section by those
+tuples, verbatim.  ``lm.emit_arpa`` orders and writes the sections from
+the tables with no tuples, so tests check it against this one byte for
+byte.
 """
 
 import math
@@ -31,12 +37,49 @@ from udrealize.lm import (
 )
 
 
+def ngrams(model) -> list[list[tuple[str, ...]]]:
+    """The word tuples of every table, order by order, in row order."""
+    words, v = model.vocab.words, len(model.vocab)
+    out, grams = [], [()]
+    for table in model.tables:
+        prefixes, ids = np.divmod(table.key, v)
+        grams = [grams[p] + (words[w],) for p, w in zip(prefixes.tolist(), ids.tolist())]
+        out.append(grams)
+    return out
+
+
+def emit_arpa(model) -> str:
+    """Serialize to the standard ARPA layout; byte-deterministic.
+
+    Entries are sorted by their word strings (not by id: the reserved
+    words have the first ids); floats use repr so parsing them back is
+    exact.  The highest-order section never carries a backoff column.
+    """
+    lines = ["\\data\\"]
+    for n in range(1, model.order + 1):
+        lines.append(f"ngram {n}={len(model.tables[n - 1])}")
+    for n, (table, grams) in enumerate(zip(model.tables, ngrams(model)), start=1):
+        lines.append("")
+        lines.append(f"\\{n}-grams:")
+        logp = table.logp.tolist()
+        bow = None if table.bow is None else table.bow.tolist()
+        for row in sorted(range(len(grams)), key=grams.__getitem__):
+            entry = f"{logp[row]!r}\t{' '.join(grams[row])}"
+            if bow is not None:
+                entry += f"\t{bow[row]!r}"
+            lines.append(entry)
+    lines.append("")
+    lines.append("\\end\\")
+    lines.append("")
+    return "\n".join(lines)
+
+
 class DictLM:
     def __init__(self, model):
         self.order = model.order
         self.vocab = model.vocab
         self.tables = []
-        for table, grams in zip(model.tables, model.ngrams()):
+        for table, grams in zip(model.tables, ngrams(model)):
             bows = [None] * len(grams) if table.bow is None else table.bow.tolist()
             self.tables.append(dict(zip(grams, zip(table.logp.tolist(), bows))))
 

@@ -20,6 +20,7 @@ from udrealize.lm import (
 )
 
 from conftest import DATA_DIR, TOY_VOCAB, random_bag, toy_corpus_sentences
+import _lm_oracle
 from _lm_oracle import DictLM
 from _lm_oracle import train_lm as oracle_train_lm
 
@@ -84,7 +85,7 @@ def test_training_lowercases():
 def test_prefix_closure_invariant(toy_lm):
     # every (n>1)-gram's prefix exists one order down, with a backoff weight;
     # so does its suffix, whose probability train_lm interpolates with
-    grams = toy_lm.ngrams()
+    grams = _lm_oracle.ngrams(toy_lm)
     for n in range(2, toy_lm.order + 1):
         lower = set(grams[n - 2])
         for gram in grams[n - 1]:
@@ -207,7 +208,7 @@ def test_normalization_over_random_histories(toy_lm):
 def test_removing_ngram_never_raises_its_probability(toy_lm):
     # with non-positive backoff weights, the backed-off estimate must not
     # exceed the explicit entry it replaces
-    grams = toy_lm.ngrams()[2]
+    grams = _lm_oracle.ngrams(toy_lm)[2]
     top = toy_lm.tables[2]
     for gram in sorted(grams)[:50]:
         explicit = toy_lm.logprob(gram[-1], gram[:-1])
@@ -309,6 +310,32 @@ def test_backoff_reaches_the_placeholder():
 def test_emit_parse_round_trip_is_byte_identical(lm_order):
     text = emit_arpa(train_lm(toy_corpus_sentences(), order=lm_order))
     assert emit_arpa(parse_arpa(text)) == text
+
+
+@pytest.mark.parametrize("source", ["o1", "o2", "o3", "o4", "o5", "golden-o3", "golden-o4", "golden-o5"])
+def test_emit_arpa_matches_the_tuple_sorting_oracle(source):
+    if source.startswith("golden"):
+        model = parse_arpa((DATA_DIR / f"{source}.arpa").read_text(encoding="utf-8"))
+    else:
+        model = train_lm(toy_corpus_sentences(), order=int(source[-1]))
+    assert emit_arpa(model) == _lm_oracle.emit_arpa(model)
+
+
+@given(
+    corpus=st.lists(
+        # words that sort before "<", between the reserved words, and after ASCII, so string order is not id order
+        st.lists(st.sampled_from(["a", "b", "0", "!", ";", "<t", "é", "Ж", "<s>", "</s>", "<unk>"]), max_size=7).map(
+            " ".join
+        ),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda c: any(s.strip() for s in c)),
+    lm_order=st.integers(1, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_emit_arpa_matches_the_tuple_sorting_oracle_on_drawn_corpora(corpus, lm_order):
+    model = train_lm(corpus, order=lm_order)
+    assert emit_arpa(model) == _lm_oracle.emit_arpa(model)
 
 
 def test_score_adds_conditionals_left_to_right(toy_lm):
@@ -482,7 +509,7 @@ def _insert_trigram(text, entry):
 
 
 def test_arpa_missing_prefix_is_rejected_with_its_line(toy_lm):
-    bigrams = set(toy_lm.ngrams()[1])
+    bigrams = set(_lm_oracle.ngrams(toy_lm)[1])
     prefix = next((a, b) for a in TOY_VOCAB for b in TOY_VOCAB if (a, b) not in bigrams)
     text, lineno = _insert_trigram(emit_arpa(toy_lm), f"-1.0\t{' '.join(prefix)} dog")
     with pytest.raises(ArpaFormatError, match=f"^line {lineno}: prefix '{' '.join(prefix)}' has no 2-gram"):
@@ -502,7 +529,7 @@ def test_arpa_prefix_word_without_unigram_is_rejected_with_its_line():
 
 
 def test_arpa_word_without_unigram_is_rejected_with_its_line(toy_lm):
-    first = toy_lm.ngrams()[1][0]
+    first = _lm_oracle.ngrams(toy_lm)[1][0]
     text, lineno = _insert_trigram(emit_arpa(toy_lm), f"-1.0\t{' '.join(first)} zebrawood")
     with pytest.raises(ArpaFormatError, match=f"^line {lineno}: word 'zebrawood' has no 1-gram"):
         parse_arpa(text)
@@ -525,7 +552,7 @@ def test_arpa_repeated_entry_keeps_the_last(toy_lm):
     model = parse_arpa("\n".join(lines))
     assert len(model.tables[0]) == len(toy_lm.tables[0])
     assert model.logprob("dog") == -0.25
-    assert model.tables[0].bow[model.ngrams()[0].index(("dog",))] == -0.5
+    assert model.tables[0].bow[_lm_oracle.ngrams(model)[0].index(("dog",))] == -0.5
 
 
 def _sections_without_some_backoffs(text):
@@ -551,6 +578,33 @@ def test_line_route_reads_the_model_the_column_route_does(monkeypatch, source):
     columns = parse_arpa(text)
     monkeypatch.setattr(lm, "_columns", lambda *args: None)  # every section takes the line route
     _assert_same_model(parse_arpa(text), columns)
+
+
+@pytest.mark.parametrize("field", [0, 2], ids=["logp", "bow"])
+@pytest.mark.parametrize("spelling", ["inf", "-inf", "1e999", "1_0", "١٢", "nan", "NaN", "0x1p3", "1,0"])
+def test_line_route_accepts_the_numbers_the_column_route_does(monkeypatch, toy_lm, spelling, field):
+    lines = emit_arpa(toy_lm).split("\n")
+    at = lines.index("\\2-grams:") + 1 + 7
+    fields = lines[at].split("\t")
+    fields[field] = spelling
+    lines[at] = "\t".join(fields)
+    text = "\n".join(lines)
+
+    def read():
+        try:
+            return parse_arpa(text)
+        except ArpaFormatError as exc:
+            return str(exc)
+
+    columns = read()
+    monkeypatch.setattr(lm, "_columns", lambda *args: None)  # every section takes the line route
+    by_lines = read()
+    if spelling in ("nan", "NaN", "0x1p3", "1,0"):  # float rejects these or reads them as NaN
+        assert columns == by_lines and columns.startswith(f"line {at + 1}: malformed number")
+    else:
+        _assert_same_model(by_lines, columns)
+        column = columns.tables[1].logp if field == 0 else columns.tables[1].bow
+        assert float(spelling) in column.tolist()
 
 
 # -------------------------------------------------------------- tables image

@@ -462,21 +462,18 @@ def chunk_schemes(n: int) -> list[ChunkScheme]:
 
 @functools.lru_cache(maxsize=64)
 def _chunk_schemes(n: int) -> tuple[ChunkScheme, ...]:
+    # counted, not searched: a scheme is its numbers of threes and twos, and
+    # each two fewer for the same threes is one part more
     max_parts = math.ceil(n / 3) + 1
     out: list[ChunkScheme] = []
-
-    def descend(remaining: int, max_size: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(ChunkScheme(tuple(acc)))
-            return
-        if len(acc) >= max_parts:
-            return
-        for size in range(min(max_size, remaining), 0, -1):
-            acc.append(size)
-            descend(remaining - size, size, acc)
-            acc.pop()
-
-    descend(n, 3, [])
+    for threes in range(n // 3, -1, -1):
+        twos = (n - 3 * threes) // 2
+        rest = n - 3 * threes - 2 * twos
+        if threes + twos + rest > max_parts:
+            break  # the fewest parts with this many threes; fewer threes take at least as many
+        while twos >= 0 and threes + twos + rest <= max_parts:
+            out.append(ChunkScheme((3,) * threes + (2,) * twos + (1,) * rest))
+            twos, rest = twos - 1, rest + 2
     return tuple(out)
 
 

@@ -15,10 +15,10 @@ and gates on a tape.  ``_backward``, the LSTM's closed-form gradient
 weight block's gradient is then one product over all steps, so
 checkpoints are reproducible from run to run.  ``predict_many`` keeps
 no tape: it decodes each distinct (lemma, tag) pair once, many pairs at
-a time, and ``predict`` is its one-pair case.  There each step goes
-through ``_step_live``, which steps only the rows still live; every
-product pads its rows to a multiple of 8 (``_by_rows``), so a pair's
-form does not depend on the pairs decoded with it.
+a time, and ``predict`` is its one-pair case.  There the encoder and the
+decoder hold the states of the rows still live only; every product pads
+its rows to a multiple of 8 (``_by_rows``), so a pair's form does not
+depend on the pairs decoded with it.
 """
 
 from __future__ import annotations
@@ -178,21 +178,13 @@ def _lstm_cell(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, 
     z = zx  # in place: the caller's zx would otherwise stay alive beside z
     z += _by_rows(h, params[f"{prefix}.wh"])
     z += params[f"{prefix}.b"]
-    i = logistic(z[:, 0:hid])
-    f = logistic(z[:, hid : 2 * hid])
+    i_f = logistic(z[:, 0 : 2 * hid])  # one call over both gates: elementwise, so the bits of two
+    i, f = i_f[:, :hid], i_f[:, hid:]
     g = np.tanh(z[:, 2 * hid : 3 * hid])
     o = logistic(z[:, 3 * hid : 4 * hid])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     return o * tanh_c, c_new, (i, f, g, o, tanh_c)
-
-
-def _step_live(model: Seq2SeqModel, prefix: str, zx: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray):
-    """Step rows ``live`` of the (B, H) states ``h`` and ``c`` in place from ``zx = x @ wx``; returns their new h."""
-    # the gates are dropped at once: held through the next step they raise peak memory
-    h_new, c_new = _lstm_cell(model, prefix, zx, h[live], c[live])[:2]
-    h[live], c[live] = h_new, c_new
-    return h_new
 
 
 _Run = namedtuple("_Run", "prefix idx x hs cs gates live")
@@ -217,43 +209,40 @@ def _run_taped(model: Seq2SeqModel, prefix: str, idx, x, live) -> _Run:
     return _Run(prefix, idx, x, hs, cs, gates, live)
 
 
-def _encode_rows(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray, tape: list | None = None) -> np.ndarray:
-    """The (B, 2H) encoder summary of padded index rows.
+def _encode_rows(model: Seq2SeqModel, idx: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The (B, 2H) encoder summary of padded index rows, without a tape.
 
-    With a ``tape``, every step steps every row, and the tape gets one
-    ``_run_taped`` run per direction, both on one input array.  Without
-    one, each step steps only the rows whose input reaches it, through
-    ``_step_live``, from their rows of one projection of every character;
-    by the row rule of ``_by_rows`` a row's summary does not depend on the
-    rows batched with it and is the taped one bit for bit.
+    The rows step longest first, so at step t the rows whose input
+    reaches t are the first k, and each step steps only those, from their
+    rows of one projection of every character.  By the row rule of
+    ``_by_rows`` a row's summary does not depend on the rows batched with
+    it and is the taped one of ``_forward`` bit for bit.
     """
     if not np.all(lengths > 0):
         raise ValueError("empty input")
-    b, max_t = idx.shape
+    order = np.argsort(-lengths, kind="stable")
+    idx, reach = idx[order], np.count_nonzero(lengths[:, None] > np.arange(idx.shape[1]), axis=0)
     emb = model.params["emb"]
-    if tape is not None:  # the backward direction runs over the time-reversed views
-        x, live = emb[idx.T], (np.arange(max_t)[:, None] < lengths)[:, :, None]
-        tape += [_run_taped(model, p, idx.T[::d], x[::d], live[::d]) for p, d in (("enc_f", 1), ("enc_b", -1))]
-        return np.concatenate([tape[-2].hs[-1], tape[-1].hs[-1]], axis=1)
     finals = []
-    for prefix, steps in (("enc_f", range(max_t)), ("enc_b", range(max_t - 1, -1, -1))):
+    for prefix, steps in (("enc_f", range(len(reach))), ("enc_b", range(len(reach) - 1, -1, -1))):
         table = _by_rows(emb, model.params[f"{prefix}.wx"])  # each step gathers a copy of its rows' x @ wx
-        h, c = np.zeros((b, model.hidden_size)), np.zeros((b, model.hidden_size))
+        h, c = np.zeros((2, len(idx), model.hidden_size))
         for t in steps:
-            live = np.flatnonzero(t < lengths)
-            _step_live(model, prefix, table[idx[live, t]], h, c, live)
+            k = reach[t]
+            h[:k], c[:k] = _lstm_cell(model, prefix, table[idx[:k, t]], h[:k], c[:k])[:2]
         finals.append(h)
-    return np.concatenate(finals, axis=1)
+    return np.concatenate(finals, axis=1)[np.argsort(order)]  # back to input order
 
 
-def decode_step(model: Seq2SeqModel, x: np.ndarray, h: np.ndarray, c: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """One decoder step of rows ``live`` from their inputs ``x``: their logits over the vocabulary.
+def decode_step(model: Seq2SeqModel, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One decoder step of every row from its input ``x``: the rows' logits over the vocabulary, new h and new c.
 
     Each row of ``x`` is the embedding of the lemma character aligned with this step, the 2H
-    encoder summary and the F-dim morphological feature vector; ``h`` and ``c`` step in place.
+    encoder summary and the F-dim morphological feature vector.  No input is written.
     """
-    h_new = _step_live(model, "dec", _by_rows(x, model.params["dec.wx"]), h, c, live)
-    return _by_rows(h_new, model.params["out.w"]) + model.params["out.b"]
+    # the gates are dropped at once: held through the next step they raise peak memory
+    h, c = _lstm_cell(model, "dec", _by_rows(x, model.params["dec.wx"]), h, c)[:2]
+    return _by_rows(h, model.params["out.w"]) + model.params["out.b"], h, c
 
 
 def _index_rows(rows, width: int) -> np.ndarray:
@@ -293,8 +282,10 @@ def _forward(model: Seq2SeqModel, examples):
     b, max_dec = targets.shape
     params = model.params
     hid = model.hidden_size
-    runs: list = []
-    summary = _encode_rows(model, enc_idx, enc_len, runs)
+    # every encoder step steps every row; the backward direction runs over the time-reversed views
+    x, live = params["emb"][enc_idx.T], (np.arange(enc_idx.shape[1])[:, None] < enc_len)[:, :, None]
+    runs = [_run_taped(model, p, enc_idx.T[::d], x[::d], live[::d]) for p, d in (("enc_f", 1), ("enc_b", -1))]
+    summary = np.concatenate([runs[0].hs[-1], runs[1].hs[-1]], axis=1)
     # teacher forcing knows every decoder input before the first step; a row
     # past its EOS keeps its state, as its steps there weigh nothing in the loss
     x = np.empty((max_dec, b, EMB_DIM + 2 * hid + model.feature_size))
@@ -475,14 +466,14 @@ def _decode_chunk(model: Seq2SeqModel, pairs) -> list[str]:
 
     out: list[list[str]] = [[] for _ in pairs]
     live = np.arange(len(pairs))  # rows that have not emitted EOS yet
-    h, c = np.zeros((len(pairs), model.hidden_size)), np.zeros((len(pairs), model.hidden_size))
+    h, c = np.zeros((2, len(pairs), model.hidden_size))  # the states of rows ``live``
     for t in range(model.max_len):
         x = np.concatenate([emb[idx[live, min(t, longest)]], summary[live], morph[live]], axis=1)
-        logits = decode_step(model, x, h, c, live)
+        logits, h, c = decode_step(model, x, h, c)
         logits[:, [PAD, BOS, UNK]] = -np.inf  # reserved characters are never emitted
         best = np.argmax(logits, axis=1)
         going = best != EOS
-        live, best = live[going], best[going]
+        live, best, h, c = live[going], best[going], h[going], c[going]
         for r, ix in zip(live.tolist(), best.tolist()):
             out[r].append(model.vocab.chars[ix])
         if not live.size:

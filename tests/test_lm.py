@@ -618,15 +618,6 @@ def _write_lm(directory, model):
     return path
 
 
-def _assert_same_model(got, expected):
-    assert got.order == expected.order and got.vocab.words == expected.vocab.words
-    for a, b in zip(got.tables, expected.tables, strict=True):
-        for x, y in ((a.key, b.key), (a.logp, b.logp), (a.bow, b.bow)):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
 def _text_parses(monkeypatch):
     """Make lm.parse_arpa record its calls; returns the list of parsed texts."""
     calls, real = [], lm.parse_arpa

@@ -277,6 +277,33 @@ def test_chunk_scheme_properties(n):
         seen.add(scheme.sizes)
 
 
+def _brute_force_schemes(n):
+    """Every descending tuple of parts from {1, 2, 3} that sums to n within the part cap, largest first."""
+    cap = math.ceil(n / 3) + 1
+    found = [
+        sizes
+        for parts in range(1, cap + 1)
+        for sizes in itertools.combinations_with_replacement((3, 2, 1), parts)
+        if sum(sizes) == n
+    ]
+    return sorted(found, reverse=True)
+
+
+@pytest.mark.parametrize("n", list(range(1, 31)))
+def test_chunk_schemes_equal_a_brute_force_enumeration(n):
+    assert [s.sizes for s in chunk_schemes(n)] == _brute_force_schemes(n)
+
+
+def test_chunk_schemes_of_a_huge_bag_are_few_and_in_order():
+    # validation puts no upper bound on the threshold, so n may be large
+    n = 10**5
+    sizes = [s.sizes for s in chunk_schemes(n)]
+    assert len(sizes) == 5
+    assert all(sum(s) == n and len(s) <= math.ceil(n / 3) + 1 for s in sizes)
+    assert all(tuple(sorted(s, reverse=True)) == s for s in sizes)
+    assert sizes == sorted(sizes, reverse=True)
+
+
 def test_chunk_scheme_validates_sizes():
     with pytest.raises(ValueError):
         ChunkScheme((4, 2))

@@ -119,18 +119,40 @@ def test_encode_empty_errors():
         _encode(model, [])
 
 
+def _index_matrix(model, words):
+    rows = [model.vocab.encode(w) for w in words]
+    lengths = np.array([len(row) for row in rows])
+    return rf._index_rows(rows, lengths.max()), lengths
+
+
 def test_untaped_encoder_summary_equals_the_taped_one():
     # without a tape each step steps only the rows whose input reaches it;
-    # the summary must be the all-rows one bit for bit
+    # the summary must be the all-rows one that _forward builds, bit for bit
     model, _ = tiny_model(hidden=16, seed=7)
-    rows = [model.vocab.encode(w) for w in ["a", "abcde", "cd", "ebadcbae", "b", "dcd", "bcdeab"]]
-    lengths = np.array([len(row) for row in rows])
-    idx = np.full((len(rows), lengths.max()), PAD, dtype=np.intp)
-    for r, row in enumerate(rows):
-        idx[r, : len(row)] = row
+    idx, lengths = _index_matrix(model, ["a", "abcde", "cd", "ebadcbae", "b", "dcd", "bcdeab"])
     untaped = rf._encode_rows(model, idx, lengths)
-    taped = rf._encode_rows(model, idx, lengths, [])
+    x, live = model.params["emb"][idx.T], (np.arange(idx.shape[1])[:, None] < lengths)[:, :, None]
+    runs = [rf._run_taped(model, p, idx.T[::d], x[::d], live[::d]) for p, d in (("enc_f", 1), ("enc_b", -1))]
+    taped = np.concatenate([runs[0].hs[-1], runs[1].hs[-1]], axis=1)
     assert np.array_equal(untaped.view(np.int64), taped.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["a", "cd", "dcd", "abcde", "bcdeab", "ebadcbae"],  # shortest first
+        ["ebadcbae", "b", "dcd", "abcde", "a", "cd", "bcdeab"],
+        ["abc", "cde", "bad", "dab", "eca", "ace", "bee", "cab", "dcb"],  # every row of one length
+        ["ab", "ebadcbae", "cd", "ba", "abcde", "dc", "ebadcbae", "b", "bcdeab", "ed"],  # equal lengths among others
+    ],
+)
+def test_encoder_gives_every_row_its_bits_alone_in_any_order(words):
+    # the encoder steps its rows longest first and puts the summary back in input order
+    model, _ = tiny_model(hidden=16, seed=7)
+    idx, lengths = _index_matrix(model, words)
+    summary = rf._encode_rows(model, idx, lengths)
+    for word, row in zip(words, summary):
+        assert np.array_equal(row.view(np.int64), _encode(model, model.vocab.encode(word)).view(np.int64))
 
 
 def test_encode_mirrored_weights_reverse_input():
@@ -595,10 +617,10 @@ def _decode_trace(model, pairs, monkeypatch):
         summaries.append(encode_rows(*args))
         return summaries[-1]
 
-    def step_spy(model, x, h, c, live):
-        logits = step(model, x, h, c, live)
+    def step_spy(model, x, h, c):
+        logits, h, c = step(model, x, h, c)
         steps.append((x[:, EMB_DIM:], logits.copy()))
-        return logits
+        return logits, h, c
 
     with monkeypatch.context() as patch:
         patch.setattr(rf, "_encode_rows", encode_spy)
@@ -653,18 +675,16 @@ def test_decode_step_gives_any_live_subset_the_bits_of_the_full_step():
     b, hid = rf.PREDICT_CHUNK, model.hidden_size
     x = rng.standard_normal((b, model.params["dec.wx"].shape[0]))
     h0, c0 = rng.standard_normal((2, b, hid))
-    h_full, c_full = h0.copy(), c0.copy()
-    full = rf.decode_step(model, x, h_full, c_full, np.arange(b))
+    inputs = x.copy(), h0.copy(), c0.copy()
+    full, h_full, c_full = rf.decode_step(model, x, h0, c0)
+    assert all(np.array_equal(now, kept) for now, kept in zip((x, h0, c0), inputs))  # decode_step writes no input
     for size in range(1, 18):
         for _ in range(3):
             live = rng.permutation(b)[:size]
-            h, c = h0.copy(), c0.copy()
-            logits = rf.decode_step(model, x[live], h, c, live)
+            logits, h, c = rf.decode_step(model, x[live], h0[live], c0[live])
             assert logits.shape == (size, len(model.vocab))
-            for got, expected in ((h[live], h_full[live]), (c[live], c_full[live]), (logits, full[live])):
+            for got, expected in ((h, h_full[live]), (c, c_full[live]), (logits, full[live])):
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64)), size
-            rest = np.setdiff1d(np.arange(b), live)
-            assert np.array_equal(h[rest], h0[rest]) and np.array_equal(c[rest], c0[rest])
 
 
 # ------------------------------------------------------------ serialization

@@ -66,6 +66,8 @@ RESERVED_WORDS = (BOS_WORD, EOS_WORD, UNK_WORD)
 _TABLES_MAGIC = b"udrealize-ngram-tables-v1\n"
 # Longest header line a tables image may have; tables_image writes about 250 bytes.
 _HEADER_LIMIT = 1 << 16
+# Bytes of the ARPA file that load_arpa reads into its digest at a time.
+_HASH_BLOCK = 1 << 16
 
 
 class EmptyCorpusError(ValueError):
@@ -579,12 +581,13 @@ def _image_header(image) -> tuple[object, int]:
     return header, len(_TABLES_MAGIC) + end + 1
 
 
-def read_tables(image, arpa: bytes) -> NGramModel:
-    """The model of a ``tables_image`` written beside the ARPA bytes ``arpa``.
+def read_tables(image, arpa_sha256: str) -> NGramModel:
+    """The model of a ``tables_image`` written beside the ARPA bytes whose
+    sha256 hex digest is ``arpa_sha256``.
 
     Raises TablesError on a wrong magic line, a header line without
     exactly the fields ``tables_image`` writes (or longer than
-    ``_HEADER_LIMIT``), an ARPA digest that is not that of ``arpa``, a
+    ``_HEADER_LIMIT``), an ARPA digest that is not ``arpa_sha256``, a
     payload of another length than the header implies, or a payload
     digest mismatch.  The arrays are read-only views of ``image``, any
     bytes-like object.
@@ -597,7 +600,7 @@ def read_tables(image, arpa: bytes) -> NGramModel:
         or len(header["counts"]) != header["order"]
     ):
         raise TablesError("header does not hold the fields train-lm writes")
-    if header["arpa_sha256"] != hashlib.sha256(arpa).hexdigest():
+    if header["arpa_sha256"] != arpa_sha256:
         raise TablesError("written for other ARPA bytes (the ARPA file changed after train-lm)")
     payload = memoryview(image).toreadonly()[at:]
     order, counts, at = header["order"], header["counts"], header["vocab_bytes"]
@@ -640,6 +643,17 @@ def _read_image(path) -> memoryview:
     return memoryview(buffer)[shift : shift + size]
 
 
+def _file_sha256(path) -> str:
+    """The sha256 hex digest of the file at ``path``, read in blocks of
+    ``_HASH_BLOCK`` bytes, so that no copy of the whole file is held."""
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK)
+    with open(path, "rb") as f, memoryview(block) as view:
+        while size := f.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
 def load_arpa(path, warn) -> NGramModel:
     """The model of the ARPA file at ``path``.
 
@@ -649,15 +663,16 @@ def load_arpa(path, warn) -> NGramModel:
     An image that is present but rejected or unreadable passes one line
     to ``warn``; a missing one is silent.  Errors reading ``path``
     itself propagate as OSError, and malformed text as ArpaFormatError.
+    The file is hashed in blocks and read whole only to be parsed.
     """
-    arpa = Path(path).read_bytes()
+    arpa_sha256 = _file_sha256(path)
     image = tables_path(path)
     try:
-        return read_tables(_read_image(image), arpa)
+        return read_tables(_read_image(image), arpa_sha256)
     except FileNotFoundError:
         pass
     except OSError as exc:
         warn(f"{image}: {exc.strerror}; parsing the ARPA text instead")
     except TablesError as exc:
         warn(f"{image}: {exc}; parsing the ARPA text instead")
-    return parse_arpa(arpa.decode("utf-8", errors="replace"))
+    return parse_arpa(Path(path).read_bytes().decode("utf-8", errors="replace"))

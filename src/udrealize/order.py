@@ -54,10 +54,14 @@ Among prefixes with the same score at a state it keeps only the
 smallest, since their continuations score the same.  One pass arranges
 the chunks of every scheme of every ``method2`` and exhaustive bag of a
 batch, layer by layer (layer L holds the states with L chunks used):
-each kept prefix is a numpy row of (scheme, mask, history, score, prefix
-ids).  The band is applied first, after a sort by state alone, and only
-the rows within it are sorted by score and prefix to keep the smallest
-prefix per score.
+each kept prefix is a numpy row of (scheme, mask, score, context, the
+row of layer L - 1 it grew from), without its ids.  Its context, the
+chunks that fix the history it ends with, indexes tables that hold what
+appending each chunk adds, filled once per batch (``_ChunkSteps``).  The
+band is applied first, after a sort by state alone, and only the rows
+within it are sorted by score; a prefix's ids are spelled out from the
+parent pointers only where rows tie on state and score, and for each
+bag's winner.
 
 ``realize_orders`` takes a whole command's token lists to sentence
 strings: it preprocesses, dispatches, and applies casing and the final
@@ -71,7 +75,8 @@ row's best tuple of still-unused ids after a given history, for
 ``method1``'s seeds, and ``method2``'s chunk fills mask each (bag, chunk
 size) grid of fragment scores with the words left.  Grid rows are padded
 to the widest bag of their pass, in passes of at most ``ORDER_CHUNK``
-entries or one row.  ``order_words`` and the three searches are
+entries or one row; a ``_grid_best`` row whose grid alone is larger is
+split along its first id.  ``order_words`` and the three searches are
 one-item calls of the same path.
 """
 
@@ -325,7 +330,10 @@ def _fits(counts, ids):
         uses = 1
         for prev in ids[:i]:
             uses = uses + (prev == w)
-        ok = ok & (counts[..., w] >= uses)
+        allowed = counts[..., w]  # laid out row index last
+        if counts.shape[0] < counts.shape[-1]:  # few wide rows compare faster in C order
+            allowed = np.ascontiguousarray(allowed)
+        ok = ok & (allowed >= uses)
     return ok
 
 
@@ -335,7 +343,8 @@ def _passes(width: np.ndarray, size: int):
     pass pads its rows' ``size``-tuple grids to that width."""
     waiting = np.argsort(width, kind="stable")
     while len(waiting):
-        cost = np.arange(1, len(waiting) + 1) * width[waiting] ** size
+        head = waiting[: ORDER_CHUNK // int(width[waiting[0]]) ** size + 1]  # a pass holds no more rows
+        cost = np.arange(1, len(head) + 1) * width[head] ** size
         rows = max(1, int(np.searchsorted(cost, ORDER_CHUNK, side="right")))
         part, waiting = waiting[:rows], waiting[rows:]
         yield part, int(width[part[-1]])
@@ -383,13 +392,41 @@ def _grid_best(
     an (R, size) array, and its score, as ``_grid_scores`` scores it.
 
     The rows go through in ``_passes``, with similar word counts
-    together, and no count allows a padded id.
+    together, and no count allows a padded id.  A row whose grid alone
+    holds more than ``ORDER_CHUNK`` entries is split along its first id:
+    each first id it allows starts a row of the (size - 1)-tuples after
+    it, from ``start[r]`` plus that id's conditional, which adds the same
+    floats in the same order.  Of its parts, in ascending first id, the
+    row keeps the first that scores highest, the first maximum in C order.
     """
     best = np.zeros((len(bag), size), dtype=np.int64)
     scores = np.zeros(len(bag))
-    for part, width in _passes(table.marker[bag], size):
-        score = _grid_scores(table, bag[part], size, width, [h[part] for h in history], start[part])
+    width = table.marker[bag]
+    whole = (width**size <= ORDER_CHUNK) | (size == 1)
+    rows = np.flatnonzero(whole)
+    for part, w in _passes(width[rows], size):
+        part = rows[part]
+        score = _grid_scores(table, bag[part], size, w, [h[part] for h in history], start[part])
         best[part], scores[part] = _masked_best(score, counts[part])
+    split = np.flatnonzero(~whole)
+    if len(split):
+        row, first = np.nonzero(counts[split] > 0)  # each row's allowed first ids, ascending
+        r = split[row]
+        rest = counts[r]
+        rest[np.arange(len(r)), first] -= 1
+        after = [h[r] for h in history]
+        tails, tail_scores = _grid_best(
+            table, bag[r], rest, size - 1, after + [first], start[r] + table(bag[r], after, first)
+        )
+        part = np.full(counts[split].shape, -1)
+        part[row, first] = np.arange(len(r))
+        by_first = np.full(part.shape, -np.inf)
+        by_first[row, first] = tail_scores
+        pick = by_first.argmax(axis=1)  # first maximum: the smallest first id
+        scores[split] = by_first[np.arange(len(split)), pick]
+        chosen = part[np.arange(len(split)), pick]
+        some = chosen >= 0  # else the row allows no tuple, and keeps the zeros
+        best[split[some]] = np.column_stack([pick[some], tails[chosen[some]]])
     return best, scores
 
 
@@ -572,10 +609,12 @@ def _run_heads(*columns) -> np.ndarray:
     return head
 
 
-def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(key: np.ndarray, score: np.ndarray, prefix) -> tuple[np.ndarray, np.ndarray]:
     """One row per distinct (key, score), the one with the smallest prefix,
     ordered by key and then by score, highest first; and a flag on the
-    first row of each key, the key's best."""
+    first row of each key, the key's best.  ``prefix(rows)`` gives the
+    prefixes of ``rows`` as an array, one row each; it is called only
+    when some key and score are shared by several rows."""
     order = np.lexsort((-score, key))
     key, score = key[order], score[order]
     head = _run_heads(key)
@@ -587,12 +626,12 @@ def _ranked(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> tuple[np.
         run = np.repeat(np.arange(len(first)), counts)
         members = np.repeat(tied, counts)
         rows_, run = order[members], run[members]
-        ranked = np.lexsort((*prefix[rows_].T[::-1], run))
+        ranked = np.lexsort((*prefix(rows_).T[::-1], run))
         rows[tied] = rows_[ranked][_run_heads(run[ranked])]
     return rows, head[first]
 
 
-def _banded(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+def _banded(key: np.ndarray, score: np.ndarray, prefix) -> np.ndarray:
     """The rows ``_ranked`` keeps whose score is within ``_TIE_BAND`` of
     their key's best: the band is applied first, on a sort by key alone,
     so that only survivors that share their key are ranked."""
@@ -603,7 +642,103 @@ def _banded(key: np.ndarray, score: np.ndarray, prefix: np.ndarray) -> np.ndarra
     head = _run_heads(key[near])  # the survivors are still in key order
     alone = head & np.append(head[1:], True)
     shared = near[~alone]
-    return np.concatenate([near[alone], shared[_ranked(key[shared], score[shared], prefix[shared])[0]]])
+    kept = _ranked(key[shared], score[shared], lambda rows: prefix(shared[rows]))[0]
+    return np.concatenate([near[alone], shared[kept]])
+
+
+class _ChunkSteps:
+    """What appending a chunk adds to an ``_arrange`` row, for an LM that
+    reads at most ``_DENSE_HISTORY`` history words, read from tables
+    filled once per batch.
+
+    A row's context fixes the ids its next conditionals read: its
+    chunking g, its last chunk c (``most`` for the empty prefix after
+    <s>) and, when the LM reads two words and c holds one, the chunk a
+    before c (else ``most``), numbered x = ``(g * (most + 1) + c) *
+    (most + 1) + a``.  The tables hold, for appending chunk j, its
+    conditionals, each after everything before it: ``first`` per (x, j),
+    ``second`` per (g, c, j) and ``third`` per (g, j), -0.0 past the
+    chunk's end, which adds nothing, bit for bit; and ``follow``, the
+    context after the step, per (g, c, j).  Per context, ``end`` is </s>
+    after it and ``code`` the ``_codes`` of the ids it ends with.
+    """
+
+    def __init__(self, table: ScoreTable, owner: np.ndarray, sizes: np.ndarray, words: np.ndarray):
+        chunkings, most = sizes.shape
+        self.most, self.span = most, table.span
+        self.base = table.heads.shape[1] ** self.span
+        g, b = np.arange(chunkings)[:, None], owner[:, None, None]
+        last = np.zeros((chunkings, most + 1), dtype=np.int64)  # [g, c]: the last id of chunk c, then <s>
+        last[:, :most] = words[g, np.arange(most), np.maximum(sizes - 1, 0)]
+        last[:, most] = table.marker[owner]
+        inner = words[g, np.arange(most), np.maximum(sizes - 2, 0)]  # the id before a chunk's last
+        before = np.full((chunkings, most + 1, most + 1), -1, dtype=np.int64)  # [g, c, a]: the id before c's last
+        before[:, :most] = np.where(sizes[:, :, None] == 1, last[:, None], inner[:, :, None])
+        ids = [before, np.broadcast_to(last[:, :, None], before.shape)]  # the two ids each context ends with
+        w0, w1, w2 = (words[:, None, :, p] for p in range(3))  # [g, 0, j]
+        after_last = (chunkings, most + 1, most)  # [g, c, j]
+        # a history the LM does not read is dropped, and its axis with it: broadcast back
+        first = table(b[..., None], [i[..., None] for i in ids], w0[:, None])
+        self.first = np.broadcast_to(first, before.shape + (most,)).ravel()
+        second = np.where(sizes[:, None] > 1, table(b, [last[:, :, None], w0], w1), -0.0)
+        self.second = np.broadcast_to(second, after_last).ravel()
+        self.third = np.where(sizes > 2, table(b[..., 0], [w0[:, 0], w1[:, 0]], w2[:, 0]), -0.0).ravel()
+        a = np.where(sizes[:, None] == 1, np.arange(most + 1)[:, None], most) if self.span == 2 else most
+        follow = (g[..., None] * (most + 1) + np.arange(most)) * (most + 1) + a
+        self.follow = np.broadcast_to(follow, after_last).ravel()
+        self.end = np.broadcast_to(table(b, ids, table.marker[b]), before.shape).ravel()
+        self.code = np.broadcast_to(_codes(ids[2 - self.span :], table.heads.shape[1]), before.shape).ravel()
+
+    def initial(self, chunkings: int) -> np.ndarray:
+        return (np.arange(chunkings) * (self.most + 1) + self.most) * (self.most + 1) + self.most
+
+    def after(self, g: np.ndarray, context: np.ndarray, j: np.ndarray):
+        at = context * self.most + j
+        last = context // (self.most + 1) * self.most + j  # at (g, c, j)
+        conditionals = [self.first.take(at), self.second.take(last), self.third.take(g * self.most + j)]
+        return self.follow.take(last), conditionals
+
+    def keys(self, g: np.ndarray, context: np.ndarray) -> list:
+        return [(self.code.take(context), self.base)] if self.span else []
+
+    def ends(self, g: np.ndarray, context: np.ndarray) -> np.ndarray:
+        return self.end.take(context)
+
+
+class _IdSteps:
+    """``_ChunkSteps`` for an LM that reads more than ``_DENSE_HISTORY``
+    history words, which the score table has no block for: a row's
+    context is its last ``span`` ids, and each step looks its
+    conditionals up for the rows it advances."""
+
+    def __init__(self, table: ScoreTable, owner: np.ndarray, sizes: np.ndarray, words: np.ndarray):
+        self.table, self.owner, self.sizes, self.words = table, owner, sizes, words
+        self.id_type = np.min_scalar_type(-int(table.marker.max()) - 1)  # word ids and -1, no word
+
+    def initial(self, chunkings: int) -> np.ndarray:
+        history = np.full((chunkings, self.table.span), -1, dtype=self.id_type)
+        history[:, -1] = self.table.marker[self.owner]
+        return history
+
+    def after(self, g: np.ndarray, history: np.ndarray, j: np.ndarray):
+        conditionals = []
+        for p in range(3):  # the chunk's words, each after the history so far
+            on = np.flatnonzero(self.sizes[g, j] > p)
+            w = self.words[g[on], j[on], p]
+            conditional = np.full(len(g), -0.0)
+            conditional[on] = self.table(self.owner[g[on]], list(history[on].T), w)
+            conditionals.append(conditional)
+            history[on, :-1] = history[on, 1:]
+            history[on, -1] = w
+        return history, conditionals
+
+    def keys(self, g: np.ndarray, history: np.ndarray) -> list:
+        base = self.table.heads.shape[1]
+        return [(column.astype(np.int64) + 1, base) for column in history.T]
+
+    def ends(self, g: np.ndarray, history: np.ndarray) -> np.ndarray:
+        b = self.owner[g]
+        return self.table(b, list(history.T), self.table.marker[b])
 
 
 def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
@@ -612,8 +747,11 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
 
     Held-Karp over states (chunking, used-chunk mask, last ``order - 1``
     ids), one layer per chunk used, for all chunkings at once.  Each row
-    is one prefix kept at its state.  Returns per bag the best id tuple
-    (None without a chunking) and the DP's transitions.
+    is one prefix kept at its state: its chunking, mask, score, context
+    (``_ChunkSteps``) and the row of the layer before that it grew from.
+    A prefix's ids are spelled out from those pointers only to break an
+    exact tie and for each bag's winner.  Returns per bag the best id
+    tuple (None without a chunking) and the DP's transitions.
     """
     owner = np.array([b for b, chunkings in enumerate(plans) for _ in chunkings], dtype=np.int64)
     flat = [chunks for chunkings in plans for chunks in chunkings]
@@ -629,58 +767,73 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
             sizes[g, j] = len(chunk)
             words[g, j, : len(chunk)] = chunk
     full = (1 << k) - 1
-    marker = table.marker
-    id_type = np.min_scalar_type(-int(marker.max()) - 1)  # word ids and -1, no word
-    span = table.span
     columns = np.arange(most)
+    id_type = np.min_scalar_type(int(table.marker.max()))  # a word id; sorts fastest at 8 bits
+    steps = (_ChunkSteps if table.span <= _DENSE_HISTORY else _IdSteps)(table, owner, sizes, words)
+    trail: list = []  # per layer from the first: each kept row's last chunk and the row it grew from
+
+    def spelled(g: np.ndarray, last: np.ndarray, parent: np.ndarray, depth: int) -> np.ndarray:
+        """The ids, padded with 0, of the prefixes of chunking ``g`` that
+        append chunk ``last`` to row ``parent`` of layer ``depth - 1``."""
+        chain = [last]
+        for chunk, up in reversed(trail[: depth - 1]):
+            chain.append(chunk[parent])
+            parent = up[parent]
+        chain = np.stack(chain[::-1], axis=1)
+        there = (np.arange(3) < sizes[g[:, None], chain][..., None]).reshape(len(g), 3 * depth)
+        ids = np.zeros((len(g), int(there.sum(axis=1).max(initial=0))), dtype=id_type)
+        at = (np.nonzero(there)[0], (np.cumsum(there, axis=1) - 1)[there])
+        ids[at] = words[g[:, None], chain].reshape(there.shape)[there]
+        return ids
 
     # layer 0: the empty prefix of every chunking, after <s>
     g = np.arange(len(flat))
     mask = np.zeros(len(flat), dtype=np.int64)
     score = table.start[owner]
-    history = np.full((len(flat), span), -1, dtype=id_type)
-    if span:
-        history[:, -1] = marker[owner]
-    prefix = np.zeros((len(flat), int(sizes.sum(axis=1).max())), dtype=id_type)
-    length = np.zeros(len(flat), dtype=np.int64)
-    ends = []  # per layer: (bag, sentence score, prefix) of the complete arrangements
+    context = steps.initial(len(flat))
+    ends = []  # per layer, of its complete arrangements: bag, sentence score, chunking, last chunk, parent row
+    depth = 0
     while len(g):
-        r, j = np.nonzero((columns < k[g, None]) & (mask[:, None] >> columns & 1 == 0))
-        transitions += np.bincount(owner[g[r]], minlength=len(plans))
-        g, mask, score, history, prefix, length = (a[r] for a in (g, mask, score, history, prefix, length))
-        mask |= 1 << j
-        for p in range(3):  # the chunk's words, each after the history so far
-            on = np.flatnonzero(sizes[g, j] > p)
-            w = words[g[on], j[on], p]
-            score[on] += table(owner[g[on]], list(history[on].T), w)
-            if span:
-                history[on, :-1] = history[on, 1:]
-                history[on, -1] = w
-            prefix[on, length[on]] = w
-            length[on] += 1
+        depth += 1
+        parent, j = np.nonzero((columns < k[g, None]) & (mask[:, None] >> columns & 1 == 0))
+        transitions += np.bincount(owner[g[parent]], minlength=len(plans))
+        g, mask, score, context = g[parent], mask[parent] | 1 << j, score[parent], context[parent]
+        context, conditionals = steps.after(g, context, j)
+        for conditional in conditionals:  # the chunk's words, left to right
+            score += conditional
 
-        # per state: one prefix per score, the smallest; then the tie band,
-        # except for complete arrangements, which all count as transitions
-        key = _state_keys(
-            [(g, len(flat)), (mask, 1 << most)]
-            + [(history[:, i].astype(np.int64) + 1, int(marker.max()) + 2) for i in range(span)]
-        )
+        # per state: one prefix per score, the smallest, within the tie band;
+        # complete arrangements all end a sentence, and count as transitions
+        # once per state and score
+        key = _state_keys([(g, len(flat)), (mask, 1 << most), *steps.keys(g, context)])
         done = mask == full[g]
         fin = np.flatnonzero(done)
-        fin = fin[_ranked(key[fin], score[fin], prefix[fin])[0]]
-        b = owner[g[fin]]
-        transitions += np.bincount(b, minlength=len(plans))
-        ends.append((b, score[fin] + table(b, list(history[fin].T), marker[b]), prefix[fin]))
+        fin = fin[np.lexsort((score[fin], key[fin]))]
+        transitions += np.bincount(owner[g[fin[_run_heads(key[fin], score[fin])]]], minlength=len(plans))
+        ends.append((owner[g[fin]], score[fin] + steps.ends(g[fin], context[fin]), g[fin], j[fin], parent[fin]))
         keep = np.flatnonzero(~done)
-        keep = keep[_banded(key[keep], score[keep], prefix[keep])]
-        g, mask, score, history, prefix, length = (a[keep] for a in (g, mask, score, history, prefix, length))
+        grown = g[keep], j[keep], parent[keep]
+        keep = keep[_banded(key[keep], score[keep], lambda some: spelled(*(a[some] for a in grown), depth))]
+        trail.append((j[keep], parent[keep]))
+        g, mask, score, context = (a[keep] for a in (g, mask, score, context))
 
-    owners, totals, prefixes = (np.concatenate(parts) for parts in zip(*ends))
-    rows, best = _ranked(owners, totals, prefixes)
+    # each bag's best sentences, spelled out, and the smallest of them on a tie
+    owners, totals = (np.concatenate([end[i] for end in ends]) for i in range(2))
+    top = np.full(len(plans), -np.inf)
+    np.maximum.at(top, owners, totals)
+    best = totals == top[owners]
+    ids = np.zeros((int(best.sum()), int(table.length.max())), dtype=id_type)
+    at = row = 0
+    for depth, (bags, _, g, last, parent) in enumerate(ends, start=1):
+        some = np.flatnonzero(best[at : at + len(bags)])
+        spelt = spelled(g[some], last[some], parent[some], depth)
+        ids[row : row + len(some), : spelt.shape[1]] = spelt
+        at, row = at + len(bags), row + len(some)
+    owners, totals = owners[best], totals[best]
     found: list = [None] * len(plans)
-    for row in rows[best].tolist():
+    for row in _ranked(owners, totals, ids.__getitem__)[0].tolist():
         b = int(owners[row])
-        found[b] = tuple(prefixes[row, : table.length[b]].tolist())
+        found[b] = tuple(ids[row, : table.length[b]].tolist())
     return found, transitions
 
 

@@ -150,13 +150,14 @@ class Seq2SeqModel:
 def logistic(x: np.ndarray) -> np.ndarray:
     """Plain elementwise 1 / (1 + exp(-x)), split by sign so exp never overflows.
 
-    ``e = exp(-|x|)`` is exp(-x) where x >= 0 and exp(x) elsewhere, so
-    this is 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for
-    x < 0: one denominator, and a numerator of 1 where x >= 0.
+    ``exp(-|x|)`` is exp(-x) where x >= 0 and exp(x) elsewhere, and
+    ``exp(min(x, 0))`` is 1 where x >= 0 and exp(x) elsewhere, so this is
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) for x < 0,
+    without a branch on the sign.
     """
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    np.copyto(e, 1.0, where=x >= 0)
+    d = np.exp(-np.abs(x))
+    d += 1.0
+    e = np.exp(np.minimum(x, 0.0))
     e /= d
     return e
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -684,7 +685,7 @@ def test_damaged_tables_image_is_rejected_and_the_text_parsed(tmp_path, monkeypa
     damage, reason = _IMAGE_EDITS[edit]
     image = damage(lm.tables_path(path).read_bytes())
     with pytest.raises(TablesError, match=reason):
-        lm.read_tables(image, path.read_bytes())
+        lm.read_tables(image, hashlib.sha256(path.read_bytes()).hexdigest())
     lm.tables_path(path).write_bytes(image)
     parsed, notes = _text_parses(monkeypatch), []
     _assert_same_model(lm.load_arpa(path, notes.append), parse_arpa(emit_arpa(toy_lm)))
@@ -733,7 +734,7 @@ def test_tables_image_without_the_reserved_words_is_rejected():
     table = lm.NGramTable(np.arange(2, dtype=np.int64), np.array([-0.3, -0.3]), None)
     model = NGramModel(1, Vocabulary(("a", "b")), [table])
     with pytest.raises(TablesError, match="malformed vocabulary"):
-        lm.read_tables(lm.tables_image(model, b"arpa"), b"arpa")
+        lm.read_tables(lm.tables_image(model, b"arpa"), hashlib.sha256(b"arpa").hexdigest())
 
 
 def test_tables_image_is_byte_deterministic(toy_sentences):

@@ -27,6 +27,7 @@ from udrealize.order import (
 
 from conftest import DATA_DIR, TOY_VOCAB, random_bag, toy_corpus_sentences
 from _lm_oracle import DictLM
+import _order_oracle
 
 
 def brute_force_best(model, words):
@@ -405,6 +406,40 @@ def test_method1_seed_sums_round_like_the_oracle():
                             "w1": -1.3, "w2": -0.2, "w3": -0.3, "w4": -0.3, "w5": -1.3})
     bag = WordBag(("w0", "w1", "w2", "w3", "w4", "w5"))
     _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
+
+
+def test_method1_seed_grids_of_a_huge_bag_stay_within_the_chunk_bound(toy_lm, monkeypatch):
+    # 120 distinct words: each first word's grid of 120 ** 3 entries is
+    # split along the seed's second word into grids of 120 ** 2
+    bag = WordBag(tuple(sorted(TOY_VOCAB + [f"w{i:03d}" for i in range(120 - len(TOY_VOCAB))])))
+    sizes = []
+    real = order._masked_best
+
+    def spy(score, counts):
+        sizes.append(score.size)
+        return real(score, counts)
+
+    monkeypatch.setattr(order, "_masked_best", spy)
+    result = method1(bag, toy_lm)
+    assert Counter(result.sequence) == Counter(bag.words)
+    assert result.seed_candidates == 120 * 119 * 118 * 117
+    assert 0 < max(sizes) <= order.ORDER_CHUNK
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_method1_seeds_split_past_the_chunk_bound_match_the_oracle(lm_order, monkeypatch):
+    # a bound this small splits every seed grid along its second word, and
+    # most of those parts again along the third
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    bags = _oracle_bags(97, 8, 5, 14)
+    whole = [method1(bag, model) for bag in bags]
+    monkeypatch.setattr(order, "ORDER_CHUNK", 30)
+    for bag, unsplit in zip(bags, whole):
+        result = method1(bag, model)
+        _assert_matches_oracle(result, model, _method1_oracle(model, bag.words)[0])
+        assert (result.sequence, result.lm_score, result.candidates_evaluated) == (
+            unsplit.sequence, unsplit.lm_score, unsplit.candidates_evaluated
+        )
 
 
 def _assert_exact_conditionals(table, b, model):
@@ -885,6 +920,53 @@ def test_a_failing_bag_degrades_only_its_own_sentence(toy_lm, monkeypatch):
     assert got[:5] + got[6:] == clean[:5] + clean[6:]
 
 
+_ARRANGE_LMS: dict = {}
+_ARRANGE_WORDS = ["the", "a", "man", "dog", "saw", "in", "park", "old", "zyzzyva"]
+
+
+def _arrange_lm(lm_order):
+    if lm_order not in _ARRANGE_LMS:
+        _ARRANGE_LMS[lm_order] = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    return _ARRANGE_LMS[lm_order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(
+            # few words, so that bags repeat them; "zyzzyva" is unknown to the LM
+            st.lists(st.sampled_from(_ARRANGE_WORDS), min_size=1, max_size=12),
+            st.sampled_from(["one-word chunks", "method2", "no chunking"]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_arrangement_matches_the_prefix_copying_oracle(lm_order, drawn):
+    # a batch of bags arranged at once: exhaustive plans (one chunking of
+    # one-word chunks, up to 8 words), method2's greedy chunkings, and bags
+    # with none; the DP must find what the prefix-copying DP found and count
+    # the same transitions
+    model = _arrange_lm(lm_order)
+    bags = [WordBag(tuple(sorted(words))) for words, _ in drawn]
+    table = ScoreTable(order._Contexts.find(bags, model), model)
+    kinds = [
+        "method2" if kind == "one-word chunks" and len(bag) > 8 else kind for bag, (_, kind) in zip(bags, drawn)
+    ]
+    plans: list = [[] for _ in bags]
+    for b, kind in enumerate(kinds):
+        if kind == "one-word chunks":
+            plans[b] = [tuple((i,) for i, c in enumerate(table.counts[b].tolist()) for _ in range(c))]
+    chunked = [b for b, kind in enumerate(kinds) if kind == "method2"]
+    for b, (plan, _, _) in zip(chunked, order._chunkings_many(table, chunked)):
+        plans[b] = plan
+    found, transitions = order._arrange(table, plans)
+    expected, expected_transitions = _order_oracle._arrange(table, plans)
+    assert found == expected
+    assert transitions.tolist() == expected_transitions.tolist()
+
+
 _NEAR = [0.0, 0.0, 2.5e-10, -2.5e-10, 1e-9, -1e-9, 1.5e-9, -1.5e-9, 0.5]
 
 
@@ -899,10 +981,18 @@ def test_band_first_ranking_keeps_what_ranking_then_banding_keeps(data):
     score = np.array(base) + np.array(near)
     prefix = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=n, max_size=n)))
     prefix = prefix.reshape(n, 3).astype(np.int64)
-    rows, best = order._ranked(key, score, prefix)
+    asked = []
+
+    def spell(rows):  # the prefix getter; only rows that share their key and score need spelling
+        asked.extend(rows.tolist())
+        return prefix[rows]
+
+    pairs = Counter(zip(key.tolist(), score.tolist()))
+    rows, best = order._ranked(key, score, spell)
     top = score[rows[best]][np.cumsum(best) - 1]
     expected = rows[score[rows] >= top - order._TIE_BAND]
-    got = order._banded(key, score, prefix)
+    got = order._banded(key, score, spell)
+    assert all(pairs[int(key[r]), float(score[r])] > 1 for r in asked)
 
     def kept(rows):
         return sorted((int(key[r]), float(score[r]), tuple(prefix[r].tolist())) for r in rows)

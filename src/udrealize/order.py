@@ -71,13 +71,14 @@ with one LM call to fill its table, one arrangement pass and one
 ``lm.score_many`` call for the final scores; a batch that raises is
 rerun bag by bag, so a failure degrades only its own sentence.  The
 searches are array passes over the batch: ``_grid_best`` finds each
-row's best tuple of still-unused ids after a given history, for
-``method1``'s seeds, and ``method2``'s chunk fills mask each (bag, chunk
-size) grid of fragment scores with the words left.  Grid rows are padded
-to the widest bag of their pass, in passes of at most ``ORDER_CHUNK``
-entries or one row; a ``_grid_best`` row whose grid alone is larger is
-split along its first id.  ``order_words`` and the three searches are
-one-item calls of the same path.
+row's best tuple of still-unused ids after a given history, one row of
+4-tuples after <s> per bag for ``method1``'s seeds, and ``method2``'s
+chunk fills mask each (bag, chunk size) grid of fragment scores with the
+words left.  Grid rows are padded to the widest bag of their pass, in
+passes of at most ``ORDER_CHUNK`` entries or one row; a ``_grid_best``
+row whose grid alone is larger is split along its first id.
+``order_words`` and the three searches are one-item calls of the same
+path.
 """
 
 from __future__ import annotations
@@ -434,10 +435,10 @@ def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, 
     """Per bag in ``which``: its best 4-word sentence-initial seed, grown
     by greedy one-word extensions, and the search's counts.
 
-    The seeds are one ``_grid_best`` call with a row per (bag, first
-    word): the best three further words after <s> and the first word;
-    per bag, the first maximum over its first words in ascending order
-    is the smallest seed.  Growth then steps every bag at once: each
+    The seeds are one ``_grid_best`` call with a row per bag: its best
+    4-tuple after <s>, the smallest on a tie; a bag whose grid passes
+    ``ORDER_CHUNK`` (more than 13 distinct words) is split there along
+    its first word.  Growth then steps every bag at once: each
     step appends to each unfinished bag the remaining word that scores
     highest after the sequence so far (the smallest on a tie).
     """
@@ -446,20 +447,9 @@ def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, 
     owner = np.array(which)
     remaining = table.counts[owner, : int(table.marker[owner].max())]
     bags, width = remaining.shape
-    row, first = np.nonzero(remaining)  # every (bag, first word), first words ascending
-    b = owner[row]
-    rest = remaining[row]
-    rest[np.arange(len(row)), first] -= 1
-    marker = table.marker[b]
-    tails, scores = _grid_best(table, b, rest, 3, [marker, first], table.start[b] + table(b, [marker], first))
-    by_first = np.full((bags, width), -np.inf)
-    by_first[row, first] = scores
-    pick = by_first.argmax(axis=1)
-
     n = table.length[owner]
     sequence = np.zeros((bags, int(n.max())), dtype=np.int64)
-    sequence[:, 0] = pick
-    sequence[:, 1:4] = tails[np.searchsorted(row, np.arange(bags)) + pick]  # a bag's rows are consecutive
+    sequence[:, :4], _ = _grid_best(table, owner, remaining, 4, [table.marker[owner]], table.start[owner])
     for column in sequence[:, :4].T:
         remaining[np.arange(bags), column] -= 1
     seeds = n * (n - 1) * (n - 2) * (n - 3)
@@ -609,15 +599,13 @@ def _run_heads(*columns) -> np.ndarray:
     return head
 
 
-def _ranked(key: np.ndarray, score: np.ndarray, prefix) -> tuple[np.ndarray, np.ndarray]:
+def _ranked(key: np.ndarray, score: np.ndarray, prefix) -> np.ndarray:
     """One row per distinct (key, score), the one with the smallest prefix,
-    ordered by key and then by score, highest first; and a flag on the
-    first row of each key, the key's best.  ``prefix(rows)`` gives the
-    prefixes of ``rows`` as an array, one row each; it is called only
-    when some key and score are shared by several rows."""
+    ordered by key and then by score, highest first.  ``prefix(rows)``
+    gives the prefixes of ``rows`` as an array, one row each; it is called
+    only when some key and score are shared by several rows."""
     order = np.lexsort((-score, key))
     key, score = key[order], score[order]
-    head = _run_heads(key)
     first = np.flatnonzero(_run_heads(key, score))
     rows = order[first]
     counts = np.diff(np.append(first, len(order)))
@@ -628,7 +616,7 @@ def _ranked(key: np.ndarray, score: np.ndarray, prefix) -> tuple[np.ndarray, np.
         rows_, run = order[members], run[members]
         ranked = np.lexsort((*prefix(rows_).T[::-1], run))
         rows[tied] = rows_[ranked][_run_heads(run[ranked])]
-    return rows, head[first]
+    return rows
 
 
 def _banded(key: np.ndarray, score: np.ndarray, prefix) -> np.ndarray:
@@ -642,7 +630,7 @@ def _banded(key: np.ndarray, score: np.ndarray, prefix) -> np.ndarray:
     head = _run_heads(key[near])  # the survivors are still in key order
     alone = head & np.append(head[1:], True)
     shared = near[~alone]
-    kept = _ranked(key[shared], score[shared], lambda rows: prefix(shared[rows]))[0]
+    kept = _ranked(key[shared], score[shared], lambda rows: prefix(shared[rows]))
     return np.concatenate([near[alone], shared[kept]])
 
 
@@ -831,7 +819,7 @@ def _arrange(table: ScoreTable, plans) -> tuple[list, np.ndarray]:
         at, row = at + len(bags), row + len(some)
     owners, totals = owners[best], totals[best]
     found: list = [None] * len(plans)
-    for row in _ranked(owners, totals, ids.__getitem__)[0].tolist():
+    for row in _ranked(owners, totals, ids.__getitem__).tolist():
         b = int(owners[row])
         found[b] = tuple(ids[row, : table.length[b]].tolist())
     return found, transitions

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,18 @@ from udrealize import lm
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+# Hypothesis reports a falsifying example through its patch writer, which
+# imports libcst; libcst's import warns that mypy_extensions.TypedDict is
+# deprecated, and under ``error::DeprecationWarning`` that ends the run in
+# an INTERNALERROR.  Import it here, with that warning ignored, so the
+# report needs no further import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst installed
+        pass
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -409,8 +409,9 @@ def test_method1_seed_sums_round_like_the_oracle():
 
 
 def test_method1_seed_grids_of_a_huge_bag_stay_within_the_chunk_bound(toy_lm, monkeypatch):
-    # 120 distinct words: each first word's grid of 120 ** 3 entries is
-    # split along the seed's second word into grids of 120 ** 2
+    # 120 distinct words: the seed grid of 120 ** 4 entries is split along
+    # the seed's first word, then each part of 120 ** 3 along its second,
+    # into grids of 120 ** 2
     bag = WordBag(tuple(sorted(TOY_VOCAB + [f"w{i:03d}" for i in range(120 - len(TOY_VOCAB))])))
     sizes = []
     real = order._masked_best
@@ -439,6 +440,35 @@ def test_method1_seeds_split_past_the_chunk_bound_match_the_oracle(lm_order, mon
         _assert_matches_oracle(result, model, _method1_oracle(model, bag.words)[0])
         assert (result.sequence, result.lm_score, result.candidates_evaluated) == (
             unsplit.sequence, unsplit.lm_score, unsplit.candidates_evaluated
+        )
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
+def test_method1_whole_and_split_seed_rows_in_one_call_match_the_oracle(lm_order, monkeypatch):
+    # 8 distinct words give a whole 4-grid of 8 ** 4 entries; 18 give one
+    # of 18 ** 4, past ORDER_CHUNK, split along the first word; both bags
+    # are rows of the same seed search
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    small = ["the", "old", "dog", "ran", "in", "the", "park", "quix", "home"]
+    large = TOY_VOCAB[:17] + ["blorft", TOY_VOCAB[3]]
+    assert (len(set(small)), len(set(large))) == (8, 18)
+    widths = []  # the distinct words of each row of each 4-tuple call
+    real = order._grid_best
+
+    def spy(table, bag, counts, size, history, start):
+        if size == 4:
+            widths.append(sorted(table.marker[bag].tolist()))
+        return real(table, bag, counts, size, history, start)
+
+    monkeypatch.setattr(order, "_grid_best", spy)
+    found = realize_orders([small, large], model, OrderConfig(threshold=4))
+    assert widths == [[8, 18]]
+    for words, (_, result) in zip((small, large), found):
+        sequence, counts = _method1_oracle(model, words)
+        assert result.method is OrderMethod.METHOD1
+        _assert_matches_oracle(result, model, sequence)
+        assert (result.candidates_evaluated, result.seed_candidates, result.lrw_iterations) == (
+            counts["candidates_evaluated"], counts["seed_candidates"], counts["lrw_iterations"]
         )
 
 
@@ -988,8 +1018,11 @@ def test_band_first_ranking_keeps_what_ranking_then_banding_keeps(data):
         return prefix[rows]
 
     pairs = Counter(zip(key.tolist(), score.tolist()))
-    rows, best = order._ranked(key, score, spell)
-    top = score[rows[best]][np.cumsum(best) - 1]
+    rows = order._ranked(key, score, spell)
+    best = {}  # each key's best score
+    for k, v in zip(key.tolist(), score.tolist()):
+        best[k] = max(v, best.get(k, -math.inf))
+    top = np.array([best[k] for k in key[rows].tolist()])
     expected = rows[score[rows] >= top - order._TIE_BAND]
     got = order._banded(key, score, spell)
     assert all(pairs[int(key[r]), float(score[r])] > 1 for r in asked)

@@ -76,7 +76,11 @@ row's best tuple of still-unused ids after a given history, one row of
 chunk fills mask each (bag, chunk size) grid of fragment scores with the
 words left.  Grid rows are padded to the widest bag of their pass, in
 passes of at most ``ORDER_CHUNK`` entries or one row; a ``_grid_best``
-row whose grid alone is larger is split along its first id.
+row whose grid alone is larger is split along its first id.  At LM order
+3 and below a seed's fourth word reads only the two words before it, so
+``_grid_best`` ranks what may follow each two ids of a bag once
+(``_Continuations``) and scores only the n ** 3 tuples of the first
+three words, not the n ** 4 seeds.
 ``order_words`` and the three searches are one-item calls of the same
 path.
 """
@@ -121,6 +125,10 @@ _TIE_BAND = 1e-9
 # histories (LM order 4 and up) are looked up in the LM by each grid or
 # growth step that reads them.
 _DENSE_HISTORY = 2
+
+# Ids that ``_Continuations`` keeps after each two ids, best first; a
+# seed rescans a cell only when all of them tie with its best total.
+_KEPT = 4
 
 
 class EmptyBagError(ValueError):
@@ -385,30 +393,157 @@ def _masked_best(score: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     return np.stack(np.unravel_index(first, (width,) * size), axis=1), masked[np.arange(rows), first]
 
 
+class _Continuations:
+    """What may follow two ids, for an LM that reads at most two history
+    ids: per bag of ``bags`` (distinct bag indices) and pair (a, c) of its
+    ids, the ``_KEPT`` ids w of the bag with the highest log10 p(w | a c),
+    highest first and the smallest on a tie, and those conditionals.  An
+    id is left out if it is padding, if a and c use up the bag's copies
+    of it, or if its conditional is -inf; a row left with fewer ids ends
+    in -1.  ``ids[k]`` and ``logp[k]`` hold each row's k-th, flat at
+    ``(slot[bag] * wide + a) * wide + c``.  Filled in ``_passes`` of at
+    most ``ORDER_CHUNK`` entries."""
+
+    def __init__(self, table: ScoreTable, bags: np.ndarray):
+        m = table.marker[bags]
+        self.wide = wide = int(m.max())
+        self.slot = np.zeros(len(table.marker), dtype=np.int64)
+        self.slot[bags] = np.arange(len(bags))
+        on = np.arange(wide) < m[:, None]
+        s, a, c = np.nonzero(on[:, :, None] & on[:, None, :])
+        at = (s * wide + a) * wide + c
+        self.ids = np.full((_KEPT, len(bags) * wide * wide), -1, dtype=np.int64)
+        self.logp = np.full(self.ids.shape, -np.inf)
+        counts = table.counts[bags]
+        for part, w in _passes(m[s], 1):
+            rows, to = np.arange(len(part)), at[part]
+            left = counts[s[part], :w]
+            left[rows, a[part]] -= 1
+            left[rows, c[part]] -= 1
+            # a padded id has no copies: its conditional, which reads another column of the block, is masked
+            logp = table(bags[s[part], None], [a[part, None], c[part, None]], np.arange(w))
+            logp[left <= 0] = -np.inf
+            for k in range(_KEPT):
+                top = logp.argmax(axis=1)  # first maximum: the smallest id
+                value = logp[rows, top]
+                self.ids[k, to], self.logp[k, to] = np.where(value > -np.inf, top, -1), value
+                logp[rows, top] = -np.inf
+
+
+def _continued_best(
+    table: ScoreTable, last: _Continuations, bag: np.ndarray, counts: np.ndarray, size: int, width: int,
+    history: list, start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_masked_best`` of the ``_grid_scores`` grids of a pass, for rows
+    whose last id's conditional reads only the two ids before it: each
+    (size - 1)-tuple before the last id, a cell, is scored once, to P.
+    P plus a conditional is monotone in the conditional, so the cell's
+    best total is P plus that of the first of ``last``'s ids for its two
+    ids that it leaves a copy of.  A later id whose total rounds to the
+    same float ties, and the smallest of them wins; a cell whose kept ids
+    never drop below its best total is rescanned over every id.  A cell
+    that allows no finite total takes the id 0, as the grid's first
+    maximum does.  Each row's winner is its first maximum cell."""
+    rows, cells = len(bag), (width,) * (size - 1)
+    prefix = _axes(size - 1, width)
+    counts = np.ascontiguousarray(counts[:, :width])
+    score = np.where(_fits(counts, prefix), _grid_scores(table, bag, size - 1, width, history, start), -np.inf)
+    column = (rows,) + (1,) * len(cells)
+    a, c = ([h.reshape(column) for h in history] + prefix)[-2:]  # the two ids before the last
+    at = np.broadcast_to((last.slot[bag].reshape(column) * last.wide + a) * last.wide + c, score.shape)
+    offset = (np.arange(rows) * width).reshape(column)
+
+    def left(ids, base, used):  # the copies of ids that a cell with ids ``used`` leaves; base: its row's offset
+        return counts.take(base + ids) - sum(u == ids for u in used)
+
+    # every cell's first kept id, and whether its second scores below
+    ids = last.ids[0].take(at)
+    on = (score > -np.inf) & (ids >= 0)
+    ok = on & (left(np.maximum(ids, 0), offset, prefix) > 0)
+    best = score + last.logp[0].take(at)
+    best[~ok] = -np.inf
+    pick = np.where(ok, ids, 0)
+    ok &= (last.ids[1].take(at) < 0) | (score + last.logp[1].take(at) < best)  # every later id scores below
+    live = np.flatnonzero(on & ~ok)
+    at, score, best, pick, n = at.ravel(), score.ravel(), best.ravel(), pick.ravel(), score.size // rows
+    for k in range(1, _KEPT):  # a live cell has seen no id that scores below its best
+        ids = last.ids[k].take(at[live])
+        total = score[live] + last.logp[k].take(at[live])
+        on = (ids >= 0) & ~(total < best[live])  # else the kept ids ended, or this and every later one scores below
+        live, ids, total = live[on], ids[on], total[on]
+        some = left(ids, live // n * width, np.unravel_index(live % n, cells) if cells else ()) > 0
+        top = best[live]
+        new, tie = some & (top == -np.inf), some & (total == top)
+        best[live[new]], pick[live[new]] = total[new], ids[new]
+        pick[live[tie]] = np.minimum(pick[live[tie]], ids[tie])
+    word = np.arange(width)
+    step = max(1, ORDER_CHUNK // width)
+    for lo in range(0, len(live), step):  # rescan: every id after the cell's two
+        cell = live[lo : lo + step, None]
+        b = bag[cell // n]
+        used = [u[:, None] for u in np.unravel_index(cell[:, 0] % n, cells)] if cells else ()
+        pair = [at[cell] // last.wide % last.wide, at[cell] % last.wide]
+        logp = table(b, pair, np.minimum(word, table.marker[b] - 1))
+        total = np.where(left(word, cell // n * width, used) > 0, score[cell] + logp, -np.inf)
+        pick[cell[:, 0]], best[cell[:, 0]] = total.argmax(axis=1), total.max(axis=1)
+    best, pick = best.reshape(rows, n), pick.reshape(rows, n)
+    first = best.argmax(axis=1)  # first maximum: the smallest tuple
+    found = [*(np.unravel_index(first, cells) if cells else ()), pick[np.arange(rows), first]]
+    return np.stack(found, axis=1), best[np.arange(rows), first]
+
+
 def _grid_best(
     table: ScoreTable, bag: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row r: the best ``size``-tuple of the word ids of bag ``bag[r]``
-    that uses no word more often than ``counts[r]`` allows, as a row of
-    an (R, size) array, and its score, as ``_grid_scores`` scores it.
+    that uses no word more often than ``counts[r]`` (at most what the bag
+    holds) allows, as a row of an (R, size) array, and its score, as
+    ``_grid_scores`` scores it; a tie goes to the first maximum in C order.
+
+    When the LM reads at most two history ids and the last id follows at
+    least two ids past the history's first, a row's last id reads only
+    the two before it: the rows then take it from the bag's
+    ``_Continuations``, built once for the call, and score only the
+    tuples before it (``_continued_best``), width ** 3 cells for a
+    method1 seed in place of width ** 4 entries.  Else each row scores
+    its whole grid (``_masked_best``).  See ``_split_best``.
+    """
+    last = None
+    if table.span <= _DENSE_HISTORY and size + len(history) >= 4:
+        last = _Continuations(table, np.flatnonzero(np.bincount(bag)))
+    return _split_best(table, last, bag, counts, size, history, start)
+
+
+def _split_best(
+    table: ScoreTable, last: _Continuations | None, bag: np.ndarray, counts: np.ndarray, size: int,
+    history: list, start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_grid_best`` with its continuations ``last`` (or None).
 
     The rows go through in ``_passes``, with similar word counts
     together, and no count allows a padded id.  A row whose grid alone
-    holds more than ``ORDER_CHUNK`` entries is split along its first id:
-    each first id it allows starts a row of the (size - 1)-tuples after
-    it, from ``start[r]`` plus that id's conditional, which adds the same
-    floats in the same order.  Of its parts, in ascending first id, the
-    row keeps the first that scores highest, the first maximum in C order.
+    (of cells, with ``last``) holds more than ``ORDER_CHUNK`` entries is
+    split along its first id: each first id it allows starts a row of
+    the (size - 1)-tuples after it, from ``start[r]`` plus that id's
+    conditional, which adds the same floats in the same order.  Of its
+    parts, in ascending first id, the row keeps the first that scores
+    highest, the first maximum in C order.
     """
     best = np.zeros((len(bag), size), dtype=np.int64)
     scores = np.zeros(len(bag))
     width = table.marker[bag]
-    whole = (width**size <= ORDER_CHUNK) | (size == 1)
+    grid = size - (last is not None)  # the axes a row's grid spans
+    whole = (width**grid <= ORDER_CHUNK) | (size == 1)
     rows = np.flatnonzero(whole)
-    for part, w in _passes(width[rows], size):
+    for part, w in _passes(width[rows], grid):
         part = rows[part]
-        score = _grid_scores(table, bag[part], size, w, [h[part] for h in history], start[part])
-        best[part], scores[part] = _masked_best(score, counts[part])
+        after = [h[part] for h in history]
+        if last is None:
+            score = _grid_scores(table, bag[part], size, w, after, start[part])
+            best[part], scores[part] = _masked_best(score, counts[part])
+        else:
+            found = _continued_best(table, last, bag[part], counts[part], size, w, after, start[part])
+            best[part], scores[part] = found
     split = np.flatnonzero(~whole)
     if len(split):
         row, first = np.nonzero(counts[split] > 0)  # each row's allowed first ids, ascending
@@ -416,8 +551,8 @@ def _grid_best(
         rest = counts[r]
         rest[np.arange(len(r)), first] -= 1
         after = [h[r] for h in history]
-        tails, tail_scores = _grid_best(
-            table, bag[r], rest, size - 1, after + [first], start[r] + table(bag[r], after, first)
+        tails, tail_scores = _split_best(
+            table, last, bag[r], rest, size - 1, after + [first], start[r] + table(bag[r], after, first)
         )
         part = np.full(counts[split].shape, -1)
         part[row, first] = np.arange(len(r))
@@ -436,9 +571,11 @@ def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, 
     by greedy one-word extensions, and the search's counts.
 
     The seeds are one ``_grid_best`` call with a row per bag: its best
-    4-tuple after <s>, the smallest on a tie; a bag whose grid passes
-    ``ORDER_CHUNK`` (more than 13 distinct words) is split there along
-    its first word.  Growth then steps every bag at once: each
+    4-tuple after <s>, the smallest on a tie.  At LM order 4 and up a
+    bag's grid holds every 4-tuple, and one that passes ``ORDER_CHUNK``
+    (more than 13 distinct words) is split along its first word; at
+    order 3 and below it holds the 3-tuples before the fourth word, split
+    past 32 distinct words.  Growth then steps every bag at once: each
     step appends to each unfinished bag the remaining word that scores
     highest after the sequence so far (the smallest on a tie).
     """
@@ -619,11 +756,23 @@ def _ranked(key: np.ndarray, score: np.ndarray, prefix) -> np.ndarray:
     return rows
 
 
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative int64 keys, by
+    stable sorts of their 16-bit digits, least significant first, as many
+    as the largest key has: numpy radix-sorts 16-bit integers."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    shift, top = 16, int(key.max(initial=0))
+    while top >> shift:
+        order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
+
+
 def _banded(key: np.ndarray, score: np.ndarray, prefix) -> np.ndarray:
     """The rows ``_ranked`` keeps whose score is within ``_TIE_BAND`` of
     their key's best: the band is applied first, on a sort by key alone,
     so that only survivors that share their key are ranked."""
-    order = np.argsort(key, kind="stable")
+    order = _stable_argsort(key)
     first = np.flatnonzero(_run_heads(key[order]))
     top = np.maximum.reduceat(score[order], first)
     near = order[score[order] >= np.repeat(top, np.diff(np.append(first, len(order)))) - _TIE_BAND]
@@ -921,12 +1070,15 @@ def exhaustive(bag: WordBag, model: NGramModel) -> OrderingResult:
 def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     """Best 4-word sentence-initial seed, then greedy one-word extensions.
 
-    The seed stage scores every ordered 4-tuple of distinct bag positions
-    (n(n-1)(n-2)(n-3) candidates) as a sentence prefix, with the full
-    ``order - 1`` word history at every LM order, in one grid per first
-    word; the remaining words then join one at a time, each time
-    appending the word whose addition scores highest (the smallest word
-    on a tie).
+    The seed stage finds the best of every ordered 4-tuple of distinct bag
+    positions (n(n-1)(n-2)(n-3) candidates, the ``seed_candidates``) as a
+    sentence prefix, with the full ``order - 1`` word history at every LM
+    order, the smallest on a tie.  At LM order 4 and up it scores each of
+    them; at order 3 and below, where the fourth word reads only the two
+    before it, it scores the tuples of the first three words and takes
+    the fourth from the best words after each two, in about n ** 3 steps.
+    The remaining words then join one at a time, each time appending the
+    word whose addition scores highest (the smallest word on a tie).
     """
     if len(bag) < 5:
         raise ValueError("method1 requires at least 5 words")

@@ -387,8 +387,22 @@ def test_unknown_words_tie_break_to_smallest_sequence(toy_lm):
 def _unigram_model(logp):
     """Order-1 model with the given log10 probabilities. Every order of a
     bag sums the same terms, so scores differ only by rounding."""
-    entries = "".join(f"{v!r}\t{w}\n" for w, v in logp.items())
-    return lm.parse_arpa(f"\\data\\\nngram 1={len(logp)}\n\n\\1-grams:\n{entries}\n\\end\\\n")
+    return _arpa_model(1, logp)
+
+
+def _arpa_model(order_, entries):
+    """A model of LM order ``order_`` from {n-gram: logp or (logp, bow)};
+    every n-gram's prefix must be an entry."""
+    sections = [[] for _ in range(order_)]
+    for gram, value in entries.items():
+        logp, bow = value if isinstance(value, tuple) else (value, 0.0)
+        n = len(gram.split())
+        sections[n - 1].append(f"{logp!r}\t{gram}" + (f"\t{bow!r}" if n < order_ else ""))
+    head = "".join(f"ngram {n + 1}={len(lines)}\n" for n, lines in enumerate(sections))
+    body = "".join(
+        f"\\{n + 1}-grams:\n" + "".join(f"{line}\n" for line in lines) + "\n" for n, lines in enumerate(sections)
+    )
+    return lm.parse_arpa(f"\\data\\\n{head}\n{body}\\end\\\n")
 
 
 def test_method2_keeps_prefixes_that_differ_by_rounding():
@@ -408,23 +422,42 @@ def test_method1_seed_sums_round_like_the_oracle():
     _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
 
 
-def test_method1_seed_grids_of_a_huge_bag_stay_within_the_chunk_bound(toy_lm, monkeypatch):
-    # 120 distinct words: the seed grid of 120 ** 4 entries is split along
-    # the seed's first word, then each part of 120 ** 3 along its second,
-    # into grids of 120 ** 2
-    bag = WordBag(tuple(sorted(TOY_VOCAB + [f"w{i:03d}" for i in range(120 - len(TOY_VOCAB))])))
+def _seed_search_entries(model, n, monkeypatch):
+    """The size of every score array that ``method1`` reads from the score
+    table for a bag of n distinct words, and the result."""
+    bag = WordBag(tuple(sorted(TOY_VOCAB + [f"w{i:03d}" for i in range(n - len(TOY_VOCAB))])))
     sizes = []
-    real = order._masked_best
+    real = ScoreTable.__call__
 
-    def spy(score, counts):
-        sizes.append(score.size)
-        return real(score, counts)
+    def spy(self, bag, history, word):
+        out = real(self, bag, history, word)
+        sizes.append(out.size)
+        return out
 
-    monkeypatch.setattr(order, "_masked_best", spy)
-    result = method1(bag, toy_lm)
+    monkeypatch.setattr(ScoreTable, "__call__", spy)
+    result = method1(bag, model)
     assert Counter(result.sequence) == Counter(bag.words)
-    assert result.seed_candidates == 120 * 119 * 118 * 117
+    assert result.seed_candidates == n * (n - 1) * (n - 2) * (n - 3)
+    return sizes
+
+
+def test_method1_seed_grids_of_a_huge_bag_stay_within_the_chunk_bound(toy_lm, monkeypatch):
+    # 120 distinct words.  At LM order 3 a seed's fourth word reads only the
+    # two before it, so the search scores the 120 ** 3 tuples before it,
+    # split along the first word into grids of 120 ** 2, and ranks the
+    # 120 ** 3 continuations of each pair once, in passes: about
+    # 2 * 120 ** 3 entries, where scoring every seed took 120 ** 4
+    sizes = _seed_search_entries(toy_lm, 120, monkeypatch)
     assert 0 < max(sizes) <= order.ORDER_CHUNK
+    assert sum(sizes) <= 8 * 120**3
+
+
+def test_method1_seed_grids_of_a_large_bag_at_lm_order_4_stay_within_the_chunk_bound(monkeypatch):
+    # at LM order 4 the fourth word also reads the first: the seed grid of
+    # 40 ** 4 entries is split along the seed's first word, then each part
+    # of 40 ** 3 along its second, into grids of 40 ** 2
+    model = lm.train_lm(toy_corpus_sentences(), order=4)
+    assert 0 < max(_seed_search_entries(model, 40, monkeypatch)) <= order.ORDER_CHUNK
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
@@ -470,6 +503,139 @@ def test_method1_whole_and_split_seed_rows_in_one_call_match_the_oracle(lm_order
         assert (result.candidates_evaluated, result.seed_candidates, result.lrw_iterations) == (
             counts["candidates_evaluated"], counts["seed_candidates"], counts["lrw_iterations"]
         )
+
+
+def _assert_method1_matches_oracle(bag, model):
+    result = method1(bag, model)
+    sequence, counts = _method1_oracle(model, bag.words)
+    _assert_matches_oracle(result, model, sequence)
+    assert (result.candidates_evaluated, result.seed_candidates, result.lrw_iterations) == (
+        counts["candidates_evaluated"], counts["seed_candidates"], counts["lrw_iterations"]
+    )
+
+
+_ULP = 2.0**-53  # a unit in the last place of a float in [0.5, 1)
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3])
+@pytest.mark.parametrize("bos", [-0.3, -3.0, -100.0])
+def test_method1_seed_continuations_that_round_to_a_tie_match_the_oracle(lm_order, bos):
+    # the words' log probabilities are a few ulps apart, with the larger
+    # ids the more likely, so the totals of a seed's last word round to
+    # ties that its smaller ids win; at <s> = -100 every total of a cell
+    # rounds to the same float, and the winner's last word is past the
+    # continuations kept for the two words before it, so only a rescan
+    # finds it
+    words = [f"w{i}" for i in range(8)]
+    entries = {"<s>": (bos, 0.0), "</s>": -1.0, "<unk>": -2.0}
+    entries.update({w: (-0.5 - (8 - i) * _ULP, 0.0) for i, w in enumerate(words)})
+    if lm_order >= 2:  # bigrams that back off to nothing, also a few ulps apart
+        entries.update({f"w1 {w}": (-0.5 - (i % 3) * _ULP, 0.0) for i, w in enumerate(words)})
+    if lm_order >= 3:
+        entries.update({f"w1 w2 {w}": -0.5 - (i % 2) * _ULP for i, w in enumerate(words)})
+    model = _arpa_model(lm_order, entries)
+    bag = WordBag(tuple(words))
+    _assert_method1_matches_oracle(bag, model)
+    if bos == -100.0 and lm_order == 1:
+        seed = _method1_oracle(model, bag.words)[0][:4]
+        assert seed == ["w0", "w1", "w2", "w3"]
+        ranked = sorted((w for w in words if w not in seed[1:3]), key=lambda w: (-model.logprob(w, []), w))
+        assert ranked.index("w3") >= order._KEPT
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3])
+def test_method1_seed_tie_among_the_kept_continuations_goes_to_the_smaller_word(lm_order):
+    # the seed opens <s> a b c; after b c the best word, a, is used up, and
+    # e and d (one ulp less likely) round to the same total: d, the smaller
+    # word, wins, and f scores below both, so no rescan is needed
+    d = math.nextafter(-0.7, -math.inf)
+    entries = {"<s>": (-0.4, 0.0), "</s>": -1.0, "<unk>": -2.0, "a": (-0.1, 0.0), "b": (-0.1, 0.0),
+               "c": (-0.1, 0.0), "d": (d, 0.0), "e": (-0.7, 0.0), "f": (-0.9, 0.0)}
+    model = _arpa_model(lm_order, entries)
+    bag = WordBag(tuple("abcdef"))
+    prefix = -0.4 - 0.1 - 0.1 - 0.1
+    assert prefix + d == prefix - 0.7 and _method1_oracle(model, bag.words)[0][:4] == list("abcd")
+    _assert_method1_matches_oracle(bag, model)
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3])
+def test_method1_seeds_whose_best_last_word_is_used_up_match_the_oracle(lm_order):
+    # "the" is the best word after almost anything, and its copies are
+    # used up by the seed's first three words, or by its first only
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    for words in (
+        ("the", "the", "the", "dog", "ran", "park", "in"),
+        ("the", "dog", "ran", "park", "in", "a"),
+        ("the", "the", "a", "a", "dog", "ran"),
+        ("quix", "quix", "blorft", "the", "dog", "the"),
+    ):
+        _assert_method1_matches_oracle(WordBag(tuple(sorted(words))), model)
+    heavy = {"<s>": (-0.5, 0.0), "</s>": -1.0, "<unk>": -2.0, "x": (-0.1, 0.0), "y": (-1.3, 0.0),
+             "z": (-1.2, 0.0), "u": (-1.25, 0.0), "v": (-1.5, 0.0)}
+    for words in (("u", "v", "x", "y", "z"), ("u", "x", "x", "y", "z"), ("x", "x", "x", "y", "z", "z")):
+        _assert_method1_matches_oracle(WordBag(words), _arpa_model(lm_order, heavy))
+
+
+@pytest.mark.parametrize("lm_order", [1, 2, 3])
+def test_method1_seeds_of_bags_of_two_and_three_distinct_words_match_the_oracle(lm_order):
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    for words in (
+        ("dog", "dog", "dog", "the", "the"),
+        ("a", "a", "a", "a", "quix"),
+        ("dog", "ran", "the", "dog", "ran", "the"),
+        ("the", "the", "old", "old", "dog", "dog", "the"),
+    ):
+        assert len(set(words)) in (2, 3)
+        _assert_method1_matches_oracle(WordBag(tuple(sorted(words))), model)
+
+
+@pytest.mark.parametrize("lm_order", [2, 3])
+def test_method1_seeds_with_minus_infinity_conditionals_match_the_oracle(lm_order):
+    # hand-written, with -inf log probabilities and a -inf backoff after
+    # <s>: many seeds score -inf, and so do some of their continuations.
+    # (A -inf past a seed's start would reach growth steps in which every
+    # gain is -inf, and at LM order 1 every order of the bag.)
+    inf = float("-inf")
+    entries = {"<s>": (-0.4, 0.0), "</s>": -1.0, "<unk>": -2.0, "a": (-0.9, -0.1), "b": (-1.1, 0.0),
+               "c": (-1.0, -0.2), "d": (-1.2, 0.0), "e": (-0.8, 0.0), "f": (inf, 0.0),
+               "<s> e": (inf, 0.0), "<s> d": (inf, 0.0), "<s> c": (-0.5, inf), "<s> a": (-0.6, 0.0),
+               "c d": (-0.3, 0.0), "a b": (-0.2, 0.0)}
+    if lm_order >= 3:
+        entries.update({"<s> c a": -0.2, "<s> a d": inf, "<s> a c": -0.1, "a b c": -0.1})
+    model = _arpa_model(lm_order, entries)
+    assert model.logprob("f", []) == model.logprob("e", ["<s>"]) == -math.inf
+    for words in (("a", "b", "c", "d", "e"), ("a", "b", "c", "d", "e", "e"), ("a", "a", "b", "c", "d", "d", "e")):
+        _assert_method1_matches_oracle(WordBag(words), model)
+
+
+_SEED_WORDS = ["a", "dog", "old", "ran", "the", "while", "zyzzyva"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.lists(st.lists(st.sampled_from(_SEED_WORDS), min_size=1, max_size=12), min_size=1, max_size=4),
+    st.sampled_from([4, 8, 30, 100, 5000]),
+)
+def test_seed_search_rows_match_one_whole_grid(lm_order, drawn, chunk):
+    # per row, the seed search (with its continuations at LM order 3 and
+    # below, and split along leading ids past ORDER_CHUNK, down to rows of
+    # one id when a bag has more distinct words than ORDER_CHUNK) finds the
+    # tuple and score of one unsplit grid of every 4-tuple, also for a bag
+    # of fewer than 4 words, which allows none: (0, 0, 0, 0) and -inf
+    model = _arrange_lm(lm_order)
+    bags = [WordBag(tuple(sorted(words))) for words in drawn]
+    table = ScoreTable(order._Contexts.find(bags, model), model)
+    owner = np.arange(len(bags))
+    width = int(table.marker.max())
+    counts = table.counts[owner, :width]
+    history, start = [table.marker[owner]], table.start[owner]
+    expected = order._masked_best(order._grid_scores(table, owner, 4, width, history, start), counts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(order, "ORDER_CHUNK", chunk)
+        found = order._grid_best(table, owner, counts.copy(), 4, history, start)
+    assert found[0].tolist() == expected[0].tolist()
+    assert found[1].tolist() == expected[1].tolist()
 
 
 def _assert_exact_conditionals(table, b, model):
@@ -1031,6 +1197,28 @@ def test_band_first_ranking_keeps_what_ranking_then_banding_keeps(data):
         return sorted((int(key[r]), float(score[r]), tuple(prefix[r].tolist())) for r in rows)
 
     assert len(got) == len(expected) and kept(got) == kept(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 3, 1 << 16, 1 << 17, 1 << 33, 1 << 48, 1 << 50, (1 << 63) - 1]),
+    st.lists(st.integers(0, (1 << 63) - 1), max_size=60),
+)
+def test_stable_argsort_of_state_keys_is_numpys_stable_argsort(top, drawn):
+    # as many 16-bit passes as the largest key needs, from one up to four;
+    # a small top repeats keys, so that stability shows
+    key = np.array([k % top for k in drawn], dtype=np.int64)
+    assert order._stable_argsort(key).tolist() == np.argsort(key, kind="stable").tolist()
+
+
+@pytest.mark.parametrize(
+    "key",
+    [[], [7], [5] * 9, [1 << 48, 3, (1 << 48) + 3, 1 << 48, (1 << 62) + 1, 3, 0], [(1 << 63) - 1, 0, (1 << 63) - 1]],
+    ids=["empty", "one row", "all equal", "past 2**48", "largest"],
+)
+def test_stable_argsort_edge_cases(key):
+    key = np.array(key, dtype=np.int64)
+    assert order._stable_argsort(key).tolist() == np.argsort(key, kind="stable").tolist()
 
 
 def test_state_keys_equal_exactly_where_the_columns_are():

@@ -76,13 +76,13 @@ row's best tuple of still-unused ids after a given history, one row of
 chunk fills mask each (bag, chunk size) grid of fragment scores with the
 words left.  Grid rows are padded to the widest bag of their pass, in
 passes of at most ``ORDER_CHUNK`` entries or one row; a ``_grid_best``
-row whose grid alone is larger is split along its first id.  At LM order
-3 and below a seed's fourth word reads only the two words before it, so
-``_grid_best`` ranks what may follow each two ids of a bag once
-(``_Continuations``) and scores only the n ** 3 tuples of the first
-three words, not the n ** 4 seeds.
-``order_words`` and the three searches are one-item calls of the same
-path.
+row whose grid alone is larger is split along its first id.  A seed's
+fourth word mostly reads only the two words before it, so ``_grid_best``
+ranks what may follow each two ids of a bag once (``_Continuations``)
+and scores the n ** 3 tuples of the first three words, not the n ** 4
+seeds (``_continued_best``).  A pick whose candidates all score -inf
+takes the smallest (``_or_smallest``).  ``order_words`` and the three
+searches are one-item calls of the same path.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ _TIE_BAND = 1e-9
 _DENSE_HISTORY = 2
 
 # Ids that ``_Continuations`` keeps after each two ids, best first; a
-# seed rescans a cell only when all of them tie with its best total.
+# seed rescans a cell when all of them tie with its best total.
 _KEPT = 4
 
 
@@ -383,6 +383,17 @@ def _grid_scores(
     return score
 
 
+def _or_smallest(best: np.ndarray, score: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``best``, (R, size) tuples that score ``score``, with each -inf row
+    set to the first maximum of its tied tuples, the smallest that
+    ``counts[r]`` allows: the first ``size`` ids of its multiset."""
+    lost = score == -np.inf
+    if lost.any():
+        total = counts[lost].cumsum(axis=1)
+        best[lost] = np.stack([(total > i).argmax(axis=1) for i in range(best.shape[1])], axis=1)
+    return best
+
+
 def _masked_best(score: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (R,) + (width,) * size grids ``score``: its best tuple
     that uses no word more often than ``counts[r]`` allows, and its score;
@@ -390,19 +401,20 @@ def _masked_best(score: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
     rows, size, width = len(score), score.ndim - 1, score.shape[-1]
     masked = np.where(_fits(counts[:, :width], _axes(size, width)), score, -np.inf).reshape(rows, -1)
     first = masked.argmax(axis=1)
-    return np.stack(np.unravel_index(first, (width,) * size), axis=1), masked[np.arange(rows), first]
+    top = masked[np.arange(rows), first]
+    return _or_smallest(np.stack(np.unravel_index(first, (width,) * size), axis=1), top, counts), top
 
 
 class _Continuations:
-    """What may follow two ids, for an LM that reads at most two history
-    ids: per bag of ``bags`` (distinct bag indices) and pair (a, c) of its
-    ids, the ``_KEPT`` ids w of the bag with the highest log10 p(w | a c),
-    highest first and the smallest on a tie, and those conditionals.  An
-    id is left out if it is padding, if a and c use up the bag's copies
-    of it, or if its conditional is -inf; a row left with fewer ids ends
-    in -1.  ``ids[k]`` and ``logp[k]`` hold each row's k-th, flat at
-    ``(slot[bag] * wide + a) * wide + c``.  Filled in ``_passes`` of at
-    most ``ORDER_CHUNK`` entries."""
+    """What may follow two ids: per bag of ``bags`` (distinct bag indices)
+    and pair (a, c) of its ids, the ``_KEPT`` ids w of the bag with the
+    highest log10 p(w | a c), highest first and the smallest on a tie,
+    and those conditionals.  An id is left out if it is padding, if a
+    and c use up the bag's copies of it, or if its conditional is -inf; a
+    row left with fewer ids ends in -1.  ``ids[k]`` and ``logp[k]`` hold
+    each row's k-th, flat at ``(slot[bag] * wide + a) * wide + c``.
+    Filled in ``_passes`` of at most ``ORDER_CHUNK`` entries; see
+    ``_continued_best`` for when a seed's last word may read them."""
 
     def __init__(self, table: ScoreTable, bags: np.ndarray):
         m = table.marker[bags]
@@ -434,16 +446,21 @@ def _continued_best(
     table: ScoreTable, last: _Continuations, bag: np.ndarray, counts: np.ndarray, size: int, width: int,
     history: list, start: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_masked_best`` of the ``_grid_scores`` grids of a pass, for rows
-    whose last id's conditional reads only the two ids before it: each
+    """``_masked_best`` of the ``_grid_scores`` grids of a pass: each
     (size - 1)-tuple before the last id, a cell, is scored once, to P.
-    P plus a conditional is monotone in the conditional, so the cell's
-    best total is P plus that of the first of ``last``'s ids for its two
-    ids that it leaves a copy of.  A later id whose total rounds to the
-    same float ties, and the smallest of them wins; a cell whose kept ids
-    never drop below its best total is rescanned over every id.  A cell
-    that allows no finite total takes the id 0, as the grid's first
-    maximum does.  Each row's winner is its first maximum cell."""
+
+    The LM is prefix-closed, so a history that is no n-gram gives, bit for
+    bit, the conditional of its suffix one id shorter (see ``ScoreTable``).
+    So the last id reads only the two ids before it, whose continuations
+    ``last`` ranks, unless a suffix of 3 to ``span`` ids of its history
+    (``history`` and the cell's) is an n-gram: the cell is then long (LM
+    order 4 and up only).  P plus a conditional is monotone in the
+    conditional, so a cell's best total is P plus that of the first of
+    its pair's kept ids that it leaves a copy of.  A later id whose total
+    rounds to the same float ties, and the smallest of them wins.  A long
+    cell, and one whose kept ids never drop below its best total, is
+    rescanned over every id after its whole history.  Each row's winner
+    is its first maximum cell."""
     rows, cells = len(bag), (width,) * (size - 1)
     prefix = _axes(size - 1, width)
     counts = np.ascontiguousarray(counts[:, :width])
@@ -452,13 +469,18 @@ def _continued_best(
     a, c = ([h.reshape(column) for h in history] + prefix)[-2:]  # the two ids before the last
     at = np.broadcast_to((last.slot[bag].reshape(column) * last.wide + a) * last.wide + c, score.shape)
     offset = (np.arange(rows) * width).reshape(column)
+    long = np.zeros(score.shape, dtype=bool)
+    for k in range(3, min(table.span, len(history) + size - 1) + 1):  # each suffix of 3 or more ids the LM reads
+        cell = np.nonzero(score > -np.inf)
+        ids = [h[cell[0]] for h in history] + list(cell[1:])
+        long[cell] |= table.model.has_ngram(table.heads[bag[cell[0], None], np.stack(ids[-k:], axis=1)])
 
     def left(ids, base, used):  # the copies of ids that a cell with ids ``used`` leaves; base: its row's offset
         return counts.take(base + ids) - sum(u == ids for u in used)
 
     # every cell's first kept id, and whether its second scores below
     ids = last.ids[0].take(at)
-    on = (score > -np.inf) & (ids >= 0)
+    on = (score > -np.inf) & ~long & (ids >= 0)
     ok = on & (left(np.maximum(ids, 0), offset, prefix) > 0)
     best = score + last.logp[0].take(at)
     best[~ok] = -np.inf
@@ -476,15 +498,15 @@ def _continued_best(
         new, tie = some & (top == -np.inf), some & (total == top)
         best[live[new]], pick[live[new]] = total[new], ids[new]
         pick[live[tie]] = np.minimum(pick[live[tie]], ids[tie])
+    live = np.concatenate([live, np.flatnonzero(long)])
     word = np.arange(width)
     step = max(1, ORDER_CHUNK // width)
-    for lo in range(0, len(live), step):  # rescan: every id after the cell's two
+    for lo in range(0, len(live), step):  # rescan: every id after the cell's whole history
         cell = live[lo : lo + step, None]
-        b = bag[cell // n]
-        used = [u[:, None] for u in np.unravel_index(cell[:, 0] % n, cells)] if cells else ()
-        pair = [at[cell] // last.wide % last.wide, at[cell] % last.wide]
-        logp = table(b, pair, np.minimum(word, table.marker[b] - 1))
-        total = np.where(left(word, cell // n * width, used) > 0, score[cell] + logp, -np.inf)
+        r = cell // n
+        used = [u[:, None] for u in np.unravel_index(cell[:, 0] % n, cells)] if cells else []
+        logp = table(bag[r], [h[r] for h in history] + used, np.minimum(word, table.marker[bag[r]] - 1))
+        total = np.where(left(word, r * width, used) > 0, score[cell] + logp, -np.inf)
         pick[cell[:, 0]], best[cell[:, 0]] = total.argmax(axis=1), total.max(axis=1)
     best, pick = best.reshape(rows, n), pick.reshape(rows, n)
     first = best.argmax(axis=1)  # first maximum: the smallest tuple
@@ -493,57 +515,37 @@ def _continued_best(
 
 
 def _grid_best(
-    table: ScoreTable, bag: np.ndarray, counts: np.ndarray, size: int, history: list, start: np.ndarray
+    table: ScoreTable, last: _Continuations, bag: np.ndarray, counts: np.ndarray, size: int, history: list,
+    start: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row r: the best ``size``-tuple of the word ids of bag ``bag[r]``
     that uses no word more often than ``counts[r]`` (at most what the bag
     holds) allows, as a row of an (R, size) array, and its score, as
-    ``_grid_scores`` scores it; a tie goes to the first maximum in C order.
-
-    When the LM reads at most two history ids and the last id follows at
-    least two ids past the history's first, a row's last id reads only
-    the two before it: the rows then take it from the bag's
-    ``_Continuations``, built once for the call, and score only the
-    tuples before it (``_continued_best``), width ** 3 cells for a
-    method1 seed in place of width ** 4 entries.  Else each row scores
-    its whole grid (``_masked_best``).  See ``_split_best``.
-    """
-    last = None
-    if table.span <= _DENSE_HISTORY and size + len(history) >= 4:
-        last = _Continuations(table, np.flatnonzero(np.bincount(bag)))
-    return _split_best(table, last, bag, counts, size, history, start)
-
-
-def _split_best(
-    table: ScoreTable, last: _Continuations | None, bag: np.ndarray, counts: np.ndarray, size: int,
-    history: list, start: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_grid_best`` with its continuations ``last`` (or None).
+    ``_grid_scores`` scores it; a tie goes to the first maximum in C
+    order, and a row that allows no finite total takes its smallest
+    tuple (``_or_smallest``).  The last id follows at least two bag ids,
+    as a ``method1`` seed's does, and each row scores only the tuples
+    before it, its cells, taking the last from the bag's continuations
+    ``last`` (``_continued_best``).
 
     The rows go through in ``_passes``, with similar word counts
-    together, and no count allows a padded id.  A row whose grid alone
-    (of cells, with ``last``) holds more than ``ORDER_CHUNK`` entries is
-    split along its first id: each first id it allows starts a row of
-    the (size - 1)-tuples after it, from ``start[r]`` plus that id's
-    conditional, which adds the same floats in the same order.  Of its
-    parts, in ascending first id, the row keeps the first that scores
-    highest, the first maximum in C order.
+    together, and no count allows a padded id.  A row whose cells hold
+    more than ``ORDER_CHUNK`` entries is split along its first id: each
+    first id it allows starts a row of the (size - 1)-tuples after it,
+    from ``start[r]`` plus that id's conditional, which adds the same
+    floats in the same order.  Of its parts, in ascending first id, the
+    row keeps the first that scores highest, the first maximum in C
+    order.
     """
     best = np.zeros((len(bag), size), dtype=np.int64)
     scores = np.zeros(len(bag))
     width = table.marker[bag]
-    grid = size - (last is not None)  # the axes a row's grid spans
-    whole = (width**grid <= ORDER_CHUNK) | (size == 1)
+    whole = width ** (size - 1) <= ORDER_CHUNK
     rows = np.flatnonzero(whole)
-    for part, w in _passes(width[rows], grid):
+    for part, w in _passes(width[rows], size - 1):
         part = rows[part]
         after = [h[part] for h in history]
-        if last is None:
-            score = _grid_scores(table, bag[part], size, w, after, start[part])
-            best[part], scores[part] = _masked_best(score, counts[part])
-        else:
-            found = _continued_best(table, last, bag[part], counts[part], size, w, after, start[part])
-            best[part], scores[part] = found
+        best[part], scores[part] = _continued_best(table, last, bag[part], counts[part], size, w, after, start[part])
     split = np.flatnonzero(~whole)
     if len(split):
         row, first = np.nonzero(counts[split] > 0)  # each row's allowed first ids, ascending
@@ -551,19 +553,17 @@ def _split_best(
         rest = counts[r]
         rest[np.arange(len(r)), first] -= 1
         after = [h[r] for h in history]
-        tails, tail_scores = _split_best(
+        tails, tail_scores = _grid_best(
             table, last, bag[r], rest, size - 1, after + [first], start[r] + table(bag[r], after, first)
         )
         part = np.full(counts[split].shape, -1)
         part[row, first] = np.arange(len(r))
         by_first = np.full(part.shape, -np.inf)
         by_first[row, first] = tail_scores
-        pick = by_first.argmax(axis=1)  # first maximum: the smallest first id
+        pick = by_first.argmax(axis=1)  # first maximum: the smallest first id; -inf rows are set below
         scores[split] = by_first[np.arange(len(split)), pick]
-        chosen = part[np.arange(len(split)), pick]
-        some = chosen >= 0  # else the row allows no tuple, and keeps the zeros
-        best[split[some]] = np.column_stack([pick[some], tails[chosen[some]]])
-    return best, scores
+        best[split] = np.column_stack([pick, tails[part[np.arange(len(split)), pick]]])
+    return _or_smallest(best, scores, counts), scores
 
 
 def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, ...], dict]]:
@@ -571,13 +571,11 @@ def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, 
     by greedy one-word extensions, and the search's counts.
 
     The seeds are one ``_grid_best`` call with a row per bag: its best
-    4-tuple after <s>, the smallest on a tie.  At LM order 4 and up a
-    bag's grid holds every 4-tuple, and one that passes ``ORDER_CHUNK``
-    (more than 13 distinct words) is split along its first word; at
-    order 3 and below it holds the 3-tuples before the fourth word, split
-    past 32 distinct words.  Growth then steps every bag at once: each
-    step appends to each unfinished bag the remaining word that scores
-    highest after the sequence so far (the smallest on a tie).
+    4-tuple after <s>, the smallest on a tie, from the 3-tuples before
+    the fourth word (split past 32 distinct words) and the bag's
+    ``_Continuations``.  Growth then steps every bag at once: each step
+    appends to each unfinished bag the remaining word that scores highest
+    after the sequence so far (the smallest on a tie, also of -inf gains).
     """
     if not which:
         return []
@@ -586,7 +584,8 @@ def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, 
     bags, width = remaining.shape
     n = table.length[owner]
     sequence = np.zeros((bags, int(n.max())), dtype=np.int64)
-    sequence[:, :4], _ = _grid_best(table, owner, remaining, 4, [table.marker[owner]], table.start[owner])
+    last = _Continuations(table, owner)
+    sequence[:, :4], _ = _grid_best(table, last, owner, remaining, 4, [table.marker[owner]], table.start[owner])
     for column in sequence[:, :4].T:
         remaining[np.arange(bags), column] -= 1
     seeds = n * (n - 1) * (n - 2) * (n - 3)
@@ -598,7 +597,9 @@ def _method1_many(table: ScoreTable, which: list[int]) -> list[tuple[tuple[int, 
         history = [marker, *sequence[live, :length, None].transpose(1, 0, 2)]
         gains = table(b, history, np.minimum(np.arange(width), marker - 1))  # a padded id reads the last word
         allowed = remaining[live] > 0
-        w = np.where(allowed, gains, -np.inf).argmax(axis=1)  # first maximum: the smallest word
+        gains = np.where(allowed, gains, -np.inf)
+        w = gains.argmax(axis=1)  # first maximum: the smallest word
+        w = _or_smallest(w[:, None], gains[np.arange(len(live)), w], remaining[live])[:, 0]
         evaluated[live] += allowed.sum(axis=1)
         sequence[live, length] = w
         remaining[live, w] -= 1
@@ -1073,12 +1074,10 @@ def method1(bag: WordBag, model: NGramModel) -> OrderingResult:
     The seed stage finds the best of every ordered 4-tuple of distinct bag
     positions (n(n-1)(n-2)(n-3) candidates, the ``seed_candidates``) as a
     sentence prefix, with the full ``order - 1`` word history at every LM
-    order, the smallest on a tie.  At LM order 4 and up it scores each of
-    them; at order 3 and below, where the fourth word reads only the two
-    before it, it scores the tuples of the first three words and takes
-    the fourth from the best words after each two, in about n ** 3 steps.
-    The remaining words then join one at a time, each time appending the
-    word whose addition scores highest (the smallest word on a tie).
+    order, the smallest on a tie, in about n ** 3 steps
+    (``_continued_best``).  The remaining words then join one at a time,
+    each time appending the word whose addition scores highest (the
+    smallest word on a tie).
     """
     if len(bag) < 5:
         raise ValueError("method1 requires at least 5 words")

@@ -262,6 +262,28 @@ def test_reorder_degrades_a_bag_past_the_nine_chunk_cap(workspace, tmp_path, cap
     assert _read_predictions(out) == {"long": " ".join(words), "short": "The dog ."}
 
 
+@pytest.mark.parametrize(
+    "threshold, method", [([], "method2"), (["--threshold", "4"], "method1")], ids=["method2", "method1"]
+)
+def test_reorder_with_a_minus_infinity_word_keeps_the_bag(tmp_path, capfd, threshold, method):
+    # every order of the bag scores -inf: each search takes the smallest
+    # order its words allow, not the id 0 wherever every candidate is -inf
+    arpa = tmp_path / "inf.arpa"
+    unigrams = {"<s>": -99.0, "</s>": -1.0, "<unk>": -2.0, "a": -0.5, "b": -0.6, "c": -0.7, "d": -0.8,
+                "e": -0.9, "f": float("-inf")}
+    arpa.write_text(
+        f"\\data\\\nngram 1={len(unigrams)}\n\n\\1-grams:\n"
+        + "".join(f"{logp}\t{w}\n" for w, logp in unigrams.items()) + "\n\\end\\\n"
+    )
+    tb = tmp_path / "bag.conllu"
+    rows = "".join(f"{i}\t_\t{w}\tX\t_\t_\t{int(i > 1)}\tdep\t_\t_\n" for i, w in enumerate("fedcba", 1))
+    tb.write_text("# sent_id = s1\n" + rows)
+    out = tmp_path / "pred.txt"
+    assert cli.main(["reorder", str(tb), "--lm", str(arpa), "--out", str(out), *threshold]) == 0
+    assert capfd.readouterr().err.splitlines() == [f"s1: method={method} lm_score=-inf"]
+    assert _read_predictions(out) == {"s1": "A b c d e f ."}
+
+
 def test_realize_all_failed_is_data_error(workspace, tmp_path):
     tb = tmp_path / "allbad.conllu"
     tb.write_text("# sent_id = b1\n1\t_\t.\tPUNCT\t_\t_\t0\troot\t_\t_\n")

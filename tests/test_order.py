@@ -31,11 +31,13 @@ import _order_oracle
 
 
 def brute_force_best(model, words):
-    """Independent oracle: full enumeration with the same tie-breaking."""
-    best_total, best_perm = -math.inf, None
+    """Independent oracle: full enumeration with the same tie-breaking,
+    from the first permutation, so that a model where every one scores
+    -inf also has an answer."""
+    best_total, best_perm = None, None
     for perm in sorted(set(itertools.permutations(words))):
         total = lm.score(model, ["<s>", *perm, "</s>"]).total
-        if total > best_total or (total == best_total and perm < best_perm):
+        if best_perm is None or total > best_total or (total == best_total and perm < best_perm):
             best_total, best_perm = total, perm
     return list(best_perm), best_total
 
@@ -192,12 +194,14 @@ def _method1_oracle(model, words):
     everything before it (cut to order - 1 words), added left to right.
     Calling ``lm.score`` itself for each of the hundreds of thousands of
     tuples the random-bag test visits would take minutes; the winner's
-    score is checked against it.  Returns the sequence, and the
-    candidates, seeds and growth steps the loop visited.
+    score is checked against it.  Each pick starts from its first
+    candidate, so that -inf totals and gains also have an answer.  Returns
+    the sequence, and the candidates, seeds and growth steps the loop
+    visited.
     """
     cond = _memo_logprob(model)
     words = sorted(words)
-    best, best_seed = -math.inf, None
+    best, best_seed = None, None
     c0 = cond("<s>", ())
     seeds = iterations = 0
     for quad in itertools.permutations(range(len(words)), 4):
@@ -210,7 +214,7 @@ def _method1_oracle(model, words):
             + cond(w[2], ("<s>", w[0], w[1]))
             + cond(w[3], ("<s>", w[0], w[1], w[2]))
         )
-        if s > best or (s == best and w < best_seed):
+        if best_seed is None or s > best or (s == best and w < best_seed):
             best, best_seed = s, w
     assert lm.score(model, ["<s>", *best_seed]).total == best
     sequence = list(best_seed)
@@ -221,11 +225,11 @@ def _method1_oracle(model, words):
     while remaining:
         iterations += 1
         prefix = ("<s>", *sequence)
-        best_word, best_gain = None, -math.inf
+        best_word, best_gain = None, None
         for w in sorted(set(remaining)):
             evaluated += 1
             gain = cond(w, prefix)
-            if gain > best_gain:
+            if best_word is None or gain > best_gain:
                 best_gain, best_word = gain, w
         sequence.append(best_word)
         remaining.remove(best_word)
@@ -453,11 +457,22 @@ def test_method1_seed_grids_of_a_huge_bag_stay_within_the_chunk_bound(toy_lm, mo
 
 
 def test_method1_seed_grids_of_a_large_bag_at_lm_order_4_stay_within_the_chunk_bound(monkeypatch):
-    # at LM order 4 the fourth word also reads the first: the seed grid of
-    # 40 ** 4 entries is split along the seed's first word, then each part
-    # of 40 ** 3 along its second, into grids of 40 ** 2
+    # at LM order 4 the seed search also scores the 40 ** 3 tuples before
+    # the fourth word, split along the seed's first word into grids of
+    # 40 ** 2; a tuple whose three words are an n-gram rescans its fourth
     model = lm.train_lm(toy_corpus_sentences(), order=4)
     assert 0 < max(_seed_search_entries(model, 40, monkeypatch)) <= order.ORDER_CHUNK
+
+
+@pytest.mark.parametrize("lm_order", [4, 5])
+def test_method1_seed_grids_of_a_huge_bag_at_lm_orders_4_and_5_stay_as_small_as_at_order_3(lm_order, monkeypatch):
+    # 120 distinct words: the fourth word of a tuple whose history holds no
+    # n-gram of 3 or more words reads only the two words before it, as at
+    # order 3, and the few others are rescanned
+    model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
+    sizes = _seed_search_entries(model, 120, monkeypatch)
+    assert 0 < max(sizes) <= order.ORDER_CHUNK
+    assert sum(sizes) <= 8 * 120**3
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 3, 4, 5])
@@ -488,10 +503,10 @@ def test_method1_whole_and_split_seed_rows_in_one_call_match_the_oracle(lm_order
     widths = []  # the distinct words of each row of each 4-tuple call
     real = order._grid_best
 
-    def spy(table, bag, counts, size, history, start):
+    def spy(table, last, bag, counts, size, history, start):
         if size == 4:
             widths.append(sorted(table.marker[bag].tolist()))
-        return real(table, bag, counts, size, history, start)
+        return real(table, last, bag, counts, size, history, start)
 
     monkeypatch.setattr(order, "_grid_best", spy)
     found = realize_orders([small, large], model, OrderConfig(threshold=4))
@@ -589,23 +604,69 @@ def test_method1_seeds_of_bags_of_two_and_three_distinct_words_match_the_oracle(
         _assert_method1_matches_oracle(WordBag(tuple(sorted(words))), model)
 
 
-@pytest.mark.parametrize("lm_order", [2, 3])
+@pytest.mark.parametrize("lm_order", [1, 2, 3])
 def test_method1_seeds_with_minus_infinity_conditionals_match_the_oracle(lm_order):
     # hand-written, with -inf log probabilities and a -inf backoff after
     # <s>: many seeds score -inf, and so do some of their continuations.
-    # (A -inf past a seed's start would reach growth steps in which every
-    # gain is -inf, and at LM order 1 every order of the bag.)
+    # f and g score -inf after anything: a bag that holds them reaches
+    # growth steps in which every gain is -inf, and at LM order 1 every
+    # order of it scores -inf; such a pick takes the smallest word left
     inf = float("-inf")
     entries = {"<s>": (-0.4, 0.0), "</s>": -1.0, "<unk>": -2.0, "a": (-0.9, -0.1), "b": (-1.1, 0.0),
-               "c": (-1.0, -0.2), "d": (-1.2, 0.0), "e": (-0.8, 0.0), "f": (inf, 0.0),
-               "<s> e": (inf, 0.0), "<s> d": (inf, 0.0), "<s> c": (-0.5, inf), "<s> a": (-0.6, 0.0),
-               "c d": (-0.3, 0.0), "a b": (-0.2, 0.0)}
+               "c": (-1.0, -0.2), "d": (-1.2, 0.0), "e": (-0.8, 0.0), "f": (inf, 0.0), "g": (inf, 0.0)}
+    if lm_order >= 2:
+        entries.update({"<s> e": (inf, 0.0), "<s> d": (inf, 0.0), "<s> c": (-0.5, inf), "<s> a": (-0.6, 0.0),
+                        "c d": (-0.3, 0.0), "a b": (-0.2, 0.0)})
     if lm_order >= 3:
         entries.update({"<s> c a": -0.2, "<s> a d": inf, "<s> a c": -0.1, "a b c": -0.1})
     model = _arpa_model(lm_order, entries)
-    assert model.logprob("f", []) == model.logprob("e", ["<s>"]) == -math.inf
-    for words in (("a", "b", "c", "d", "e"), ("a", "b", "c", "d", "e", "e"), ("a", "a", "b", "c", "d", "d", "e")):
+    assert model.logprob("f", []) == model.logprob("g", ["a", "b"]) == -math.inf
+    assert lm_order == 1 or model.logprob("e", ["<s>"]) == -math.inf
+    for words in (
+        ("a", "b", "c", "d", "e"), ("a", "b", "c", "d", "e", "e"), ("a", "a", "b", "c", "d", "d", "e"),
+        ("a", "b", "c", "d", "f", "g"), ("a", "b", "c", "e", "f", "f", "g"), ("a", "f", "f", "g", "g"),
+    ):
         _assert_method1_matches_oracle(WordBag(words), model)
+
+
+_INF_WORDS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def _minus_infinity_models(draw):
+    """An LM of order 1 to 5 over ``_INF_WORDS``, hand-written as ARPA,
+    whose log probabilities and backoff weights are often -inf; its
+    n-grams past the unigrams are a drawn prefix-closed set."""
+    lm_order = draw(st.integers(1, 5))
+    logp = st.sampled_from([-math.inf, -0.2, -0.7, -1.5])
+    bow = st.sampled_from([0.0, -0.3, -math.inf])
+    grams = [("<s>",), ("</s>",), ("<unk>",)] + [(w,) for w in _INF_WORDS]
+    entries, level = {}, grams
+    for n in range(2, lm_order + 1):
+        extensions = [(*g, w) for g in level if g[-1] != "</s>" for w in [*_INF_WORDS, "</s>"]]
+        level = draw(st.lists(st.sampled_from(extensions), max_size=10, unique=True)) if extensions else []
+        grams += level
+    for gram in grams:
+        entries[" ".join(gram)] = (draw(logp), draw(bow))
+    return _arpa_model(lm_order, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_minus_infinity_models(), st.lists(st.sampled_from([*_INF_WORDS, "zyzzyva"]), min_size=1, max_size=9))
+def test_every_search_keeps_its_bag_under_minus_infinity_log_probabilities(model, words):
+    # where every candidate a pick may take scores -inf, it takes the
+    # smallest, as it does on any tie, never a word the bag has no copy
+    # left of; the DP of exhaustive and method2 bags may keep a different
+    # -inf prefix from the one brute force would, so only the multiset is
+    # checked there, and method1 also against its oracle
+    bag = WordBag(tuple(sorted(words)))
+    searches = [method2] + ([exhaustive] if len(bag) <= EXHAUSTIVE_LIMIT else [method1])
+    for search in searches:
+        result = search(bag, model)
+        assert Counter(result.sequence) == Counter(bag.words), search.__name__
+        assert result.lm_score == lm.score(model, ["<s>", *result.sequence, "</s>"])
+        if search is method1:
+            assert result.sequence == _method1_oracle(model, bag.words)[0]
 
 
 _SEED_WORDS = ["a", "dog", "old", "ran", "the", "while", "zyzzyva"]
@@ -618,11 +679,12 @@ _SEED_WORDS = ["a", "dog", "old", "ran", "the", "while", "zyzzyva"]
     st.sampled_from([4, 8, 30, 100, 5000]),
 )
 def test_seed_search_rows_match_one_whole_grid(lm_order, drawn, chunk):
-    # per row, the seed search (with its continuations at LM order 3 and
-    # below, and split along leading ids past ORDER_CHUNK, down to rows of
-    # one id when a bag has more distinct words than ORDER_CHUNK) finds the
-    # tuple and score of one unsplit grid of every 4-tuple, also for a bag
-    # of fewer than 4 words, which allows none: (0, 0, 0, 0) and -inf
+    # per row, the seed search (with its continuations at every LM order,
+    # and split along leading ids past ORDER_CHUNK, down to rows of one id
+    # when a bag has more distinct words than ORDER_CHUNK) finds the tuple
+    # and score of one unsplit grid of every 4-tuple, also for a bag of
+    # fewer than 4 words, which allows none: its words in order, then 0s,
+    # and -inf
     model = _arrange_lm(lm_order)
     bags = [WordBag(tuple(sorted(words))) for words in drawn]
     table = ScoreTable(order._Contexts.find(bags, model), model)
@@ -633,7 +695,7 @@ def test_seed_search_rows_match_one_whole_grid(lm_order, drawn, chunk):
     expected = order._masked_best(order._grid_scores(table, owner, 4, width, history, start), counts)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(order, "ORDER_CHUNK", chunk)
-        found = order._grid_best(table, owner, counts.copy(), 4, history, start)
+        found = order._grid_best(table, order._Continuations(table, owner), owner, counts.copy(), 4, history, start)
     assert found[0].tolist() == expected[0].tolist()
     assert found[1].tolist() == expected[1].tolist()
 
@@ -732,6 +794,20 @@ def test_method1_seeds_see_the_full_history(lm_order):
     model = lm.train_lm(toy_corpus_sentences(), order=lm_order)
     for bag in _oracle_bags(61, 12, 5, 12):
         _assert_matches_oracle(method1(bag, model), model, _method1_oracle(model, bag.words)[0])
+
+
+def test_method1_seeds_read_a_long_history_that_is_no_suffix_n_gram():
+    # order 5, not suffix-closed: <s> a b c and <s> a b c d are n-grams, a b c
+    # is not.  The seed <s> a b c d reads its 5-gram; a search that checked
+    # only the last three words of d's history would read what follows b c
+    # alone, and take e
+    entries = {"<s>": (-0.4, 0.0), "</s>": -1.0, "<unk>": -2.0, "a": -1.0, "b": -1.0, "c": -1.0, "d": -1.5,
+               "e": -1.0, "f": -1.2, "<s> a": -0.1, "<s> a b": -0.1, "<s> a b c": -0.1, "<s> a b c d": -0.1}
+    model = _arpa_model(5, entries)
+    assert not model.has_ngram(np.array([model.vocab.index(w) for w in "abc"]))
+    bag = WordBag(tuple("abcdef"))
+    assert _method1_oracle(model, bag.words)[0] == list("abcdef")
+    _assert_method1_matches_oracle(bag, model)
 
 
 @pytest.mark.parametrize("lm_order", [1, 2, 4, 5])

@@ -1023,7 +1023,8 @@ def _order(bags, model: NGramModel, methods) -> list:
     its slice.  Consecutive bags are searched together while their score
     table's block takes at most ``ORDER_CHUNK`` entries: their LM states
     times the widest bag's distinct words plus 2.  A bag over the budget
-    is a batch of its own.
+    is a batch of its own.  A result that is not a permutation of its bag
+    becomes a ``ValueError``, so that no wrong word reaches an output.
     """
     contexts = _Contexts.find(bags, model)
     states = np.bincount(contexts.owner[contexts.state], minlength=len(bags)).tolist()  # each bag's LM states
@@ -1036,6 +1037,9 @@ def _order(bags, model: NGramModel, methods) -> list:
             stop, width, filled = stop + 1, max(width, m[stop] + 2), filled + states[stop]
         results += _order_safely(contexts[start:stop], model, methods[start:stop])
         start = stop
+    for b, (bag, result) in enumerate(zip(bags, results)):
+        if isinstance(result, OrderingResult) and sorted(result.sequence) != sorted(bag.words):
+            results[b] = ValueError(f"{result.method.value} wrote words that are not a permutation of its bag")
     return results
 
 

@@ -339,13 +339,24 @@ def _run_backward(model: Seq2SeqModel, run: _Run, grads: dict, d_out) -> np.ndar
     return dz @ model.params[f"{prefix}.wx"].T
 
 
+def _row_sums(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The (n, width) sums of ``rows`` by their index in ``idx``, in one ``np.bincount``.
+
+    Each entry is summed from 0.0 in row order, as ``np.add.at`` into
+    zeros sums it, so the bits are the same.
+    """
+    width = rows.shape[1]
+    bins = (idx[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(bins, rows.ravel(), minlength=n * width).reshape(n, width)
+
+
 def _backward(model: Seq2SeqModel, tape) -> dict[str, np.ndarray]:
     """Gradients of the ``_forward`` loss for every parameter block.
 
     Each block is one product or sum over all steps of the batch, and
-    ``emb`` one scatter-add over the steps of all three runs.  Sums run
-    in an order set by the batch alone, so checkpoints are reproducible
-    from run to run.
+    ``emb`` one scatter-add over the steps of all three runs
+    (``_row_sums``).  Sums run in an order set by the batch alone, so
+    checkpoints are reproducible from run to run.
     """
     (enc_f, enc_b, dec), d_logits = tape
     steps, b, v = d_logits.shape
@@ -357,9 +368,8 @@ def _backward(model: Seq2SeqModel, tape) -> dict[str, np.ndarray]:
     d_enc = np.zeros((2, len(enc_f.gates), b, hid))  # each encoder direction's last state is half the summary
     d_enc[:, -1] = d_summary.reshape(b, 2, hid).swapaxes(0, 1)
     d_x += [_run_backward(model, run, grads, d_out) for run, d_out in zip((enc_f, enc_b), d_enc)]
-    grads["emb"] = np.zeros_like(model.params["emb"])
     idx = np.concatenate([run.idx.ravel() for run in (dec, enc_f, enc_b)])
-    np.add.at(grads["emb"], idx, np.concatenate([dx[:, :EMB_DIM] for dx in d_x]))
+    grads["emb"] = _row_sums(idx, np.concatenate([dx[:, :EMB_DIM] for dx in d_x]), len(model.params["emb"]))
     return {name: grads[name] for name in model.PARAM_NAMES}
 
 
@@ -407,7 +417,7 @@ def train(
     v_state = {n: np.zeros_like(p) for n, p in params.items()}
     step = 0
     trace: list[float] = []
-    snapshot = {n: p.copy() for n, p in params.items()}
+    snapshot = {n: p.copy() for n, p in params.items()}  # refreshed in place: a new copy would sit beside it
     for epoch in range(epochs):
         order = rng.permutation(len(data))
         epoch_losses: list[float] = []
@@ -419,6 +429,7 @@ def train(
                 diverged = True
                 break
             grads = _backward(model, tape)
+            del tape  # the next batch's forward pass would otherwise run beside this tape
             _clip_gradients(grads, _CLIP_NORM)
             step += 1
             bias1 = 1.0 - beta1**step
@@ -445,7 +456,8 @@ def train(
             break
         mean_loss = float(np.mean(epoch_losses))
         trace.append(mean_loss)
-        snapshot = {n: p.copy() for n, p in params.items()}
+        for name, p in params.items():
+            np.copyto(snapshot[name], p)
         if log is not None:
             log(f"epoch {epoch + 1}/{epochs}: loss {mean_loss:.6f}")
     model.check_finite()

@@ -1170,6 +1170,60 @@ def test_reorder_output_matches_the_golden_file(tmp_path, lm_order):
     assert {row[2] for row in expected} == {"exhaustive", "method1", "method2"}
 
 
+def _golden_reorder(tmp_path, capfd):
+    """The output lines and stderr notes of ``reorder`` on the golden file at LM order 3."""
+    pred = tmp_path / "pred.txt"
+    arpa = DATA_DIR / "golden-o3.arpa"
+    assert cli.main(["reorder", str(DATA_DIR / "golden.conllu"), "--lm", str(arpa), "--out", str(pred)]) == 0
+    return pred.read_bytes().splitlines(keepends=True), capfd.readouterr().err.splitlines()
+
+
+def _repeat_first(ids):
+    return tuple(ids[:1]) * len(ids)
+
+
+@pytest.mark.parametrize(
+    "planted, sent_id, method",
+    [("_arrange", "g05", "method2"), ("_arrange", "g03", "exhaustive"), ("_method1_many", "g24", "method1")],
+)
+def test_a_result_that_is_no_permutation_of_its_bag_degrades_only_its_sentence(
+    tmp_path, capfd, monkeypatch, planted, sent_id, method
+):
+    # a search that returns a repeated id writes words the bag does not
+    # hold; the check against the bag turns that into a stated failure
+    clean_lines, clean_notes = _golden_reorder(tmp_path, capfd)
+    corpus = conllu.parse_conllu((DATA_DIR / "golden.conllu").read_text("utf-8"))
+    victim = next(i for i, s in enumerate(corpus.sentences) if s.sent_id == sent_id)
+    tokens = [sorted(s.tokens, key=lambda t: t.id) for s in corpus.sentences]
+    distinct = [sorted(set(preprocess([t.form or t.lemma for t in toks]).words)) for toks in tokens]
+    assert distinct.count(distinct[victim]) == 1 and len(distinct[victim]) > 1
+    # stderr also holds the parser's notes on the file
+    note = next(i for i, line in enumerate(clean_notes) if line.startswith(f"{sent_id}: "))
+    assert clean_notes[note].startswith(f"{sent_id}: method={method} ")
+
+    real = getattr(order, planted)
+    if planted == "_arrange":
+        def planting(table, plans):
+            arranged, transitions = real(table, plans)
+            return [_repeat_first(ids) if table.words[b] == distinct[victim] else ids
+                    for b, ids in enumerate(arranged)], transitions
+    else:
+        def planting(table, which):
+            return [(_repeat_first(ids) if table.words[b] == distinct[victim] else ids, fields)
+                    for b, (ids, fields) in zip(which, real(table, which))]
+    monkeypatch.setattr(order, planted, planting)
+    lines, notes = _golden_reorder(tmp_path, capfd)
+
+    lemmas = " ".join(t.lemma for t in tokens[victim] if t.lemma)
+    assert lines[victim] == f"{sent_id}\t{lemmas}\n".encode("utf-8")
+    assert notes[note] == (
+        f"{sent_id}: realization failed ({method} wrote words that are not a permutation of its bag),"
+        " emitted lemmas in id order"
+    )
+    assert lines[:victim] + lines[victim + 1 :] == clean_lines[:victim] + clean_lines[victim + 1 :]
+    assert notes[:note] + notes[note + 1 :] == clean_notes[:note] + clean_notes[note + 1 :]
+
+
 def test_a_failing_bag_degrades_only_its_own_sentence(toy_lm, monkeypatch):
     token_lists = [list(bag.words) for bag in _oracle_bags(97, 12, 1, 14)]
     clean = [_outcome(r) for r in realize_orders(token_lists, toy_lm)]

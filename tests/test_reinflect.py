@@ -1,7 +1,10 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udrealize import reinflect as rf
 from udrealize.morphmap import MorphTag, feature_vector
@@ -446,6 +449,25 @@ def test_grad_empty_batch_errors():
         grad(model, [])
 
 
+# a few ids, so that rows repeat them; the values add signed zeros and
+# infinities, whose sums (inf - inf is nan) show any change of order
+_ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0, -1e-300]), st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 3, EMB_DIM]), st.integers(1, 10), st.data())
+def test_row_sums_equal_add_at_bit_for_bit(n, width, count, data):
+    idx = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count)), dtype=np.intp)
+    rows = np.asarray(data.draw(st.lists(_ROW_VALUES, min_size=count * width, max_size=count * width)))
+    rows = rows.reshape(count, width)
+    expected = np.zeros((n, width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(expected, idx, rows)
+        got = rf._row_sums(idx, rows, n)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grad_error_names_broken_block():
     model, examples = tiny_model()
@@ -533,6 +555,52 @@ def test_train_rolls_back_on_divergence(monkeypatch):
     assert len(trace) == 1  # only the finished epoch is recorded
     for name in clean.params:
         assert np.array_equal(model.params[name], clean.params[name])
+
+
+def test_train_rolls_back_to_the_initial_parameters_on_divergence_in_epoch_one(monkeypatch):
+    examples = [
+        TrainExample("ab", PL_TAG, "abs"),
+        TrainExample("ba", N_TAG, "ba"),
+        TrainExample("aa", N_TAG, "aa"),
+        TrainExample("bb", PL_TAG, "bbs"),
+    ]
+    model = build_model(examples, hidden_size=4, max_len=8, seed=0)
+    initial = {name: p.copy() for name, p in model.params.items()}
+    real_forward = rf._forward
+    calls = {"n": 0}
+
+    def poisoned(model_, batch):
+        calls["n"] += 1
+        if calls["n"] == 2:  # the first batch has updated the parameters
+            return float("nan"), None
+        return real_forward(model_, batch)
+
+    monkeypatch.setattr(rf, "_forward", poisoned)
+    logged: list[str] = []
+    model, trace = train(model, examples, epochs=3, lr=1e-3, seed=5, batch_size=2, log=logged.append)
+    monkeypatch.undo()
+
+    assert trace == [] and calls["n"] == 2
+    assert logged == ["epoch 1: loss diverged, rolled back to last checkpoint"]
+    for name, p in initial.items():
+        assert model.params[name].tobytes() == p.tobytes(), name
+
+
+def test_training_keeps_one_batch_tape_alive(monkeypatch):
+    model, examples = tiny_model(seed=8)
+    real_forward = rf._forward
+    tapes: list = []  # a weak reference to each batch's decoder states
+
+    def watched(model_, batch):
+        assert all(ref() is None for ref in tapes), "an earlier batch's tape is alive"
+        loss, tape = real_forward(model_, batch)
+        tapes.append(weakref.ref(tape[0][2].hs))
+        return loss, tape
+
+    monkeypatch.setattr(rf, "_forward", watched)
+    train(model, examples, epochs=2, lr=1e-3, seed=1, batch_size=1)
+    monkeypatch.undo()
+    assert len(tapes) == 2 * len(examples)
 
 
 # ------------------------------------------------------------------ predict
